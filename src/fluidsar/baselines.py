@@ -128,6 +128,12 @@ def central_grid_layout(grid: np.ndarray, m: int, min_distance: float) -> np.nda
     raise ConfigurationError("lattice cannot host this many antennas")
 
 
+def _off_lattice(layout: np.ndarray, grid: np.ndarray) -> int:
+    """Antennas of ``layout`` that sit on no point of ``grid`` (exact match)."""
+    points = set(map(tuple, grid.tolist()))
+    return sum(p not in points for p in map(tuple, np.asarray(layout).tolist()))
+
+
 def _sample_combinations(n_points: int, m: int, total: int, cap: int, seed: int):
     """Deterministic uniform subsample of m-subsets when enumeration is too big."""
     rng = np.random.default_rng(seed)
@@ -157,6 +163,7 @@ class ApsResult:
     subsampled: bool
     best: SolveReport | BalanceResult | None
     wall_time_s: float
+    off_lattice: int  # returned antennas that sit on no lattice point
 
     def to_json_dict(self) -> dict:
         return {
@@ -170,6 +177,7 @@ class ApsResult:
             "coverage": self.coverage,
             "subsampled": self.subsampled,
             "wall_time_s": self.wall_time_s,
+            "off_lattice": self.off_lattice,
         }
 
 
@@ -239,12 +247,14 @@ def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
                              layout=best.layout, sar=best.sar, beta=best.beta_achieved,
                              evaluated=len(starts), total_combinations=len(starts),
                              coverage=1.0, subsampled=False, best=best,
-                             wall_time_s=time.perf_counter() - t0)
+                             wall_time_s=time.perf_counter() - t0,
+                             off_lattice=_off_lattice(best.layout, grid))
         return ApsResult(value=best.beta_star, objective=objective, precoder=best.precoder,
                          layout=best.layout, sar=best.sar, beta=best.beta_star,
                          evaluated=len(starts), total_combinations=len(starts),
                          coverage=1.0, subsampled=False, best=best,
-                         wall_time_s=time.perf_counter() - t0)
+                         wall_time_s=time.perf_counter() - t0,
+                         off_lattice=_off_lattice(best.layout, grid))
 
     total = math.comb(n_points, M)
     subsampled = total > config.aps_cap
@@ -290,7 +300,8 @@ def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
                      sar=sar, beta=beta, evaluated=evaluated, total_combinations=total,
                      coverage=evaluated / total if total else 1.0,
                      subsampled=subsampled, best=best,
-                     wall_time_s=time.perf_counter() - t0)
+                     wall_time_s=time.perf_counter() - t0,
+                     off_lattice=_off_lattice(layout, grid))
 
 
 def solve_fpa(realization: ChannelRealization, model: SarModel, objective: str,

@@ -189,7 +189,8 @@ def _run_bundle(plan: ExperimentPlan, point_index: int, value, trial: int) -> li
                                     solver_config, balance_config,
                                     method="alternating")
                     row.update(value_metric=res.beta, beta=res.beta, sar=res.sar,
-                               aps_coverage=res.coverage, aps_subsampled=res.subsampled)
+                               aps_coverage=res.coverage, aps_subsampled=res.subsampled,
+                               aps_off_lattice=res.off_lattice)
                 elif scheme == "no-sar":
                     if nosar_cache is None:
                         nosar_cache = solve_without_sar(realization, plan.m, base_config,
@@ -230,7 +231,8 @@ def _run_bundle(plan: ExperimentPlan, point_index: int, value, trial: int) -> li
                                     solver_config, targets=targets,
                                     method="alternating")
                     row.update(value_metric=res.value, beta=res.beta, sar=res.sar,
-                               aps_coverage=res.coverage, aps_subsampled=res.subsampled)
+                               aps_coverage=res.coverage, aps_subsampled=res.subsampled,
+                               aps_off_lattice=res.off_lattice)
         except Exception as exc:  # per-trial failures never abort the sweep
             row["status"] = "error"
             row["error"] = f"{type(exc).__name__}: {exc}"

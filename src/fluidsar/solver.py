@@ -14,9 +14,20 @@ layer alternates three block updates on the penalized objective
 The coupling residual xi = sum |h_k^H p_j - z_{k,j}|^2 is the outer stopping
 indicator; the emitted solution is rescaled so the worst SINR constraint holds
 with equality.
+
+Cache lifetimes: ``solve_sar_min`` builds one geometry cache (``_GeoCache``:
+direction cosines and conjugated path gains of the channel) and hands it to
+every inner loop of the solve. With a position lattice, the cache builds the
+lattice's tables (``_Lattice``: candidate channel rows, in-region and pair
+spacing masks, point index) on the first lattice search and keeps them for the
+rest of the solve. Nothing outlives the solve. The module-level
+``_TRIU_CACHE`` holds only index pairs, keyed by size. The single-step public
+helpers (``position_gradient``, ``update_position``, ...) build a cache per
+call.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -175,27 +186,50 @@ class _GeoCache:
         """Per-path terms of conj(h_k) for one antenna at t, shape (K, L)."""
         return self.fbar * np.exp(1j * self.kappa * (t[0] * self.ax + t[1] * self.ay))
 
-    def conj_column(self, t):
-        """conj(h_k) values and their position derivatives for one antenna at t."""
-        q = self.phase_terms(t)
-        hbar = q.sum(axis=1)
-        jk = 1j * self.kappa
-        return hbar, jk * (self.ax * q).sum(axis=1), jk * (self.ay * q).sum(axis=1)
-
     def conj_rows(self, points: np.ndarray) -> np.ndarray:
         """conj(h_k) values for antennas at each of n points, shape (n, K)."""
         phase = np.exp(1j * self.kappa * (points[:, 0, None, None] * self.ax[None, :, :]
                                           + points[:, 1, None, None] * self.ay[None, :, :]))
         return (self.fbar[None, :, :] * phase).sum(axis=2)
 
-    def lattice(self, position_grid):
-        """The lattice as an (n, 2) array and its conj-channel rows, built once
-        per cache: every row is computed independently, so a row reads the same
-        whether it is taken from this table or evaluated alone."""
-        if self._lattice is None or self._lattice[0] is not position_grid:
-            grid = np.asarray(position_grid, dtype=float)
-            self._lattice = (position_grid, grid, self.conj_rows(grid))
-        return self._lattice[1], self._lattice[2]
+    def lattice(self, position_grid, half_width_m: float, min_distance: float) -> "_Lattice":
+        """The candidate lattice of ``position_grid`` in a box of half-width
+        ``half_width_m`` with spacing ``min_distance``, built once per cache."""
+        lat = self._lattice
+        if lat is None or lat.key[0] is not position_grid \
+                or lat.key[1:] != (half_width_m, min_distance):
+            lat = self._lattice = _Lattice(self, position_grid, half_width_m, min_distance)
+        return lat
+
+
+class _Lattice:
+    """What the lattice search needs about its n candidate points.
+
+    ``hbar`` holds the conj-channel rows (n, K); every row is computed
+    independently, so a row reads the same whether it is taken from this table
+    or evaluated alone. ``spaced[i, j]`` says whether points i and j keep the
+    minimum spacing, with the arithmetic the search applies to an antenna
+    that is off the lattice, so the two tests agree bit for bit; ``index``
+    maps an (x, y) point of ``points`` to its row.
+    """
+
+    def __init__(self, geo: _GeoCache, position_grid, half_width_m: float,
+                 min_distance: float):
+        self.key = (position_grid, half_width_m, min_distance)
+        grid = np.asarray(position_grid, dtype=float)
+        self.grid = grid
+        self.hbar = geo.conj_rows(grid)
+        self.in_region = np.all(np.abs(grid) <= half_width_m, axis=1)
+        # dx*dx + dy*dy: the two squares and the two-term sum of
+        # ((g_i - g_j) ** 2).sum(), without an (n, n, 2) temporary
+        dx = grid[:, 0, None] - grid[None, :, 0]
+        dy = grid[:, 1, None] - grid[None, :, 1]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        self.spaced = dx >= min_distance ** 2
+        self.points = list(map(tuple, grid.tolist()))
+        self.index = {p: i for i, p in enumerate(self.points)}
 
 
 def _ragged(realization: ChannelRealization) -> bool:
@@ -290,38 +324,28 @@ def solve_auxiliary(H: np.ndarray, P: np.ndarray, targets: SinrTargets,
     # array overhead would dominate. The root function
     #     s / (1 - z)^2 - w / (1 + z g)^2 - g sigma^2
     # is written out inline with the operations of its array form, so the
-    # bits match; all users take the same number of steps.
+    # bits match. All users take the same number of steps: the bisection stops
+    # once every user's stopping test is met, or after 60 steps. Each rounded
+    # operation is monotone in z, so y_hi = f(hi) never grows as hi falls, and
+    # hi - lo never grows: a test once met stays met. The users' brackets are
+    # independent, so each user runs until its own test is met, and then all
+    # continue to the largest of those step counts.
     users = list(zip(s.tolist(), w.tolist(), g.tolist(), gn.tolist()))
-    n = len(users)
     hi0 = 1.0 - 1e-9
-    lo = [0.0] * n
-    hi = [hi0] * n
-    y_hi = []
+    brackets = []
     for su, wu, gu, gnu in users:
         a = 1.0 - hi0
         b = 1.0 + hi0 * gu
-        y_hi.append(su / (a * a) - wu / (b * b) - gnu)
-    degenerate = [int(k) for k, y in zip(idx, y_hi) if y <= 0.0]
+        brackets.append((0.0, hi0, su / (a * a) - wu / (b * b) - gnu, 0))
+    degenerate = [int(k) for k, (_, _, y, _) in zip(idx, brackets) if y <= 0.0]
     if degenerate:
         raise DegenerateUserError(degenerate)
 
-    tol_y = [1e-10 * gnu for _, _, _, gnu in users]
-    for _ in range(60):
-        if all(y <= t or h - x < 1e-14 for y, t, h, x in zip(y_hi, tol_y, hi, lo)):
-            break
-        for i in range(n):
-            su, wu, gu, gnu = users[i]
-            mid = 0.5 * (lo[i] + hi[i])
-            a = 1.0 - mid
-            b = 1.0 + mid * gu
-            ym = su / (a * a) - wu / (b * b) - gnu
-            if ym < 0.0:
-                lo[i] = mid
-            else:
-                hi[i] = mid
-                y_hi[i] = ym
-    lo = np.array(lo)
-    hi = np.array(hi)
+    brackets = [_dual_bisection(u, *br, 0, 60) for u, br in zip(users, brackets)]
+    steps = max(k for _, _, _, k in brackets)
+    brackets = [_dual_bisection(u, *br, steps, 0) for u, br in zip(users, brackets)]
+    lo = np.array([br[0] for br in brackets])
+    hi = np.array([br[1] for br in brackets])
     z_opt = hi  # feasible side of the bracket
     gap = float(np.sum(value(hi) - value(lo)))
 
@@ -329,6 +353,27 @@ def solve_auxiliary(H: np.ndarray, P: np.ndarray, targets: SinrTargets,
     Z[idx, :] = C[idx, :] / (1.0 + z_opt * g)[:, None]
     Z[idx, idx] = np.diag(C)[idx] / (1.0 - z_opt)
     return Z, zeta, gap
+
+
+def _dual_bisection(user, lo: float, hi: float, y_hi: float, k: int, k_min: int, k_max: int):
+    """Bisection steps on one user's dual root function, on Python floats:
+    at least until step ``k_min``, and on up to step ``k_max`` while the
+    stopping test is open (root value at ``hi`` within 1e-10 g sigma^2 of
+    zero, or a bracket narrower than 1e-14). Returns (lo, hi, y_hi, k)."""
+    su, wu, gu, gnu = user
+    tol = 1e-10 * gnu
+    while k < k_min or (k < k_max and not (y_hi <= tol or hi - lo < 1e-14)):
+        mid = 0.5 * (lo + hi)
+        a = 1.0 - mid
+        b = 1.0 + mid * gu
+        ym = su / (a * a) - wu / (b * b) - gnu
+        if ym < 0.0:
+            lo = mid
+        else:
+            hi = mid
+            y_hi = ym
+        k += 1
+    return lo, hi, y_hi, k
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +393,12 @@ position_objective = coupling_residual
 
 
 def _gradient_from_terms(q: np.ndarray, geo: _GeoCache, P: np.ndarray,
-                         E: np.ndarray, m: int) -> np.ndarray:
+                         E: np.ndarray, m: int) -> tuple[float, float]:
     s = E.conj() @ P[m, :]
     sq = s[:, None] * q
-    gx = -2.0 * geo.kappa * np.imag(np.sum(geo.ax * sq))
-    gy = -2.0 * geo.kappa * np.imag(np.sum(geo.ay * sq))
-    return np.array([gx, gy])
-
-
-def _gradient_at(m: int, positions: np.ndarray, geo: _GeoCache,
-                 P: np.ndarray, E: np.ndarray) -> np.ndarray:
-    return _gradient_from_terms(geo.phase_terms(positions[m]), geo, P, E, m)
+    gx = -2.0 * geo.kappa * (geo.ax * sq).sum().imag
+    gy = -2.0 * geo.kappa * (geo.ay * sq).sum().imag
+    return float(gx), float(gy)
 
 
 def position_gradient(m: int, positions: np.ndarray, realization: ChannelRealization,
@@ -367,7 +407,7 @@ def position_gradient(m: int, positions: np.ndarray, realization: ChannelRealiza
     geo = _geo(realization, wavelength)
     H = channel_matrix(positions, realization, wavelength)
     E = H.conj() @ P - Z
-    return _gradient_at(m, positions, geo, P, E)
+    return np.array(_gradient_from_terms(geo.phase_terms(positions[m]), geo, P, E, m))
 
 
 def _majorizers(geo: _GeoCache, P: np.ndarray, Z: np.ndarray, wavelength: float) -> np.ndarray:
@@ -401,29 +441,26 @@ def _triu_pairs(n: int):
     return pair
 
 
-def _qp_constraints(t_old: np.ndarray, region: Region, others: np.ndarray,
-                    min_distance: float):
+def _qp_constraints(t_old, region: Region, others, min_distance: float):
     """Rows (a, b) of a.t >= b: the four box faces plus one linearized spacing
-    constraint per neighbor; every row is unit-norm."""
+    constraint per neighbor; every row is unit-norm. ``t_old`` and the rows of
+    ``others`` are (x, y) pairs of Python floats; each entry is computed with
+    the IEEE operations of its array form."""
     a_m = region.half_width_m
-    others = np.atleast_2d(others) if others.size else np.empty((0, 2))
-    n = others.shape[0]
-    A = np.empty((4 + n, 2))
-    b = np.empty(4 + n)
-    A[0] = (1.0, 0.0)
-    A[1] = (-1.0, 0.0)
-    A[2] = (0.0, 1.0)
-    A[3] = (0.0, -1.0)
-    b[:4] = -a_m
-    if n:
-        d = t_old[None, :] - others
-        nrm = np.sqrt((d ** 2).sum(axis=1))
-        if np.any(nrm <= 0.0):
+    A = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    b = [-a_m] * 4
+    tx, ty = t_old
+    for ox, oy in others:
+        dx = tx - ox
+        dy = ty - oy
+        nrm = math.sqrt(dx * dx + dy * dy)
+        if nrm <= 0.0:
             return None, None
-        N = d / nrm[:, None]
-        A[4:] = N
-        b[4:] = min_distance + (N * others).sum(axis=1)
-    return A, b
+        nx = dx / nrm
+        ny = dy / nrm
+        A.append((nx, ny))
+        b.append(min_distance + (nx * ox + ny * oy))
+    return np.array(A), np.array(b)
 
 
 def position_qp(tau: float, grad: np.ndarray, t_old: np.ndarray, region: Region,
@@ -434,8 +471,9 @@ def position_qp(tau: float, grad: np.ndarray, t_old: np.ndarray, region: Region,
     exactly by enumerating active sets: the free minimum, every single
     constraint, and every constraint pair. Returns None if nothing is feasible.
     """
-    others = np.asarray(others, dtype=float)
-    A, b = _qp_constraints(t_old, region, np.atleast_2d(others) if others.size else others,
+    t_old = np.asarray(t_old, dtype=float)
+    A, b = _qp_constraints(t_old.tolist(), region,
+                           np.asarray(others, dtype=float).reshape(-1, 2).tolist(),
                            min_distance)
     if A is None:
         return None
@@ -478,31 +516,34 @@ def position_qp(tau: float, grad: np.ndarray, t_old: np.ndarray, region: Region,
     return region.clip(best)
 
 
-def _step_from_gradient(t_old: np.ndarray, grad: np.ndarray, tau: float,
-                        region: Region, min_distance: float, others: np.ndarray):
-    """Free majorize-minimize step with QP fallback. Returns (t_new, status)."""
-    cand = t_old - grad / tau
-    dist_ok = others.size == 0 or np.all(
-        ((others - cand[None, :]) ** 2).sum(axis=1) >= min_distance ** 2)
-    if dist_ok and region.contains(cand):
-        return cand, "free"
-    cand = position_qp(tau, grad, t_old, region, others, min_distance)
-    if cand is None:
+def _step_from_gradient(t_old, grad, tau: float, region: Region, min_distance: float,
+                        others: list):
+    """Free majorize-minimize step with QP fallback, on (x, y) pairs of Python
+    floats; ``others`` lists the other antennas. Returns (t_new, status).
+
+    The free step t_old - grad / tau is kept when it stays in the box and
+    keeps the minimum spacing. Those tests run on Python floats: for two
+    coordinates, per-call array overhead would dominate. Each uses the IEEE
+    operations of its array form (x*x for a square, a two-term sum), so the
+    verdicts match bit for bit.
+    """
+    cx = t_old[0] - grad[0] / tau
+    cy = t_old[1] - grad[1] / tau
+    a_m = region.half_width_m
+    d2 = min_distance ** 2
+    free = abs(cx) <= a_m and abs(cy) <= a_m
+    for ox, oy in others:
+        if not free:
+            break
+        dx = ox - cx
+        dy = oy - cy
+        free = dx * dx + dy * dy >= d2
+    if free:
+        return (cx, cy), "free"
+    t_new = position_qp(tau, np.array(grad), np.array(t_old), region, others, min_distance)
+    if t_new is None:
         return t_old, "stuck"
-    return cand, "qp"
-
-
-def _step_antenna(m: int, positions: np.ndarray, geo: _GeoCache, P: np.ndarray,
-                  E: np.ndarray, tau: float, region: Region, min_distance: float,
-                  others: np.ndarray | None = None):
-    """One majorize-minimize step for antenna m. Returns (t_new, status)."""
-    t_old = positions[m]
-    if others is None:
-        others = np.delete(positions, m, axis=0)
-    if tau <= 0.0:
-        return t_old, "skipped"
-    grad = _gradient_at(m, positions, geo, P, E)
-    return _step_from_gradient(t_old, grad, tau, region, min_distance, others)
+    return tuple(t_new.tolist()), "qp"
 
 
 def update_position(m: int, positions: np.ndarray, realization: ChannelRealization,
@@ -516,39 +557,61 @@ def update_position(m: int, positions: np.ndarray, realization: ChannelRealizati
     H = channel_matrix(positions, realization, wavelength)
     E = H.conj() @ P - Z
     tau = float(_majorizers(geo, P, Z, wavelength)[m])
-    return _step_antenna(m, positions, geo, P, E, tau, region, min_distance)
+    if tau <= 0.0:
+        return positions[m], "skipped"
+    points = np.asarray(positions, dtype=float).tolist()
+    grad = _gradient_from_terms(geo.phase_terms(positions[m]), geo, P, E, m)
+    t_new, status = _step_from_gradient(points[m], grad, tau, region, min_distance,
+                                        points[:m] + points[m + 1:])
+    return np.array(t_new), status
 
 
 def _select_positions_on_grid(positions, geo, P, Z, region, min_distance, config, Hbar):
     """Per-antenna exhaustive search over the lattice: each antenna moves to
     the candidate that minimizes the coupling residual exactly (its current
-    point included, so the objective never increases). Mutates positions/Hbar.
+    point included, so the objective never increases). Ties go to the lower
+    x, then the lower y, then the current point. Mutates positions/Hbar.
     """
-    grid, grid_hbar = geo.lattice(config.position_grid)
-    in_region = np.all(np.abs(grid) <= region.half_width_m, axis=1)
+    lat = geo.lattice(config.position_grid, region.half_width_m, min_distance)
+    grid, grid_hbar = lat.grid, lat.hbar
+    d2 = min_distance ** 2
+    # the lattice row of each antenna, None for one off the lattice (a start
+    # such as the line array can leave antennas there)
+    at = [lat.index.get(p) for p in map(tuple, positions.tolist())]
     M = positions.shape[0]
     E = Hbar @ P - Z
     obj = float(np.vdot(E, E).real)
     pnorm2 = (np.abs(P) ** 2).sum(axis=1)  # ||P[m, :]||^2 per antenna
     for m in range(M):
-        others = np.delete(positions, m, axis=0)
-        dist2 = ((grid[:, None, :] - others[None, :, :]) ** 2).sum(axis=-1)
-        ok = np.all(dist2 >= min_distance ** 2, axis=1) if others.size else \
-            np.ones(len(grid), dtype=bool)
-        ok &= in_region
+        ok = lat.in_region.copy()
+        for j in range(M):
+            if j == m:
+                continue
+            if at[j] is not None:
+                ok &= lat.spaced[at[j]]
+            else:
+                ok &= ((grid - positions[j]) ** 2).sum(axis=1) >= d2
         if not ok.any():
             continue
-        cand = np.vstack([positions[m][None, :], grid[ok]])
         # conj-channel values for all candidates: the current point, then the
         # lattice rows, (n_c, K)
-        hbar_c = np.vstack([geo.conj_rows(positions[m][None, :]), grid_hbar[ok]])
+        here = grid_hbar[at[m]] if at[m] is not None else geo.conj_rows(positions[m][None, :])[0]
+        hbar_c = np.concatenate((here[None, :], grid_hbar[ok]))
         delta = hbar_c - Hbar[:, m][None, :]
         s = E.conj() @ P[m, :]
         obj_c = obj + 2.0 * np.real(delta @ s) + (np.abs(delta) ** 2).sum(axis=1) * pnorm2[m]
-        best = int(np.lexsort((cand[:, 1], cand[:, 0], obj_c))[0])
+        best = int(obj_c.argmin())
         if obj_c[best] >= obj:
             continue
-        positions[m] = cand[best]
+        rows = np.flatnonzero(ok).tolist()
+        ties = np.flatnonzero(obj_c == obj_c[best]).tolist()
+        if len(ties) > 1:
+            # min keeps the first of equal keys, as a stable sort would
+            here_xy = tuple(positions[m].tolist())
+            best = min(ties, key=lambda i: lat.points[rows[i - 1]] if i else here_xy)
+        if best:
+            at[m] = rows[best - 1]
+            positions[m] = grid[at[m]]
         Hbar[:, m] = hbar_c[best]
         E = E + delta[best][:, None] * P[m, :][None, :]
         obj = float(np.vdot(E, E).real)
@@ -556,30 +619,38 @@ def _select_positions_on_grid(positions, geo, P, Z, region, min_distance, config
     return E, float(np.vdot(E, E).real), False
 
 
-def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar):
-    """Sequential per-antenna SCA descents; mutates positions/Hbar, returns (E, obj, stuck)."""
+def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar,
+                     counts: dict | None = None):
+    """Sequential per-antenna SCA descents; mutates positions/Hbar, returns
+    (E, obj, stuck). ``counts``, when given, gains one per free, QP and stuck
+    step under those status names."""
     if config.position_grid is not None:
         return _select_positions_on_grid(positions, geo, P, Z, region, min_distance,
                                          config, Hbar)
     M = positions.shape[0]
-    taus = _majorizers(geo, P, Z, region.wavelength)
+    taus = _majorizers(geo, P, Z, region.wavelength).tolist()
     any_stuck = False
     step_tol = 1e-8 * region.wavelength  # moves below this cannot matter
     for m in range(M):
-        tau = float(taus[m])
+        tau = taus[m]
         if tau <= 0.0:
             continue
         # refresh exactly per antenna so rank-1 update drift cannot accumulate
         E = Hbar @ P - Z
         obj = float(np.vdot(E, E).real)
-        others = np.delete(positions, m, axis=0)
-        q = geo.phase_terms(positions[m])
+        points = positions.tolist()
+        t_old = points.pop(m)
+        q = geo.phase_terms(t_old)
         for _ in range(config.max_sca_iter):
             grad = _gradient_from_terms(q, geo, P, E, m)
-            if np.abs(grad).max() / tau < step_tol:
+            # max|g| / tau < tol, tested per coordinate: division by tau > 0
+            # is monotone, so the verdict is the same
+            if abs(grad[0]) / tau < step_tol and abs(grad[1]) / tau < step_tol:
                 break
-            t_new, status = _step_from_gradient(positions[m], grad, tau, region,
-                                                min_distance, others)
+            t_new, status = _step_from_gradient(t_old, grad, tau, region,
+                                                min_distance, points)
+            if counts is not None:
+                counts[status] = counts.get(status, 0) + 1
             if status == "stuck":
                 any_stuck = True
                 break
@@ -592,7 +663,7 @@ def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar):
             # amplified by mu in the penalized objective the caller tracks
             if obj_new > obj * (1.0 + 1e-12):
                 break  # numerically flat; keep the current point
-            positions[m] = t_new
+            positions[m] = t_old = t_new
             Hbar[:, m] = hbar_new
             E = E_new
             q = q_new
@@ -620,11 +691,17 @@ def _penalized_objective(P, E, model, mu):
 
 def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.ndarray,
                Z: np.ndarray, model: SarModel, targets: SinrTargets, mu: float,
-               config: SolverConfig, trace: list | None = None, outer_index: int = 0):
+               config: SolverConfig, trace: list | None = None, outer_index: int = 0,
+               counts: dict | None = None, geo: _GeoCache | None = None):
     """Alternate precoder / auxiliary / position blocks until the penalized
     objective decrease falls below eps_inner. Returns (P, Z, positions, Hbar, sweeps).
+
+    ``counts``, when given, gains the number of continuous position steps by
+    status ("free", "qp", "stuck"), as ``trace`` gains the objective trace.
+    ``geo`` is the solve's geometry cache; without one, the loop builds its own.
     """
-    geo = _geo(realization, config.wavelength)
+    if geo is None:
+        geo = _geo(realization, config.wavelength)
     noise = realization.noise_variance
     positions = np.array(positions, dtype=float)
     Hbar = channel_matrix(positions, realization, config.wavelength).conj()
@@ -667,7 +744,7 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
 
         if config.optimize_positions:
             E, _, _ = _sweep_positions(positions, geo, P, Z, config.region,
-                                       config.distance, config, Hbar)
+                                       config.distance, config, Hbar, counts)
             record("positions", _penalized_objective(P, E, model, mu))
 
         value = prev
@@ -723,6 +800,8 @@ class SolveReport:
     config: dict
     aux: np.ndarray | None = None
     final_mu: float = 0.0
+    # continuous position steps taken, by status: "free", "qp", "stuck"
+    position_steps: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -747,6 +826,7 @@ class SolveReport:
             "warnings": list(self.warnings),
             "config": dict(self.config),
             "final_mu": self.final_mu,
+            "position_steps": dict(self.position_steps),
         }
 
 
@@ -788,6 +868,7 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
     mu = config.mu0
     sweeps_total = 0
     outer_done = 0
+    steps = {"free": 0, "qp": 0, "stuck": 0}
 
     try:
         Z, _, _ = solve_auxiliary(H, P, targets, noise)
@@ -802,11 +883,12 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
             status = "degenerate"
 
     if status != "degenerate":
+        geo = _geo(realization, config.wavelength)
         for outer in range(config.max_outer):
             try:
                 P, Z, positions, Hbar, sweeps = inner_loop(
                     realization, positions, P, Z, model, targets, mu, config,
-                    trace=inner_trace, outer_index=outer)
+                    trace=inner_trace, outer_index=outer, counts=steps, geo=geo)
             except DegenerateUserError:
                 warnings.append("degenerate_user")
                 status = "degenerate"
@@ -883,4 +965,5 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
                 "weights": targets.weights.tolist(), "budget": model.budget},
         aux=Z,
         final_mu=mu,
+        position_steps=steps,
     )

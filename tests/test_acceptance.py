@@ -321,6 +321,7 @@ def sweep_records():
     return records
 
 
+@pytest.mark.slow
 def test_criterion_7_orderings(sweep_records):
     with criterion(7, "scheme orderings by one pooled stderr"):
         total = sum(sweep_records["_elapsed"].values())
@@ -363,6 +364,7 @@ def test_criterion_7_orderings(sweep_records):
               f"{first[0]:.3f} -> {last[0]:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_8_shapes(sweep_records):
     with criterion(8, "curve shapes"):
         # exposure strictly increasing in the target for every scheme

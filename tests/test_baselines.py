@@ -206,6 +206,28 @@ def test_fas_seeded_from_aps_winner_not_worse():
     assert fas.sar <= aps.sar + 1e-6
 
 
+def test_aps_reports_antennas_off_the_lattice():
+    # the alternating search keeps an antenna where it started when no lattice
+    # point improves on it, so a line-array start can leave antennas off the
+    # lattice; the result says how many, matching the layout against the grid
+    targets = SinrTargets.uniform(4, 1.0 / NOISE_W)
+    counts = []
+    for seed, half_width in ((0, 1.0), (3, 2.5), (4, 1.0)):
+        cfg = fast_config(region=Region(half_width, WAVELENGTH))
+        real = sample_channel(seed, 4, 4, 5, NOISE_W)
+        res = solve_aps(real, paper_sar_matrix(), "sar-min", BaselineConfig(), cfg,
+                        targets=targets, method="alternating")
+        grid = aps_grid(cfg.region, WAVELENGTH / 2)
+        gap = np.abs(res.layout[:, None, :] - grid[None, :, :]).max(axis=2).min(axis=1)
+        assert res.off_lattice == int(np.count_nonzero(gap > 0))
+        assert res.to_json_dict()["off_lattice"] == res.off_lattice
+        counts.append(res.off_lattice)
+    assert counts[0] == 4 and counts[1] > 0 and counts[2] == 0
+    res = solve_aps(small_channel(9), SMALL_MODEL, "sar-min", BaselineConfig(aps_cap=10),
+                    fast_config(), targets=SinrTargets.uniform(2, 0.5 / NOISE_W))
+    assert res.off_lattice == 0  # combinations place antennas on lattice points only
+
+
 def test_aps_rejects_bad_objective():
     real = small_channel(1)
     with pytest.raises(ConfigurationError):

@@ -140,6 +140,15 @@ def test_scheme_sweep_axis():
     assert schemes == {"fas", "fpa"}
 
 
+def test_aps_rows_carry_off_lattice_count():
+    plan = tiny_plan(values=(1.0 / NOISE_W,), trials=1, schemes=("fas", "aps"))
+    rec = run_sweep(plan)
+    aps = [r for r in rec.rows if r["scheme"] == "aps"]
+    assert aps and all(isinstance(r["aps_off_lattice"], int) for r in aps)
+    assert all("aps_off_lattice" not in r for r in rec.rows if r["scheme"] != "aps")
+    assert "off_lattice" not in rec.to_csv()
+
+
 def test_balance_objective_sweep_runs():
     plan = ExperimentPlan(
         objective="balance", sweep="q0", values=(0.4, 1.6), trials=1,

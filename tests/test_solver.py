@@ -143,6 +143,22 @@ def test_solve_report_roundtrips_to_json(paper_channel):
     assert len(parsed["outer_trace"]) == rep.outer_iterations
 
 
+def test_solve_report_counts_position_steps(paper_channel):
+    model = paper_sar_matrix()
+    targets = SinrTargets.uniform(4, 1.0 / NOISE_W)
+    rep = solve_sar_min(paper_channel, targets, model, fast_config())
+    steps = rep.position_steps
+    assert set(steps) == {"free", "qp", "stuck"} and steps["free"] > 0
+    assert json.loads(json.dumps(rep.to_json_dict()))["position_steps"] == steps
+    # inner_loop fills a caller's dict the way it fills a trace list
+    counts = {}
+    inner_loop(paper_channel, uniform_line_layout(4, Region(1.0, WAVELENGTH)), rep.precoder,
+               rep.aux, model, targets, fast_config().mu0, fast_config(), counts=counts)
+    assert sum(counts.values()) > 0 and set(counts) <= {"free", "qp", "stuck"}
+    fixed = solve_sar_min(paper_channel, targets, model, fast_config(optimize_positions=False))
+    assert fixed.position_steps == {"free": 0, "qp": 0, "stuck": 0}
+
+
 def test_positions_disabled_keeps_layout(paper_channel):
     model = paper_sar_matrix()
     cfg = fast_config(optimize_positions=False)

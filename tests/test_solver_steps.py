@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluidsar.baselines import aps_grid
+from fluidsar.baselines import aps_grid, central_grid_layout
 from fluidsar.channel import Region, channel_matrix, sample_channel, uniform_line_layout
 from fluidsar.exposure import paper_sar_matrix, sar_value, synthesize_sar_matrix
 from fluidsar.solver import (
@@ -14,10 +14,11 @@ from fluidsar.solver import (
     position_qp,
     solve_auxiliary,
     solve_precoder,
+    solve_sar_min,
     update_position,
 )
 
-from conftest import NOISE_W, WAVELENGTH, random_complex
+from conftest import NOISE_W, WAVELENGTH, fast_config, random_complex
 
 
 # ----------------------------------------------------------- precoder step
@@ -416,8 +417,9 @@ def test_lattice_table_rows_match_direct_evaluation():
     real = sample_channel(7, 4, 4, 15, NOISE_W)
     geo = _GeoCache(real, WAVELENGTH)
     grid = aps_grid(Region(2.5, WAVELENGTH), WAVELENGTH / 2)
-    table_grid, table = geo.lattice(tuple(map(tuple, grid)))
-    assert np.array_equal(table_grid, grid)
+    lat = geo.lattice(tuple(map(tuple, grid)), 2.5 * WAVELENGTH, WAVELENGTH / 2)
+    table = lat.hbar
+    assert np.array_equal(lat.grid, grid)
     rng = np.random.default_rng(5)
     for _ in range(5):
         ok = rng.random(len(grid)) < 0.7
@@ -426,3 +428,44 @@ def test_lattice_table_rows_match_direct_evaluation():
         assert np.array_equal(table[i], geo.conj_rows(grid[i][None, :])[0])
     Hc = channel_matrix(grid, real, WAVELENGTH).conj().T
     np.testing.assert_allclose(table, Hc, rtol=0, atol=1e-12 * np.abs(Hc).max())
+
+
+def test_lattice_tables_built_once_per_solve(monkeypatch):
+    # one lattice solve builds the candidate table once, not once per inner loop
+    real = sample_channel(3, 4, 4, 15, NOISE_W)
+    region = Region(1.0, WAVELENGTH)
+    grid = aps_grid(region, WAVELENGTH / 2)
+    tables = []
+    conj_rows = _GeoCache.conj_rows
+
+    def counting(self, points):
+        if len(points) == len(grid):
+            tables.append(len(points))
+        return conj_rows(self, points)
+
+    monkeypatch.setattr(_GeoCache, "conj_rows", counting)
+    cfg = fast_config(region=region, position_grid=tuple(map(tuple, grid)))
+    rep = solve_sar_min(real, SinrTargets.uniform(4, 1.0 / NOISE_W), paper_sar_matrix(), cfg,
+                        initial_layout=central_grid_layout(grid, 4, WAVELENGTH / 2))
+    assert rep.outer_iterations > 1 and rep.inner_sweeps_total > rep.outer_iterations
+    assert tables == [len(grid)]
+
+
+@pytest.mark.parametrize("half_width,box,spacing", [
+    (1.0, 1.0, 0.5), (2.5, 2.5, 0.5), (3.0, 3.0, 0.5), (3.0, 2.5, 0.5), (2.5, 2.5, 0.7)])
+def test_lattice_masks_match_direct_evaluation(half_width, box, spacing):
+    # the precomputed masks stand in for a per-pair test the search used to
+    # make: every entry must equal that test
+    real = sample_channel(5, 4, 4, 15, NOISE_W)
+    grid = aps_grid(Region(half_width, WAVELENGTH), WAVELENGTH / 2)
+    d = spacing * WAVELENGTH
+    region = Region(box, WAVELENGTH)
+    lat = _GeoCache(real, WAVELENGTH).lattice(tuple(map(tuple, grid)), region.half_width_m, d)
+    n = len(grid)
+    assert lat.spaced.shape == (n, n)
+    for i in range(n):
+        assert lat.in_region[i] == region.contains(grid[i])
+        assert lat.index[tuple(grid[i].tolist())] == i
+        for j in range(n):
+            assert lat.spaced[i, j] == (((grid[i] - grid[j]) ** 2).sum() >= d ** 2)
+    assert lat.in_region.all() == (box >= half_width)
