@@ -114,7 +114,11 @@ def worker_count() -> int:
     cpus = os.cpu_count() or 1
     if not cap:
         return 1
-    return max(1, min(int(cap), cpus * 4))
+    try:
+        n = int(cap)
+    except ValueError:
+        raise ConfigurationError(f"FAS_THREADS must be an integer, got {cap!r}") from None
+    return max(1, min(n, cpus * 4))
 
 
 def _point_params(plan: ExperimentPlan, value):

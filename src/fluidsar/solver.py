@@ -8,8 +8,9 @@ layer alternates three block updates on the penalized objective
   1. precoder columns p_k from the closed-form stationarity system,
   2. auxiliary variables z_{k,j} from K independent dual problems, each a
      single-multiplier bisection,
-  3. antenna positions t_m one at a time by majorize-minimize steps, with a
-     tiny 2-D active-set QP when the free step leaves the feasible set.
+  3. antenna positions t_m one at a time by majorize-minimize steps; when the
+     free step leaves the box or breaks the spacing, the step is its exact
+     projection onto the box and the spacing rows linearized at t_m.
 
 The coupling residual xi = sum |h_k^H p_j - z_{k,j}|^2 is the outer stopping
 indicator; the emitted solution is rescaled so the worst SINR constraint holds
@@ -20,15 +21,14 @@ direction cosines and conjugated path gains of the channel) and hands it to
 every inner loop of the solve. With a position lattice, the cache builds the
 lattice's tables (``_Lattice``: candidate channel rows, in-region and pair
 spacing masks, point index) on the first lattice search and keeps them for the
-rest of the solve. Nothing outlives the solve. The module-level
-``_TRIU_CACHE`` holds only index pairs, keyed by size. The single-step public
-helpers (``position_gradient``, ``update_position``, ...) build a cache per
-call.
+rest of the solve. Nothing outlives the solve. The single-step public helpers
+(``position_gradient``, ``update_position``, ...) build a cache per call.
 """
 from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -430,90 +430,83 @@ def position_majorizer(m: int, positions: np.ndarray, realization: ChannelRealiz
     return float(_majorizers(geo, P, Z, wavelength)[m])
 
 
-_TRIU_CACHE: dict = {}
+def _project_step(free, t_old, region: Region, others, min_distance: float):
+    """Projection of the free step ``free`` onto the box and the spacing rows
+    linearized at ``t_old``, on (x, y) pairs of Python floats; ``others``
+    lists the other antennas. None when a neighbour sits on the antenna (no
+    row can be set up) or when no point meets every row.
 
-
-def _triu_pairs(n: int):
-    pair = _TRIU_CACHE.get(n)
-    if pair is None:
-        pair = np.triu_indices(n, k=1)
-        _TRIU_CACHE[n] = pair
-    return pair
-
-
-def _qp_constraints(t_old, region: Region, others, min_distance: float):
-    """Rows (a, b) of a.t >= b: the four box faces plus one linearized spacing
-    constraint per neighbor; every row is unit-norm. ``t_old`` and the rows of
-    ``others`` are (x, y) pairs of Python floats; each entry is computed with
-    the IEEE operations of its array form."""
+    Each row a.t >= b is unit-norm and is met within 1e-11 max(1, |b|). The
+    free step is returned when it meets every row. Otherwise the projection
+    onto a violated row that meets every row is the optimum: the polygon lies
+    inside that row's half-plane. Failing that, at least two rows are active
+    at the optimum, which is then the feasible pairwise vertex nearest the
+    free step (lowest (x, y) on ties).
+    """
     a_m = region.half_width_m
-    A = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-    b = [-a_m] * 4
+    rows = [(1.0, 0.0, -a_m), (-1.0, 0.0, -a_m), (0.0, 1.0, -a_m), (0.0, -1.0, -a_m)]
     tx, ty = t_old
     for ox, oy in others:
         dx = tx - ox
         dy = ty - oy
         nrm = math.sqrt(dx * dx + dy * dy)
         if nrm <= 0.0:
-            return None, None
+            return None
         nx = dx / nrm
         ny = dy / nrm
-        A.append((nx, ny))
-        b.append(min_distance + (nx * ox + ny * oy))
-    return np.array(A), np.array(b)
+        rows.append((nx, ny, min_distance + (nx * ox + ny * oy)))
+    rows = [(ax, ay, b, b - 1e-11 * max(1.0, abs(b))) for ax, ay, b in rows]
+
+    def feasible(x, y):
+        return all(ax * x + ay * y >= lo for ax, ay, _, lo in rows)
+
+    def clip(x, y):
+        return min(max(x, -a_m), a_m), min(max(y, -a_m), a_m)
+
+    fx, fy = free
+    if feasible(fx, fy):
+        return clip(fx, fy)
+    for ax, ay, b, lo in rows:
+        if ax * fx + ay * fy < lo:
+            # b a plus the free step's component along the row's line
+            s = ax * fy - ay * fx
+            x = b * ax - s * ay
+            y = b * ay + s * ax
+            if feasible(x, y):
+                return clip(x, y)
+    vertices = []
+    for i, (ax, ay, bi, _) in enumerate(rows):
+        for cx, cy, bj, _ in rows[i + 1:]:
+            det = ax * cy - ay * cx
+            if abs(det) <= 1e-14:
+                continue
+            x = (bi * cy - bj * ay) / det
+            y = (ax * bj - cx * bi) / det
+            if feasible(x, y):
+                dx = x - fx
+                dy = y - fy
+                vertices.append((dx * dx + dy * dy, x, y))
+    if not vertices:
+        return None
+    _, x, y = min(vertices)
+    return clip(x, y)
 
 
 def position_qp(tau: float, grad: np.ndarray, t_old: np.ndarray, region: Region,
                 others: np.ndarray, min_distance: float) -> np.ndarray | None:
     """Minimize the quadratic surrogate under box and linearized spacing constraints.
 
-    The problem is two-dimensional and strictly convex, so the optimum is found
-    exactly by enumerating active sets: the free minimum, every single
-    constraint, and every constraint pair. Returns None if nothing is feasible.
+    The surrogate 0.5 tau ||t||^2 + (grad - tau t_old).t equals
+    0.5 tau ||t - t_free||^2 up to a constant, with t_free = t_old - grad / tau,
+    so its minimizer is the projection of the free step onto the constraint
+    polygon, found exactly by ``_project_step``. Returns None if nothing is
+    feasible.
     """
-    t_old = np.asarray(t_old, dtype=float)
-    A, b = _qp_constraints(t_old.tolist(), region,
-                           np.asarray(others, dtype=float).reshape(-1, 2).tolist(),
-                           min_distance)
-    if A is None:
-        return None
-    c = grad - tau * t_old
-    tol = 1e-11 * np.maximum(1.0, np.abs(b))
-
-    t_free = -c / tau
-    if np.all(A @ t_free >= b - tol):
-        return region.clip(t_free)
-
-    n = A.shape[0]
-    ii, jj = _triu_pairs(n)
-    cand = np.empty((n + ii.size, 2))
-
-    # single-constraint minimizers: project the free minimum onto each line
-    base = b[:, None] * A
-    dirs = np.empty_like(A)
-    dirs[:, 0] = -A[:, 1]
-    dirs[:, 1] = A[:, 0]
-    s = -(dirs @ c + tau * (dirs * base).sum(axis=1)) / tau
-    cand[:n] = base + s[:, None] * dirs
-
-    # pairwise vertices; parallel pairs get a far-outside sentinel point
-    det = A[ii, 0] * A[jj, 1] - A[ii, 1] * A[jj, 0]
-    parallel = np.abs(det) <= 1e-14
-    safe = np.where(parallel, 1.0, det)
-    cand[n:, 0] = (b[ii] * A[jj, 1] - b[jj] * A[ii, 1]) / safe
-    cand[n:, 1] = (A[ii, 0] * b[jj] - A[jj, 0] * b[ii]) / safe
-    if np.any(parallel):
-        cand[n:][parallel] = 1e30
-    feas = np.all(cand @ A.T >= b[None, :] - tol[None, :], axis=1)
-    if not np.any(feas):
-        return None
-    cand = cand[feas]
-    vals = 0.5 * tau * (cand ** 2).sum(axis=1) + cand @ c
-    vmin = vals.min()
-    ties = vals <= vmin + 1e-14 * max(1.0, abs(vmin))
-    cand = cand[ties]
-    best = cand[np.lexsort((cand[:, 1], cand[:, 0]))[0]]
-    return region.clip(best)
+    tx, ty = np.asarray(t_old, dtype=float).tolist()
+    gx, gy = np.asarray(grad, dtype=float).tolist()
+    t = _project_step((tx - gx / tau, ty - gy / tau), (tx, ty), region,
+                      np.asarray(others, dtype=float).reshape(-1, 2).tolist(), min_distance)
+    return None if t is None else np.array(t)
 
 
 def _step_from_gradient(t_old, grad, tau: float, region: Region, min_distance: float,
@@ -522,10 +515,10 @@ def _step_from_gradient(t_old, grad, tau: float, region: Region, min_distance: f
     floats; ``others`` lists the other antennas. Returns (t_new, status).
 
     The free step t_old - grad / tau is kept when it stays in the box and
-    keeps the minimum spacing. Those tests run on Python floats: for two
-    coordinates, per-call array overhead would dominate. Each uses the IEEE
-    operations of its array form (x*x for a square, a two-term sum), so the
-    verdicts match bit for bit.
+    keeps the minimum spacing (status "free"), tested exactly, with the IEEE
+    operations of the array form (x*x for a square, a two-term sum). Otherwise
+    the step is its projection onto the box and the linearized spacing rows
+    (``_project_step``, status "qp"), or t_old when there is none ("stuck").
     """
     cx = t_old[0] - grad[0] / tau
     cy = t_old[1] - grad[1] / tau
@@ -540,10 +533,10 @@ def _step_from_gradient(t_old, grad, tau: float, region: Region, min_distance: f
         free = dx * dx + dy * dy >= d2
     if free:
         return (cx, cy), "free"
-    t_new = position_qp(tau, np.array(grad), np.array(t_old), region, others, min_distance)
+    t_new = _project_step((cx, cy), t_old, region, others, min_distance)
     if t_new is None:
         return t_old, "stuck"
-    return tuple(t_new.tolist()), "qp"
+    return t_new, "qp"
 
 
 def update_position(m: int, positions: np.ndarray, realization: ChannelRealization,
@@ -685,8 +678,8 @@ def _matched_filter(H: np.ndarray) -> np.ndarray:
     return (H / norms[:, None]).T.conj()
 
 
-def _penalized_objective(P, E, model, mu):
-    return sar_value(P, model) + mu * float(np.vdot(E, E).real)
+def _penalized_objective(sar, E, mu):
+    return sar + mu * float(np.vdot(E, E).real)
 
 
 def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.ndarray,
@@ -722,8 +715,10 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
     for _ in range(config.max_inner):
         sweeps += 1
         P = solve_precoder(Hbar.conj(), Z, model, mu)
+        # only this block and degenerate-user recovery change P
+        sar = sar_value(P, model)
         E = Hbar @ P - Z
-        record("precoder", _penalized_objective(P, E, model, mu))
+        record("precoder", _penalized_objective(sar, E, mu))
 
         try:
             Z, _, gap = solve_auxiliary(Hbar.conj(), P, targets, noise)
@@ -735,17 +730,18 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
                 h = Hbar[k].conj()
                 P[:, k] = h / max(np.linalg.norm(h), 1e-300)
             Z, _, gap = solve_auxiliary(Hbar.conj(), P, targets, noise)
+            sar = sar_value(P, model)
             prev = None  # objective baseline is void after re-initialization
             if trace is not None:
                 trace.append((outer_index, "recovered", None))
         E = Hbar @ P - Z
         # the projection is certified optimal only to within mu * gap
-        record("auxiliary", _penalized_objective(P, E, model, mu), extra_slack=mu * gap)
+        record("auxiliary", _penalized_objective(sar, E, mu), extra_slack=mu * gap)
 
         if config.optimize_positions:
             E, _, _ = _sweep_positions(positions, geo, P, Z, config.region,
                                        config.distance, config, Hbar, counts)
-            record("positions", _penalized_objective(P, E, model, mu))
+            record("positions", _penalized_objective(sar, E, mu))
 
         value = prev
         threshold = max(config.eps_inner, config.eps_inner_rel * abs(value))
@@ -774,6 +770,54 @@ def polish_scale(P: np.ndarray, H: np.ndarray, targets: SinrTargets,
     return float(np.sqrt(np.max(noise_variance / denom)))
 
 
+class _Rows:
+    """Append-only rows of fixed-type fields, held column by column in typed
+    arrays (``array`` typecodes, one per field): a few bytes a row where a
+    tuple of Python objects takes about a hundred. Rows read back as tuples of
+    the values appended."""
+
+    def __init__(self, codes: str):
+        self._cols = tuple(array(c) for c in codes)
+
+    def append(self, row):
+        for col, v in zip(self._cols, self._store(row)):
+            col.append(v)
+
+    def __len__(self):
+        return len(self._cols[0])
+
+    def __getitem__(self, i):
+        return self._load(tuple(col[i] for col in self._cols))
+
+    def __iter__(self):
+        return map(self._load, zip(*self._cols))
+
+    @staticmethod
+    def _store(row):
+        return row
+
+    _load = _store
+
+
+class _ObjectiveTrace(_Rows):
+    """The inner objective trace, rows (outer, label, value); the value of a
+    "recovered" row is None."""
+
+    LABELS = ("precoder", "auxiliary", "positions", "recovered")
+
+    def __init__(self):
+        super().__init__("iBd")
+
+    def _store(self, row):
+        outer, label, value = row
+        return outer, self.LABELS.index(label), math.nan if value is None else value
+
+    def _load(self, row):
+        outer, code, value = row
+        label = self.LABELS[code]
+        return outer, label, None if label == "recovered" else value
+
+
 @dataclass
 class SolveReport:
     """Full trajectory and the emitted solution of one solve."""
@@ -792,8 +836,8 @@ class SolveReport:
     xi: float
     outer_iterations: int
     inner_sweeps_total: int
-    outer_trace: list
-    inner_objective_trace: list
+    outer_trace: _Rows                       # (outer, mu, xi, objective, sweeps)
+    inner_objective_trace: _ObjectiveTrace  # (outer, label, value)
     polish_factor: float
     wall_time_s: float
     warnings: list
@@ -861,8 +905,8 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
     warnings: list[str] = []
     status = "max_outer"
     converged = False
-    outer_trace: list[tuple] = []
-    inner_trace: list[tuple] = []
+    outer_trace = _Rows("idddi")
+    inner_trace = _ObjectiveTrace()
     xi_hist: list[float] = []
     xi = np.inf
     mu = config.mu0

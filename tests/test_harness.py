@@ -222,3 +222,9 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() == 1
     monkeypatch.setenv("FAS_THREADS", "3")
     assert worker_count() >= 1
+
+
+def test_worker_count_rejects_malformed_env(monkeypatch):
+    monkeypatch.setenv("FAS_THREADS", "abc")
+    with pytest.raises(ConfigurationError, match="FAS_THREADS.*'abc'"):
+        worker_count()

@@ -8,6 +8,13 @@ follows the same trajectory bit for bit. These tests run random states through
 both versions and require equal bits: positions, the conj-channel matrix
 Hbar, the residual E and the stuck flag; the auxiliary variables, the
 multipliers and the gap certificate.
+
+The one exception is the QP fallback. The solver solves it as an exact
+projection on Python floats, whose bits differ from the reference's
+enumeration through BLAS products. So the reference sweep calls whichever QP
+it is given: the trajectory test hands it the solver's, which pins every
+other operation bit for bit, and compares every QP call with the reference
+QP separately (``assert_qp_agrees``).
 """
 import numpy as np
 
@@ -27,7 +34,6 @@ from fluidsar.solver import (
     SolverConfig,
     _GeoCache,
     _majorizers,
-    _triu_pairs,
 )
 
 from conftest import NOISE_W, WAVELENGTH, random_complex
@@ -79,7 +85,7 @@ def ref_position_qp(tau, grad, t_old, region, others, min_distance):
         return region.clip(t_free)
 
     n = A.shape[0]
-    ii, jj = _triu_pairs(n)
+    ii, jj = np.triu_indices(n, k=1)
     cand = np.empty((n + ii.size, 2))
 
     base = b[:, None] * A
@@ -108,13 +114,14 @@ def ref_position_qp(tau, grad, t_old, region, others, min_distance):
     return region.clip(best)
 
 
-def ref_step_from_gradient(t_old, grad, tau, region, min_distance, others):
+def ref_step_from_gradient(t_old, grad, tau, region, min_distance, others,
+                           qp=ref_position_qp):
     cand = t_old - grad / tau
     dist_ok = others.size == 0 or np.all(
         ((others - cand[None, :]) ** 2).sum(axis=1) >= min_distance ** 2)
     if dist_ok and region.contains(cand):
         return cand, "free"
-    cand = ref_position_qp(tau, grad, t_old, region, others, min_distance)
+    cand = qp(tau, grad, t_old, region, others, min_distance)
     if cand is None:
         return t_old, "stuck"
     return cand, "qp"
@@ -158,7 +165,8 @@ def ref_select_positions_on_grid(positions, geo, P, Z, region, min_distance, con
     return E, float(np.vdot(E, E).real), False
 
 
-def ref_sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar, events):
+def ref_sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar, events,
+                        qp=ref_position_qp):
     if config.position_grid is not None:
         return ref_select_positions_on_grid(positions, geo, P, Z, region, min_distance,
                                             config, Hbar, events)
@@ -179,7 +187,7 @@ def ref_sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar
             if np.abs(grad).max() / tau < step_tol:
                 break
             t_new, status = ref_step_from_gradient(positions[m], grad, tau, region,
-                                                   min_distance, others)
+                                                   min_distance, others, qp)
             if status == "stuck":
                 any_stuck = True
                 break
@@ -268,6 +276,26 @@ def ref_solve_auxiliary(H, P, targets, noise_variance):
     return Z, zeta, gap
 
 
+def assert_qp_agrees(args, got, label):
+    """``got`` solves the QP ``args`` as well as the reference does: the same
+    None verdict, every row met within the reference's tolerance, a surrogate
+    value at most 1e-14 (relative) above the reference's, and coordinates
+    within 64 ulps of the box half-width of the reference's point."""
+    tau, grad, t_old, region, others, min_distance = args
+    ref = ref_position_qp(*args)
+    assert (got is None) == (ref is None), label
+    if ref is None:
+        return
+    A, b = ref_qp_constraints(t_old, region, np.atleast_2d(others) if others.size else others,
+                              min_distance)
+    assert np.all(A @ got >= b - 1e-11 * np.maximum(1.0, np.abs(b))), label
+    c = grad - tau * t_old
+    v_got = 0.5 * tau * float(got @ got) + float(c @ got)
+    v_ref = 0.5 * tau * float(ref @ ref) + float(c @ ref)
+    assert v_got <= v_ref + 1e-14 * max(1.0, abs(v_ref)), (label, v_got, v_ref)
+    assert np.all(np.abs(got - ref) <= 64 * np.spacing(region.half_width_m)), (label, got, ref)
+
+
 # ----------------------------------------------------------------- states
 
 REGIONS = (1.0, 2.5, 3.0)
@@ -324,7 +352,16 @@ def random_state(rng, i):
 
 def test_position_block_matches_reference_bit_for_bit():
     rng = np.random.default_rng(20261018)
-    counts, events = {}, []
+    counts, events, qp_calls = {}, [], []
+
+    def solver_qp(*args):
+        # the solver's QP, recording copies of its inputs (the sweep mutates
+        # the position rows they view) and its result
+        t = solver.position_qp(*args)
+        qp_calls.append(([np.array(a, copy=True) if isinstance(a, np.ndarray) else a
+                          for a in args], t))
+        return t
+
     seen_off_lattice = seen_regions = 0
     stuck_flags = []
     for i in range(240):
@@ -338,7 +375,8 @@ def test_position_block_matches_reference_bit_for_bit():
 
         pos_ref, H_ref = positions.copy(), Hbar.copy()
         E_ref, obj_ref, stuck_ref = ref_sweep_positions(
-            pos_ref, geo, P, Z, config.region, config.distance, config, H_ref, events)
+            pos_ref, geo, P, Z, config.region, config.distance, config, H_ref, events,
+            solver_qp)
         pos_new, H_new = positions.copy(), Hbar.copy()
         E_new, obj_new, stuck_new = solver._sweep_positions(
             pos_new, _GeoCache(real, WAVELENGTH), P, Z, config.region, config.distance,
@@ -353,6 +391,9 @@ def test_position_block_matches_reference_bit_for_bit():
     assert any(stuck_flags) and not all(stuck_flags)
     assert sum(events) >= 5, f"{sum(events)} tied improving lattice moves"
     assert seen_off_lattice >= 20 and seen_regions == 0b111
+    for j, (args, t) in enumerate(qp_calls):
+        assert_qp_agrees(args, t, j)
+    assert len(qp_calls) > 100
 
 
 def test_single_steps_match_reference():
@@ -381,12 +422,14 @@ def test_single_steps_match_reference():
         got, s_got = solver._step_from_gradient(tuple(t_old.tolist()), tuple(grad.tolist()),
                                                 tau, region, d, others.tolist())
         assert s_got == s_want, i
-        assert np.array_equal(np.array(got), want), i
         statuses.add(s_want)
+        if s_want == "qp":
+            assert_qp_agrees((tau, grad, t_old, region, others, d), np.array(got), i)
+        else:
+            assert np.array_equal(np.array(got), want), i
         if s_want != "free":
             qp = solver.position_qp(tau, grad, t_old, region, others, d)
-            ref = ref_position_qp(tau, grad, t_old, region, others, d)
-            assert (qp is None) == (ref is None) and (qp is None or np.array_equal(qp, ref))
+            assert_qp_agrees((tau, grad, t_old, region, others, d), qp, i)
     assert statuses == {"free", "qp", "stuck"}
 
 

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fluidsar import solver
 from fluidsar.channel import (
     Region,
     channel_matrix,
@@ -15,6 +17,8 @@ from fluidsar.exposure import paper_sar_matrix, sar_value, synthesize_sar_matrix
 from fluidsar.solver import (
     SinrTargets,
     SolverConfig,
+    _ObjectiveTrace,
+    _Rows,
     inner_loop,
     solve_auxiliary,
     solve_sar_min,
@@ -185,3 +189,67 @@ def test_degenerate_targets_zero_beta(paper_channel):
     assert rep.converged
     assert rep.sar == 0.0
     assert np.allclose(rep.precoder, 0.0)
+
+
+def inner_loop_start(channel, recover):
+    """An inner-loop state at the line array: matched-filter precoder and its
+    projected couplings, or zero couplings, whose zero precoder makes the
+    first sweep recover every user."""
+    model = paper_sar_matrix()
+    targets = SinrTargets.uniform(4, 1.0 / NOISE_W)
+    layout = uniform_line_layout(4, Region(1.0, WAVELENGTH))
+    H = channel_matrix(layout, channel, WAVELENGTH)
+    P = (H / np.linalg.norm(H, axis=1)[:, None]).T.conj()
+    Z = np.zeros((4, 4), complex) if recover else solve_auxiliary(H, P, targets, NOISE_W)[0]
+    return layout, P, Z, model, targets
+
+
+@pytest.mark.parametrize("recover", [False, True])
+@pytest.mark.parametrize("positions", [True, False])
+def test_inner_loop_scores_sar_once_per_sweep(paper_channel, monkeypatch, recover, positions):
+    # only the precoder block and degenerate-user recovery change P, so one
+    # SAR value serves every objective of a sweep
+    calls = []
+    sar_value_ = solver.sar_value
+    monkeypatch.setattr(solver, "sar_value", lambda P, m: calls.append(1) or sar_value_(P, m))
+    layout, P, Z, model, targets = inner_loop_start(paper_channel, recover)
+    trace = []
+    cfg = fast_config(optimize_positions=positions)
+    *_, sweeps = inner_loop(paper_channel, layout, P, Z, model, targets, cfg.mu0, cfg,
+                            trace=trace)
+    recoveries = sum(label == "recovered" for _, label, _ in trace)
+    assert sweeps > 1 and recoveries == recover
+    assert len(calls) == sweeps + recoveries
+
+
+def test_traces_read_back_as_appended(paper_channel):
+    layout, P, Z, model, targets = inner_loop_start(paper_channel, True)
+    cfg = fast_config()
+    rows, compact = [], _ObjectiveTrace()
+    for trace in (rows, compact):
+        inner_loop(paper_channel, layout, P, Z, model, targets, cfg.mu0, cfg, trace=trace,
+                   outer_index=7)
+    assert rows[1] == (7, "recovered", None) and len(rows) > 4
+    assert list(compact) == rows and len(compact) == len(rows)
+    assert [compact[i] for i in range(-len(rows), len(rows))] == rows + rows
+    outer = _Rows("idddi")
+    for row in [(0, 1e-3, 2.5, 1.25, 3), (1, 1.1e-3, 0.1 + 0.2, np.float64(1 / 3), 4)]:
+        outer.append(row)
+    assert list(outer) == [(0, 1e-3, 2.5, 1.25, 3), (1, 1.1e-3, 0.1 + 0.2, 1 / 3, 4)]
+
+
+def test_paper_config_report_is_small(paper_channel):
+    # a paper-config report holds about 250 outer and 1,900 inner trace
+    # rows; typed arrays keep them at a few bytes a row
+    model = paper_sar_matrix()
+    targets = SinrTargets.uniform(4, 1.0 / NOISE_W)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        rep = solve_sar_min(paper_channel, targets, model, SolverConfig())
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    retained = sum(d.size_diff for d in after.compare_to(before, "filename"))
+    assert rep.outer_iterations > 100 and len(rep.inner_objective_trace) > 1000
+    assert retained <= 50 * 1024, retained

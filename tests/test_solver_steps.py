@@ -384,6 +384,79 @@ def test_qp_matches_grid_oracle(rng, region):
             assert (sol - t_l) @ n >= WAVELENGTH / 2 - 1e-9
 
 
+def kkt_branch(t, free, A, b, scale, rel=1e-9):
+    """Which kind of point t is for the projection of ``free`` onto
+    {t : A t >= b}: "free" (t is the free point), "single" (free - t is a
+    nonnegative multiple of one active row's outward normal -A[i]) or
+    "vertex" (a nonnegative combination of two); None if it is no KKT point."""
+    r = t - free  # = sum of lam_i A[i] with lam_i >= 0 over the active rows
+    nr = np.linalg.norm(r)
+    if nr <= rel * scale:
+        return "free"
+    active = np.flatnonzero(A @ t - b <= rel * scale)
+    for i in active:
+        lam = A[i] @ r
+        if lam >= 0 and np.linalg.norm(r - lam * A[i]) <= rel * nr:
+            return "single"
+    for k, i in enumerate(active):
+        for j in active[k + 1:]:
+            N = np.column_stack((A[i], A[j]))
+            if abs(np.linalg.det(N)) < 1e-6:
+                continue
+            lam = np.linalg.solve(N, r)
+            if np.all(lam >= -rel * nr) and np.linalg.norm(r - N @ lam) <= rel * nr:
+                return "vertex"
+    return None
+
+
+def test_qp_is_the_projection_of_the_free_step():
+    # certified without any reference QP: the returned point meets every row
+    # and is a KKT point of projecting the free step onto the box and the
+    # linearized spacing rows, for free steps inside, on and beyond the box
+    # faces, the box corners and the spacing rows
+    rng = np.random.default_rng(11)
+    d = WAVELENGTH / 2
+    branches = {}
+    for i in range(1500):
+        region = Region((1.0, 2.5, 3.0)[i % 3], WAVELENGTH)
+        a = region.half_width_m
+        t_old = rng.uniform(-a, a, 2)
+        angles = rng.uniform(0, 2 * np.pi, int(rng.integers(0, 6)))
+        others = t_old + d * rng.uniform(1.0, 2.0, (angles.size, 1)) \
+            * np.column_stack((np.cos(angles), np.sin(angles)))
+        N = (t_old - others) / np.linalg.norm(t_old - others, axis=1)[:, None]
+        A = np.vstack(([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], N))
+        b = np.concatenate(([-a] * 4, d + (N * others).sum(axis=1)))
+        kind = i % 6
+        far = a * rng.uniform(1e-3, 1.0)
+        if kind == 0:    # near the antenna
+            free = t_old + rng.normal(0, 0.1 * d, 2)
+        elif kind == 1:  # on a box face
+            free = rng.uniform(-a, a, 2)
+            free[rng.integers(2)] = a * rng.choice((-1.0, 1.0))
+        elif kind == 2:  # beyond a box face
+            free = rng.uniform(-a, a, 2)
+            free[rng.integers(2)] = (a + far) * rng.choice((-1.0, 1.0))
+        elif kind == 3:  # beyond a box corner
+            free = (a + far * rng.uniform(0.1, 1.0, 2)) * rng.choice((-1.0, 1.0), 2)
+        else:            # on (4) or beyond (5) a spacing row, else a box row
+            j = int(rng.integers(4, len(b))) if len(b) > 4 else int(rng.integers(4))
+            along = np.array([-A[j, 1], A[j, 0]]) * rng.normal(0, a)
+            free = b[j] * A[j] + along - (far if kind == 5 else 0.0) * A[j]
+        tau = 10.0 ** rng.uniform(-2, 3)
+        grad = (t_old - free) * tau
+        t = position_qp(tau, grad, t_old, region, others, d)
+        if t is None:
+            branches["none"] = branches.get("none", 0) + 1
+            continue
+        assert np.all(np.abs(t) <= a), i
+        assert np.all(A @ t >= b - 1e-11 * np.maximum(1.0, np.abs(b))), i
+        branch = kkt_branch(t, t_old - grad / tau, A, b, a)
+        assert branch is not None, (i, t, t_old - grad / tau)
+        branches[branch] = branches.get(branch, 0) + 1
+    assert min(branches.get(k, 0) for k in ("free", "single", "vertex")) >= 50, branches
+
+
 def test_update_position_fixed_point(rng, region):
     # zero gradient at a feasible point: position unchanged
     real, _, pos, P, Z = setup_position_instance(rng, M=2, K=2, L=3)
