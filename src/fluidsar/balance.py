@@ -20,13 +20,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelRealization, ConfigurationError, channel_matrix, uniform_line_layout
+from .channel import (
+    ChannelRealization,
+    ConfigurationError,
+    _encode_complex,
+    channel_matrix,
+    uniform_line_layout,
+)
 from .exposure import SarModel
 from .solver import SinrTargets, SolveReport, SolverConfig, solve_sar_min
 
 __all__ = ["BalanceConfig", "BalanceResult", "default_upper_bracket", "solve_sinr_balance"]
 
 MAX_DESCENTS = 20  # halvings below the lowest infeasible probe: a 1e-6 factor
+MAX_EXPANSIONS = 3  # doublings of an upper bracket end that a probe attains
+WARM_MU_BACKOFF = 12  # warm probes restart mu this many scale steps below the warm value
 
 
 @dataclass(frozen=True)
@@ -38,10 +46,6 @@ class BalanceConfig:
     weights: np.ndarray | None = None
     budget: float | None = None  # defaults to the SAR model budget
     warm_start: bool = True
-    warm_mu_backoff: int = 12    # restart mu this many scale steps below the warm value
-    warm_layout: bool = True     # False: probes keep the warm precoder/penalty but
-                                 # re-select positions from the initial layout
-    max_expansions: int = 3
 
     def __post_init__(self):
         if self.accuracy <= 0:
@@ -68,7 +72,7 @@ class BalanceResult:
     def to_json_dict(self) -> dict:
         return {
             "beta_star": self.beta_star,
-            "precoder": [[[v.real, v.imag] for v in row] for row in self.precoder],
+            "precoder": _encode_complex(self.precoder),
             "layout": self.layout.tolist(),
             "sar": self.sar,
             "budget": self.budget,
@@ -143,10 +147,10 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
             # power-match the warm precoder to the new target scale, otherwise a
             # large restart penalty pins the probe at the previous power level
             kwargs = {
-                "initial_layout": warm.layout if config.warm_layout else layout0,
+                "initial_layout": warm.layout,
                 "initial_precoder": warm.precoder * np.sqrt(beta0 / warm_beta),
             }
-            mu_warm = warm.final_mu * solver_config.a ** config.warm_mu_backoff
+            mu_warm = warm.final_mu * solver_config.a ** WARM_MU_BACKOFF
             if mu_warm > solver_config.mu0:
                 cfg = replace(solver_config, mu0=mu_warm)
         rep = solve_sar_min(realization, SinrTargets(weights, beta0), model, cfg, **kwargs)
@@ -171,7 +175,7 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
 
     rep, ok = probe(beta_hi, "bracket")
     expansions = 0
-    while ok and expansions < config.max_expansions:
+    while ok and expansions < MAX_EXPANSIONS:
         best, best_beta, beta_lo = rep, beta_hi, beta_hi
         beta_hi *= 2.0
         expansions += 1

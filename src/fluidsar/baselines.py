@@ -12,9 +12,10 @@ from .balance import BalanceConfig, BalanceResult, solve_sinr_balance
 from .channel import (
     ChannelRealization,
     ConfigurationError,
+    _encode_complex,
     channel_matrix,
     min_pairwise_distance,
-    sinr_all,
+    min_weighted_sinr,
     uniform_line_layout,
 )
 from .exposure import SarModel, identity_sar_model, sar_value
@@ -68,7 +69,7 @@ class BackoffResult:
     def to_json_dict(self) -> dict:
         return {
             "beta": self.beta,
-            "precoder": [[[v.real, v.imag] for v in row] for row in self.precoder],
+            "precoder": _encode_complex(self.precoder),
             "layout": self.layout.tolist(),
             "sar": self.sar,
             "alpha": self.alpha,
@@ -99,7 +100,7 @@ def adaptive_backoff(realization: ChannelRealization, model: SarModel,
     H = channel_matrix(layout, realization, solver_config.wavelength)
     weights = np.ones(realization.num_users) if balance_config is None or \
         balance_config.weights is None else np.asarray(balance_config.weights, dtype=float)
-    beta = float(np.min(sinr_all(P, H, realization.noise_variance) / weights))
+    beta = min_weighted_sinr(P, H, realization.noise_variance, weights)
     return BackoffResult(beta=beta, precoder=P, layout=layout,
                          sar=sar_value(P, model), alpha=alpha, unconstrained=unconstrained)
 
@@ -224,84 +225,51 @@ def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
             balance_config = BalanceConfig()
         # cold probes: the discrete reconfiguration happens in the low-penalty
         # phase, which warm-started probes skip
-        cold = replace(balance_config, warm_start=False)
-        best = None
-        best_key = None
-        for start in starts:
-            if objective == "sar-min":
-                rep = solve_sar_min(realization, targets, model, discrete,
-                                    initial_layout=start)
-                if not (rep.converged and rep.feasible):
-                    continue
-                key = (rep.sar, rep.layout.tolist())
-            else:
-                rep = solve_sinr_balance(realization, model, cold, discrete,
-                                         initial_layout=start)
-                key = (-rep.beta_star, rep.layout.tolist())
-            if best_key is None or key < best_key:
-                best, best_key = rep, key
-        if best is None:
-            raise ConfigurationError("no lattice start produced a feasible solution")
-        if objective == "sar-min":
-            return ApsResult(value=best.sar, objective=objective, precoder=best.precoder,
-                             layout=best.layout, sar=best.sar, beta=best.beta_achieved,
-                             evaluated=len(starts), total_combinations=len(starts),
-                             coverage=1.0, subsampled=False, best=best,
-                             wall_time_s=time.perf_counter() - t0,
-                             off_lattice=_off_lattice(best.layout, grid))
-        return ApsResult(value=best.beta_star, objective=objective, precoder=best.precoder,
-                         layout=best.layout, sar=best.sar, beta=best.beta_star,
-                         evaluated=len(starts), total_combinations=len(starts),
-                         coverage=1.0, subsampled=False, best=best,
-                         wall_time_s=time.perf_counter() - t0,
-                         off_lattice=_off_lattice(best.layout, grid))
-
-    total = math.comb(n_points, M)
-    subsampled = total > config.aps_cap
-    if subsampled:
-        combos = _sample_combinations(n_points, M, total, config.aps_cap, config.aps_seed)
+        cfg, bal = discrete, replace(balance_config, warm_start=False)
+        layouts = starts
+        total = len(starts)
+        subsampled = False
     else:
-        combos = list(itertools.combinations(range(n_points), M))
+        total = math.comb(n_points, M)
+        subsampled = total > config.aps_cap
+        if subsampled:
+            combos = _sample_combinations(n_points, M, total, config.aps_cap, config.aps_seed)
+        else:
+            combos = list(itertools.combinations(range(n_points), M))
+        cfg, bal = fixed, balance_config
+        layouts = (grid[list(combo)] for combo in combos)
 
-    dmin = fixed.distance
     best = None
     best_key = None
     evaluated = 0
-    for combo in combos:
-        layout = grid[list(combo)]
-        if min_pairwise_distance(layout) < dmin - 1e-12:
+    for layout in layouts:
+        if min_pairwise_distance(layout) < fixed.distance - 1e-12:
             continue
         evaluated += 1
         if objective == "sar-min":
-            rep = solve_sar_min(realization, targets, model, fixed, initial_layout=layout)
+            rep = solve_sar_min(realization, targets, model, cfg, initial_layout=layout)
             if not (rep.converged and rep.feasible):
                 continue
-            value = rep.sar
-            key = (value, layout.tolist())
-            if best_key is None or key < best_key:
-                best, best_key = rep, key
+            key = (rep.sar, rep.layout.tolist())
         else:
-            res = solve_sinr_balance(realization, model, balance_config, fixed,
-                                     initial_layout=layout)
-            value = res.beta_star
-            key = (-value, layout.tolist())
-            if best_key is None or key < best_key:
-                best, best_key = res, key
-
+            rep = solve_sinr_balance(realization, model, bal, cfg, initial_layout=layout)
+            key = (-rep.beta_star, rep.layout.tolist())
+        if best_key is None or key < best_key:
+            best, best_key = rep, key
     if best is None:
         raise ConfigurationError("no feasible lattice placement was found")
+
     if objective == "sar-min":
-        value, sar, beta = best.sar, best.sar, best.beta_achieved
-        precoder, layout = best.precoder, best.layout
+        value, beta = best.sar, best.beta_achieved
     else:
-        value, sar, beta = best.beta_star, best.sar, best.beta_star
-        precoder, layout = best.precoder, best.layout
-    return ApsResult(value=value, objective=objective, precoder=precoder, layout=layout,
-                     sar=sar, beta=beta, evaluated=evaluated, total_combinations=total,
+        value = beta = best.beta_star
+    return ApsResult(value=value, objective=objective, precoder=best.precoder,
+                     layout=best.layout, sar=best.sar, beta=beta, evaluated=evaluated,
+                     total_combinations=total,
                      coverage=evaluated / total if total else 1.0,
                      subsampled=subsampled, best=best,
                      wall_time_s=time.perf_counter() - t0,
-                     off_lattice=_off_lattice(layout, grid))
+                     off_lattice=_off_lattice(best.layout, grid))
 
 
 def solve_fpa(realization: ChannelRealization, model: SarModel, objective: str,

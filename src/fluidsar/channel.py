@@ -39,6 +39,21 @@ class ConfigurationError(ValueError):
     """Raised for dimension or parameter errors in problem setup."""
 
 
+def _encode_complex(values) -> list:
+    """A complex array as nested lists ending in [re, im] pairs, for JSON."""
+    return np.stack([values.real, values.imag], axis=-1).tolist()
+
+
+def _decode_complex(pairs) -> np.ndarray:
+    """Inverse of ``_encode_complex``. Sets the real and imaginary parts
+    exactly: re + 1j * im would turn a real part of -0.0 into 0.0."""
+    parts = np.asarray(pairs, dtype=float)
+    values = np.empty(parts.shape[:-1], dtype=complex)
+    values.real = parts[..., 0]
+    values.imag = parts[..., 1]
+    return values
+
+
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
@@ -131,7 +146,7 @@ class ChannelRealization:
                 {
                     "elevation_aods": ps.elevation_aods.tolist(),
                     "azimuth_aods": ps.azimuth_aods.tolist(),
-                    "path_gains": [[g.real, g.imag] for g in ps.path_gains],
+                    "path_gains": _encode_complex(ps.path_gains),
                 }
                 for ps in self.paths
             ],
@@ -146,7 +161,7 @@ class ChannelRealization:
             PathSet(
                 elevation_aods=np.array(u["elevation_aods"], dtype=float),
                 azimuth_aods=np.array(u["azimuth_aods"], dtype=float),
-                path_gains=np.array([complex(re, im) for re, im in u["path_gains"]]),
+                path_gains=_decode_complex(u["path_gains"]),
             )
             for u in doc["users"]
         )
@@ -192,22 +207,25 @@ def channel_matrix(positions: np.ndarray, realization: ChannelRealization,
 def sinr(precoder: np.ndarray, realization: ChannelRealization, positions: np.ndarray,
          k: int, wavelength: float = DEFAULT_WAVELENGTH) -> float:
     """SINR of user k for the given precoder and antenna layout."""
-    h = channel_vector(positions, realization.paths[k], wavelength)
-    gains = np.abs(h.conj() @ precoder) ** 2
-    signal = gains[k]
-    interference = float(np.sum(np.delete(gains, k)))
-    return float(signal / (interference + realization.noise_variance))
+    H = channel_matrix(positions, realization, wavelength)
+    return float(sinr_all(precoder, H, realization.noise_variance)[k])
 
 
-def sinr_all(precoder: np.ndarray, H: np.ndarray, noise_variance: float) -> np.ndarray:
-    """All K SINRs from a precomputed channel matrix H (K, M)."""
-    gains = np.abs(H.conj() @ precoder) ** 2  # (K, K): row k holds |h_k^H p_j|^2
+def _signal_interference(couplings: np.ndarray):
+    """Per-user signal |h_k^H p_k|^2 and interference sum_{j != k} |h_k^H p_j|^2
+    from the (K, K) couplings, row k holding h_k^H p_j."""
+    gains = np.abs(couplings) ** 2
     signal = np.diag(gains).copy()
     # off-diagonal sum, not rowsum-minus-diagonal: the latter cancels
     # catastrophically when the signal term dominates
     off = gains.copy()
     np.fill_diagonal(off, 0.0)
-    interference = off.sum(axis=1)
+    return signal, off.sum(axis=1)
+
+
+def sinr_all(precoder: np.ndarray, H: np.ndarray, noise_variance: float) -> np.ndarray:
+    """All K SINRs from a precomputed channel matrix H (K, M)."""
+    signal, interference = _signal_interference(H.conj() @ precoder)
     return signal / (interference + noise_variance)
 
 

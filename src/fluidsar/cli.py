@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -44,16 +45,25 @@ def _load_sar(args, m: int) -> SarModel:
     raise SystemExit(f"unknown --sar spec {spec!r}")
 
 
+# the solver's flags: every SolverConfig field with a numeric default
+SOLVER_FLAGS = [f for f in fields(SolverConfig) if type(f.default) in (int, float)]
+
+
+def _add_solver_flags(p, names=None):
+    for f in SOLVER_FLAGS:
+        if names is None or f.name in names:
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
+
+
+def _solver_kwargs(args) -> dict:
+    """The solver flags given on the command line."""
+    return {f.name: getattr(args, f.name) for f in SOLVER_FLAGS
+            if getattr(args, f.name, None) is not None}
+
+
 def _solver_config(args) -> SolverConfig:
     region = Region(half_width=args.half_width, wavelength=args.wavelength)
-    kw = {}
-    for name in ("mu0", "a", "eps_inner", "eps_outer", "eps_position",
-                 "eps_inner_rel", "eps_position_rel",
-                 "max_outer", "max_inner", "max_sca_iter"):
-        v = getattr(args, name, None)
-        if v is not None:
-            kw[name] = v
-    return SolverConfig(region=region, **kw)
+    return SolverConfig(region=region, **_solver_kwargs(args))
 
 
 def _write_report(args, doc: dict):
@@ -76,16 +86,7 @@ def _add_common(p):
                    help="region half-width in wavelengths")
     p.add_argument("--wavelength", type=float, default=0.01)
     p.add_argument("--weights", default=None, help="comma-separated SINR weights")
-    p.add_argument("--mu0", type=float, default=None)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--eps-inner", type=float, default=None)
-    p.add_argument("--eps-outer", type=float, default=None)
-    p.add_argument("--eps-position", type=float, default=None)
-    p.add_argument("--eps-inner-rel", type=float, default=None)
-    p.add_argument("--eps-position-rel", type=float, default=None)
-    p.add_argument("--max-outer", type=int, default=None)
-    p.add_argument("--max-inner", type=int, default=None)
-    p.add_argument("--max-sca-iter", type=int, default=None)
+    _add_solver_flags(p)
     p.add_argument("--save-channel", default=None, help="also write the channel JSON here")
     p.add_argument("--out", default=None, help="write the report JSON here")
 
@@ -145,8 +146,7 @@ def main(argv=None) -> int:
     p_trace.add_argument("--k", type=int, default=4)
     p_trace.add_argument("--paths", type=int, default=15)
     p_trace.add_argument("--noise-dbm", type=float, default=None)
-    p_trace.add_argument("--mu0", type=float, default=None)
-    p_trace.add_argument("--a", type=float, default=None)
+    _add_solver_flags(p_trace, ("mu0", "a"))
     p_trace.add_argument("--out", default=None, help="write the trace CSV here")
 
     args = parser.parse_args(argv)
@@ -160,12 +160,7 @@ def main(argv=None) -> int:
 
     if args.command == "trace":
         noise = dbm_to_watts(args.noise_dbm) if args.noise_dbm is not None else DEFAULT_NOISE_W
-        kw = {}
-        if args.mu0 is not None:
-            kw["mu0"] = args.mu0
-        if args.a is not None:
-            kw["a"] = args.a
-        cfg = SolverConfig(**kw)
+        cfg = SolverConfig(**_solver_kwargs(args))
         result = convergence_trace(args.seed, [float(x) for x in args.beta0.split(",")],
                                    m=args.m, k=args.k, paths=args.paths,
                                    noise_variance=noise, solver_config=cfg, strict=False)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ConfigurationError
+from .channel import ConfigurationError, _decode_complex, _encode_complex
 
 __all__ = [
     "SarModel",
@@ -55,7 +55,7 @@ class SarModel:
         return {
             "budget": self.budget,
             "synthetic": self.synthetic,
-            "matrix": [[[v.real, v.imag] for v in row] for row in self.matrix],
+            "matrix": _encode_complex(self.matrix),
         }
 
     def to_json(self) -> str:
@@ -63,8 +63,8 @@ class SarModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SarModel":
-        R = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
-        return cls(matrix=R, budget=doc["budget"], synthetic=doc.get("synthetic", False))
+        return cls(matrix=_decode_complex(doc["matrix"]), budget=doc["budget"],
+                   synthetic=doc.get("synthetic", False))
 
     @classmethod
     def from_json(cls, text: str) -> "SarModel":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -32,6 +32,9 @@ __all__ = [
 VALID_SWEEPS = ("q0", "beta0", "half_width", "paths", "scheme")
 VALID_SCHEMES = ("fas", "aps", "fpa", "no-sar", "backoff")
 BALANCE_ONLY = ("no-sar", "backoff")
+# keys of a plan's ``solver`` dict: the SolverConfig fields, except the region
+# that the plan's half_width and wavelength set
+SOLVER_KEYS = {f.name for f in fields(SolverConfig)} - {"region"}
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,9 @@ class ExperimentPlan:
                 raise ConfigurationError(f"{s} only applies to the balance objective")
         if self.objective == "sar-min" and self.beta0 is None:
             raise ConfigurationError("sar-min sweeps need a beta0 target")
+        unknown = sorted(set(self.solver) - SOLVER_KEYS)
+        if unknown:
+            raise ConfigurationError(f"unknown solver settings {unknown}")
         object.__setattr__(self, "values", tuple(self.values))
         object.__setattr__(self, "schemes", tuple(self.schemes))
 
@@ -181,35 +187,39 @@ def _run_bundle(plan: ExperimentPlan, point_index: int, value, trial: int) -> li
             "status": "ok",
         }
         try:
+            if scheme == "fas" and plan.objective == "balance":
+                res = solve_sinr_balance(realization, model, balance_config, solver_config)
+            elif scheme == "fas":
+                res = solve_sar_min(realization, targets, model, solver_config)
+            elif scheme == "fpa":
+                res = solve_fpa(realization, model, plan.objective, solver_config,
+                                balance_config, targets)
+            elif scheme == "aps":
+                res = solve_aps(realization, model, plan.objective, base_config,
+                                solver_config, balance_config, targets, method="alternating")
+            else:  # no-sar and backoff share the power-only design
+                if nosar_cache is None:
+                    nosar_cache = solve_without_sar(realization, plan.m, base_config,
+                                                    solver_config, nosar_config)
+                res = nosar_cache if scheme == "no-sar" else adaptive_backoff(
+                    realization, model, base_config, solver_config, balance_config,
+                    unconstrained=nosar_cache)
+
+            if scheme == "aps":
+                row.update(value_metric=res.value, beta=res.beta, sar=res.sar,
+                           aps_coverage=res.coverage, aps_subsampled=res.subsampled,
+                           aps_off_lattice=res.off_lattice)
+            elif scheme == "backoff":
+                row.update(value_metric=res.beta, beta=res.beta, sar=res.sar, alpha=res.alpha)
+            elif plan.objective == "balance":
+                row.update(value_metric=res.beta_star, beta=res.beta_star,
+                           sar=None if scheme == "no-sar" else res.sar)
+            else:
+                if not (res.converged and res.feasible):
+                    row["status"] = "nonconverged"
+                row.update(value_metric=res.sar, beta=res.beta_achieved, sar=res.sar)
+
             if plan.objective == "balance":
-                if scheme == "fas":
-                    res = solve_sinr_balance(realization, model, balance_config, solver_config)
-                    row.update(value_metric=res.beta_star, beta=res.beta_star, sar=res.sar)
-                elif scheme == "fpa":
-                    res = solve_fpa(realization, model, "balance", solver_config, balance_config)
-                    row.update(value_metric=res.beta_star, beta=res.beta_star, sar=res.sar)
-                elif scheme == "aps":
-                    res = solve_aps(realization, model, "balance", base_config,
-                                    solver_config, balance_config,
-                                    method="alternating")
-                    row.update(value_metric=res.beta, beta=res.beta, sar=res.sar,
-                               aps_coverage=res.coverage, aps_subsampled=res.subsampled,
-                               aps_off_lattice=res.off_lattice)
-                elif scheme == "no-sar":
-                    if nosar_cache is None:
-                        nosar_cache = solve_without_sar(realization, plan.m, base_config,
-                                                        solver_config, nosar_config)
-                    res = nosar_cache
-                    row.update(value_metric=res.beta_star, beta=res.beta_star,
-                               sar=None)
-                elif scheme == "backoff":
-                    if nosar_cache is None:
-                        nosar_cache = solve_without_sar(realization, plan.m, base_config,
-                                                        solver_config, nosar_config)
-                    res = adaptive_backoff(realization, model, base_config, solver_config,
-                                           balance_config, unconstrained=nosar_cache)
-                    row.update(value_metric=res.beta, beta=res.beta, sar=res.sar,
-                               alpha=res.alpha)
                 # the balance solve behind the row: APS keeps its best start,
                 # backoff scales the power-only design
                 balance = res.best if scheme == "aps" else \
@@ -218,25 +228,6 @@ def _run_bundle(plan: ExperimentPlan, point_index: int, value, trial: int) -> li
                 if "no_feasible_probe" in balance.warnings:
                     # the trivial fallback is not a balancing result
                     row["status"] = "infeasible"
-            else:  # sar-min
-                if scheme == "fas":
-                    rep = solve_sar_min(realization, targets, model, solver_config)
-                    if not (rep.converged and rep.feasible):
-                        row["status"] = "nonconverged"
-                    row.update(value_metric=rep.sar, beta=rep.beta_achieved, sar=rep.sar)
-                elif scheme == "fpa":
-                    rep = solve_fpa(realization, model, "sar-min", solver_config,
-                                    targets=targets)
-                    if not (rep.converged and rep.feasible):
-                        row["status"] = "nonconverged"
-                    row.update(value_metric=rep.sar, beta=rep.beta_achieved, sar=rep.sar)
-                elif scheme == "aps":
-                    res = solve_aps(realization, model, "sar-min", base_config,
-                                    solver_config, targets=targets,
-                                    method="alternating")
-                    row.update(value_metric=res.value, beta=res.beta, sar=res.sar,
-                               aps_coverage=res.coverage, aps_subsampled=res.subsampled,
-                               aps_off_lattice=res.off_lattice)
         except Exception as exc:  # per-trial failures never abort the sweep
             row["status"] = "error"
             row["error"] = f"{type(exc).__name__}: {exc}"

@@ -37,6 +37,8 @@ from .channel import (
     ChannelRealization,
     ConfigurationError,
     Region,
+    _encode_complex,
+    _signal_interference,
     channel_matrix,
     layout_is_feasible,
     min_pairwise_distance,
@@ -77,6 +79,14 @@ class DegenerateUserError(SolverError):
         super().__init__(
             f"degenerate auxiliary step for users {self.users}: "
             "h_k^H p_k = 0 with an infeasible unconstrained point")
+
+
+# relative SINR shortfall a solution may keep and still count as feasible
+FEASIBILITY_SLACK = 1e-5
+# the penalty loop stops on a plateau when xi fell by less than
+# PLATEAU_REL_DECREASE over the last PLATEAU_WINDOW outer iterations
+PLATEAU_WINDOW = 20
+PLATEAU_REL_DECREASE = 0.01
 
 
 @dataclass(frozen=True)
@@ -122,17 +132,13 @@ class SolverConfig:
     # constraint scales the absolute thresholds above force full-cap sweeps
     eps_inner_rel: float = 0.0
     eps_position_rel: float = 0.0
-    feasibility_slack: float = 1e-5
     max_outer: int = 500
     max_inner: int = 200
     max_sca_iter: int = 30
-    plateau_window: int = 20
-    plateau_rel_decrease: float = 0.01
     optimize_positions: bool = True
     # when set, the position block picks each antenna's best point from this
     # (n, 2) lattice instead of taking continuous majorize-minimize steps
     position_grid: tuple | None = None
-    polish: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.a < 1.0):
@@ -160,7 +166,7 @@ class SolverConfig:
             "eps_position": self.eps_position,
             "eps_inner_rel": self.eps_inner_rel,
             "eps_position_rel": self.eps_position_rel,
-            "feasibility_slack": self.feasibility_slack,
+            "feasibility_slack": FEASIBILITY_SLACK,
             "max_outer": self.max_outer,
             "max_inner": self.max_inner,
             "max_sca_iter": self.max_sca_iter,
@@ -295,13 +301,7 @@ def solve_auxiliary(H: np.ndarray, P: np.ndarray, targets: SinrTargets,
     C = H.conj() @ P  # (K, K), row k holds h_k^H p_j
     K = C.shape[0]
     gbar = targets.thresholds
-    abs2 = np.abs(C) ** 2
-    sig = np.diag(abs2).copy()
-    # sum interference off-diagonal directly: subtracting the diagonal from the
-    # row sum cancels catastrophically when the signal dominates by ~1/eps
-    off = abs2.copy()
-    np.fill_diagonal(off, 0.0)
-    interf = off.sum(axis=1)
+    sig, interf = _signal_interference(C)
     y0 = sig - gbar * (interf + noise_variance)
 
     Z = C.copy()
@@ -759,15 +759,18 @@ def polish_scale(P: np.ndarray, H: np.ndarray, targets: SinrTargets,
     active = gbar > 0
     if not np.any(active):
         return 0.0
-    abs2 = np.abs(H.conj() @ P) ** 2
-    sig = np.diag(abs2).copy()
-    off = abs2.copy()
-    np.fill_diagonal(off, 0.0)
-    interf = off.sum(axis=1)
+    sig, interf = _signal_interference(H.conj() @ P)
     denom = sig[active] / gbar[active] - interf[active]
     if np.any(denom <= 0.0):
         return None
     return float(np.sqrt(np.max(noise_variance / denom)))
+
+
+def _sinr_slack(sinrs: np.ndarray, targets: SinrTargets) -> np.ndarray:
+    """Relative SINR margin sinr_k / threshold_k - 1 of each user; a user
+    without a floor gets 1.0."""
+    gbar = targets.thresholds
+    return np.where(gbar > 0, sinrs / np.where(gbar > 0, gbar, 1.0) - 1.0, 1.0)
 
 
 class _Rows:
@@ -849,7 +852,7 @@ class SolveReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "precoder": [[[v.real, v.imag] for v in row] for row in self.precoder],
+            "precoder": _encode_complex(self.precoder),
             "layout": self.layout.tolist(),
             "sar": self.sar,
             "sinr": self.sinr.tolist(),
@@ -946,25 +949,21 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
             outer_trace.append((outer, mu, xi, obj, sweeps))
             xi_hist.append(xi)
 
-            gbar = targets.thresholds
-            sinrs = sinr_all(P, H, noise)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slack = np.where(gbar > 0, sinrs / np.where(gbar > 0, gbar, 1.0) - 1.0, np.inf)
-            if xi < config.eps_outer and np.min(slack) >= -config.feasibility_slack:
+            slack = _sinr_slack(sinr_all(P, H, noise), targets)
+            if xi < config.eps_outer and np.min(slack) >= -FEASIBILITY_SLACK:
                 converged = True
                 status = "converged"
                 break
 
-            w = config.plateau_window
-            if len(xi_hist) > w and xi_hist[-w - 1] > 0:
-                rel = (xi_hist[-w - 1] - xi_hist[-1]) / xi_hist[-w - 1]
-                if rel < config.plateau_rel_decrease:
+            if len(xi_hist) > PLATEAU_WINDOW:
+                first = xi_hist[-PLATEAU_WINDOW - 1]
+                if first > 0 and (first - xi) / first < PLATEAU_REL_DECREASE:
                     status = "plateau"
                     break
             mu = mu / config.a
 
     polish_factor = 1.0
-    if config.polish and status in ("converged", "plateau", "max_outer"):
+    if status in ("converged", "plateau", "max_outer"):
         c = polish_scale(P, H, targets, noise)
         if c is None:
             warnings.append("polish_unreachable")
@@ -978,11 +977,10 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
             xi = float(np.vdot(E, E).real)
 
     sinrs = sinr_all(P, H, noise)
-    gbar = targets.thresholds
-    slack = np.where(gbar > 0, sinrs / np.where(gbar > 0, gbar, 1.0) - 1.0, 1.0)
+    slack = _sinr_slack(sinrs, targets)
     mind = min_pairwise_distance(positions)
     in_region = region.contains(positions, tol=1e-9)
-    feasible = bool(np.min(slack) >= -config.feasibility_slack
+    feasible = bool(np.min(slack) >= -FEASIBILITY_SLACK
                     and mind >= dmin - 1e-9 and in_region)
     beta = float(np.min(sinrs / targets.weights))
     return SolveReport(

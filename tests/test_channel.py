@@ -253,3 +253,13 @@ def test_channel_json_roundtrip():
     # gains stored as [re, im] pairs, angles in radians
     parsed = json.loads(doc)
     assert isinstance(parsed["users"][0]["path_gains"][0], list)
+
+
+def test_channel_json_keeps_signed_zeros():
+    gains = np.empty(2, dtype=complex)
+    gains.real = [-0.0, 0.5]
+    gains.imag = [1.0, -0.0]
+    real = ChannelRealization(paths=(PathSet(np.ones(2), np.ones(2), gains),))
+    back = ChannelRealization.from_json(real.to_json()).paths[0].path_gains
+    assert back.tobytes() == gains.tobytes()
+    assert np.signbit(back.real[0]) and np.signbit(back.imag[1])

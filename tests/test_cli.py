@@ -106,6 +106,40 @@ def test_cli_trace(tmp_path):
     assert len(lines) > 10
 
 
+# every solver flag, each with a value that differs from its default and from
+# the other flags' values
+ALL_SOLVER_FLAGS = {"mu0": 0.02, "a": 0.6, "eps_inner": 2e-4, "eps_outer": 3e-7,
+                    "eps_position": 4e-4, "eps_inner_rel": 5e-3, "eps_position_rel": 6e-3,
+                    "max_outer": 7, "max_inner": 3, "max_sca_iter": 4}
+
+
+def _small_sar_min(tmp_path, extra):
+    out = tmp_path / "report.json"
+    main(["solve", "sar-min", "--channel", "3", "--m", "2", "--k", "2", "--paths", "3",
+          "--beta0", str(0.5 / NOISE_W), "--sar", "synth:2", "--out", str(out)] + extra)
+    return json.loads(out.read_text())
+
+
+def test_cli_solver_flags_reach_the_solver(tmp_path):
+    argv = []
+    for name, value in ALL_SOLVER_FLAGS.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    config = _small_sar_min(tmp_path, argv)["config"]
+    for name, value in ALL_SOLVER_FLAGS.items():
+        assert config[name] == value, name
+        assert type(config[name]) is type(value), name
+
+
+def test_cli_report_config_key_order(tmp_path):
+    config = _small_sar_min(tmp_path, FAST)["config"]
+    assert list(config) == [
+        "half_width", "wavelength", "min_distance", "mu0", "a", "eps_inner", "eps_outer",
+        "eps_position", "eps_inner_rel", "eps_position_rel", "feasibility_slack",
+        "max_outer", "max_inner", "max_sca_iter", "optimize_positions",
+        "discrete_positions", "beta0", "weights", "budget"]
+    assert config["feasibility_slack"] == 1e-5
+
+
 def test_cli_rejects_unknown_sar(tmp_path):
     with pytest.raises(SystemExit):
         main(["solve", "sar-min", "--channel", "1", "--beta0", "1.0",

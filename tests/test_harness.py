@@ -51,6 +51,10 @@ def test_plan_validation():
         tiny_plan(schemes=("backoff",))  # balance-only scheme on a sar-min plan
     with pytest.raises(ConfigurationError):
         tiny_plan(beta0=None)
+    # solver keys are checked when the plan is built, not in the first bundle
+    for solver in ({"bogus": 1}, {"polish": False}, {"region": None}):
+        with pytest.raises(ConfigurationError, match=next(iter(solver))):
+            tiny_plan(solver=solver)
 
 
 def test_plan_json_roundtrip():
