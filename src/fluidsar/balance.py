@@ -1,22 +1,22 @@
-"""Max-min weighted SINR under an exposure budget, by bisection on the target.
+"""Max-min weighted SINR under an exposure budget, by a search on the target.
 
 The balancing problem and the exposure-minimization problem are inverse to
 each other: the budget spent by the minimizer at target beta0 is exactly the
-budget at which the balancer attains beta0. Bisection therefore probes the
-minimizer at candidate targets and keeps the largest target whose minimal
-exposure fits the budget.
+budget at which the balancer attains beta0. Each probe therefore runs the
+minimizer at one target, and the answer is the largest probed target whose
+minimal exposure fits the budget.
 
-With an absolute accuracy the bisection can stop before any probe has fit the
-budget (a coarse accuracy against a small budget). The solver then descends:
-it keeps halving the target below the lowest infeasible probe until one fits,
-and bisects the remaining bracket [b, 2b] down to the accuracy. Only when the
-bounded descent finds nothing either does it emit the trivial solution at
-target 0, flagged with the warning ``no_feasible_probe``.
+The probes stay on the grid of bisection down to the absolute accuracy, but
+Illinois regula falsi on (log beta0, log SAR), which is nearly linear, picks
+where on it to probe. If no probe fits, the same search runs on the halvings
+of the lowest infeasible probe; if none fits either, the result is the
+trivial solution at target 0 with the warning ``no_feasible_probe``.
 """
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -69,19 +69,18 @@ class BalanceResult:
     warnings: list
     wall_time_s: float
 
+    @property
+    def probes(self) -> dict:
+        """Probes by ladder phase."""
+        return {phase: sum(row[0] == phase for row in self.ladder)
+                for phase in ("bracket", "bisect", "descend")}
+
     def to_json_dict(self) -> dict:
-        return {
-            "beta_star": self.beta_star,
-            "precoder": _encode_complex(self.precoder),
-            "layout": self.layout.tolist(),
-            "sar": self.sar,
-            "budget": self.budget,
-            "ladder": [list(row) for row in self.ladder],
-            "iterations": self.iterations,
-            "warnings": list(self.warnings),
-            "wall_time_s": self.wall_time_s,
-            "solution": self.report.to_json_dict() if self.report is not None else None,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "report"}
+        doc.update(precoder=_encode_complex(self.precoder), layout=self.layout.tolist(),
+                   ladder=[list(row) for row in self.ladder], warnings=list(self.warnings),
+                   solution=self.report.to_json_dict() if self.report is not None else None)
+        return doc
 
 
 def default_upper_bracket(realization: ChannelRealization, model: SarModel,
@@ -108,19 +107,71 @@ def default_upper_bracket(realization: ChannelRealization, model: SarModel,
     return float(4.0 * np.max((q0 / lam) * gains / (realization.noise_variance * w)))
 
 
+def _bisection_grid(lo: float, hi: float, accuracy: float):
+    """The targets that bisection of [lo, hi] down to ``accuracy`` can probe,
+    by index 0..top, and top. Index k is the midpoint of [k - t, k + t], t the
+    lowest set bit of k, in the floats that bisection computes."""
+    top, width = 1, hi - lo
+    while width > accuracy:
+        top, width = 2 * top, 0.5 * width
+    grid = {0: lo, top: hi}
+
+    def beta(k):
+        if k not in grid:
+            t = k & -k
+            grid[k] = 0.5 * (beta(k - t) + beta(k + t))
+        return grid[k]
+    return beta, top
+
+
+def _search(beta, top: int, ra, rb, probe, budget: float):
+    """Narrow the indices [0, top] of the rising grid ``beta`` to adjacent a, b:
+    b is over budget, a fits it (or is the end 0 unprobed, ``ra`` None).
+
+    Illinois regula falsi on (log beta, log SAR/budget) finds the grid cell of
+    the root, and its end nearer in log is probed; with no report at a, the
+    step takes SAR proportional to beta. The midpoint is probed instead when
+    b did not converge or [a, b] has not halved in 3 steps.
+    """
+    def excess(rep):  # log(SAR/budget) of a converged probe
+        return math.log(rep.sar / budget) if rep and rep.converged and rep.sar > 0 else None
+
+    a, b, moved, widths = 0, top, None, []
+    ga, gb = excess(ra), excess(rb)
+    while b - a > 1:
+        widths.append(b - a)
+        k = (a + b) // 2
+        if gb is not None and gb > 0 and (len(widths) < 4 or 2 * widths[-1] <= widths[-4]):
+            xb = math.log(beta(b))
+            y = math.exp(xb - gb * (1.0 if ga is None else
+                                    (xb - math.log(beta(a))) / (gb - ga)))
+            i, j = a, b
+            while j - i > 1:  # the cell [i, j] that holds y
+                m = (i + j) // 2
+                i, j = (m, j) if beta(m) <= y else (i, m)
+            k = j if i == a or (j < b and beta(i) * beta(j) < y * y) else i
+        rep, ok = probe(beta(k))
+        if ok:  # Illinois: an end kept twice in a row counts half
+            a, ra, ga = k, rep, excess(rep)
+            gb = gb / 2 if moved and gb is not None else gb
+        else:
+            b, rb, gb = k, rep, excess(rep)
+            ga = ga / 2 if moved is False and ga is not None else ga
+        moved = ok
+    return (beta(a), ra), (beta(b), rb)
+
+
 def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
                        config: BalanceConfig | None = None,
                        solver_config: SolverConfig | None = None,
                        initial_layout: np.ndarray | None = None) -> BalanceResult:
-    """Bisection on the SINR target; each probe is one exposure-min solve.
+    """Search on the SINR target; each probe is one exposure-min solve.
 
-    Returns the largest probed target whose minimal exposure fits the budget.
-    If no bisection probe fits, up to ``MAX_DESCENTS`` further probes halve the
-    target below the lowest infeasible one (ladder phase ``"descend"``) until one
-    fits, and bisection resumes above it when the gap to the infeasible probe
-    exceeds the accuracy. If none fits, the result is the trivial solution at
-    target 0 with the warning ``no_feasible_probe``. ``iterations`` counts the
-    bisection probes only.
+    The upper bracket end is probed, and doubled while it fits (ladder phase
+    ``"bracket"``); the bracket is then narrowed to the accuracy (``"bisect"``).
+    If no probe fits, the first ``MAX_DESCENTS`` halvings of the lowest
+    infeasible probe are searched (``"descend"``), and the cell [b, 2b] above
+    the answer is narrowed. ``iterations`` counts the ``"bisect"`` probes.
     """
     t0 = time.perf_counter()
     config = config or BalanceConfig()
@@ -134,8 +185,6 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
         if initial_layout is None else np.array(initial_layout, dtype=float)
 
     ladder: list[tuple] = []
-    best: SolveReport | None = None
-    best_beta = 0.0
     warm: SolveReport | None = None
     warm_beta = 0.0
 
@@ -174,9 +223,10 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
                                         solver_config.wavelength, budget)
 
     rep, ok = probe(beta_hi, "bracket")
+    lo = (beta_lo, None)
     expansions = 0
     while ok and expansions < MAX_EXPANSIONS:
-        best, best_beta, beta_lo = rep, beta_hi, beta_hi
+        lo = (beta_hi, rep)
         beta_hi *= 2.0
         expansions += 1
         rep, ok = probe(beta_hi, "bracket")
@@ -185,34 +235,19 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
         return BalanceResult(beta_hi, rep.precoder, rep.layout, rep.sar, budget, rep,
                              ladder, 0, warnings, time.perf_counter() - t0)
 
-    iterations = 0
-    descents = 0
-    while True:
-        while beta_hi - beta_lo > config.accuracy:
-            beta0 = 0.5 * (beta_lo + beta_hi)
-            rep, ok = probe(beta0, "bisect")
-            iterations += 1
-            if ok:
-                beta_lo = beta0
-                best, best_beta = rep, beta0
-            else:
-                beta_hi = beta0
-        if best is not None or descents == MAX_DESCENTS:
-            break
-        # the bracket closed before any probe fit the budget, which refutes
-        # its lower end: halve below the lowest infeasible probe. Once a probe
-        # b fits, the loop bisects what is left of [b, 2b]; from a bracket that
-        # starts at 0 that is already narrower than the accuracy.
-        beta_lo = 0.0
-        beta0 = 0.5 * beta_hi
-        rep, ok = probe(beta0, "descend")
-        descents += 1
-        if ok:
-            beta_lo = beta0
-            best, best_beta = rep, beta0
-        else:
-            beta_hi = beta0
+    lo, hi = _search(*_bisection_grid(lo[0], beta_hi, config.accuracy), lo[1], rep,
+                     lambda b: probe(b, "bisect"), budget)
+    if lo[1] is None:
+        # no probe fit, which refutes the bracket's lower end: search the
+        # halvings of the lowest infeasible probe, then narrow [b, 2b]
+        h, top = hi[0], MAX_DESCENTS + 1
+        lo, hi = _search(lambda i: math.ldexp(h, i - top) if i else 0.0, top, None, hi[1],
+                         lambda b: probe(b, "descend"), budget)
+        if lo[1] is not None and hi[0] - lo[0] > config.accuracy:
+            lo, hi = _search(*_bisection_grid(lo[0], hi[0], config.accuracy), lo[1], hi[1],
+                             lambda b: probe(b, "bisect"), budget)
 
+    best_beta, best = lo
     if best is None:
         # nothing fit even after the descent; emit the trivial solution
         warnings.append("no_feasible_probe")
@@ -220,14 +255,14 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
                              solver_config, initial_layout=layout0)
         best_beta = 0.0
 
-    # a feasible probe above an infeasible one means the probe curve was not
+    # a feasible probe above an infeasible one, or a converged probe whose SAR
+    # is below that of one at a smaller target, means the probe curve was not
     # monotone in beta0; surface it rather than assume it away
-    feas = [(b, ok) for _, b, _, ok, _ in ladder]
-    worst_feasible = max((b for b, ok in feas if ok), default=None)
-    best_infeasible = min((b for b, ok in feas if not ok), default=None)
-    if worst_feasible is not None and best_infeasible is not None \
-            and worst_feasible > best_infeasible:
+    rows = sorted(ladder, key=lambda row: (row[1], not row[3], row[2]))
+    oks, sars = [row[3] for row in rows], [row[2] for row in rows if row[4]]
+    if oks != sorted(oks, reverse=True) or sars != sorted(sars):
         warnings.append("non_monotone_ladder")
 
-    return BalanceResult(best_beta, best.precoder, best.layout, best.sar, budget,
-                         best, ladder, iterations, warnings, time.perf_counter() - t0)
+    return BalanceResult(best_beta, best.precoder, best.layout, best.sar, budget, best,
+                         ladder, sum(row[0] == "bisect" for row in ladder),
+                         warnings, time.perf_counter() - t0)

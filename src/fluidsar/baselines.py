@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -167,19 +167,10 @@ class ApsResult:
     off_lattice: int  # returned antennas that sit on no lattice point
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "objective": self.objective,
-            "layout": self.layout.tolist(),
-            "sar": self.sar,
-            "beta": self.beta,
-            "evaluated": self.evaluated,
-            "total_combinations": self.total_combinations,
-            "coverage": self.coverage,
-            "subsampled": self.subsampled,
-            "wall_time_s": self.wall_time_s,
-            "off_lattice": self.off_lattice,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("precoder", "best")}
+        doc["layout"] = self.layout.tolist()
+        return doc
 
 
 def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,

@@ -32,9 +32,12 @@ __all__ = [
 VALID_SWEEPS = ("q0", "beta0", "half_width", "paths", "scheme")
 VALID_SCHEMES = ("fas", "aps", "fpa", "no-sar", "backoff")
 BALANCE_ONLY = ("no-sar", "backoff")
-# keys of a plan's ``solver`` dict: the SolverConfig fields, except the region
-# that the plan's half_width and wavelength set
-SOLVER_KEYS = {f.name for f in fields(SolverConfig)} - {"region"}
+# keys of a plan's ``solver`` dict and their type names: the SolverConfig
+# fields, except the region that the plan's half_width and wavelength set
+SOLVER_KEYS = {f.name: f.type for f in fields(SolverConfig) if f.name != "region"}
+# the value types of each type name: a float setting takes an int, not a bool
+SOLVER_TYPES = {"int": [int], "float": [int, float], "bool": [bool],
+                "tuple": [tuple, list], "None": [type(None)]}
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,13 @@ class ExperimentPlan:
                 raise ConfigurationError(f"{s} only applies to the balance objective")
         if self.objective == "sar-min" and self.beta0 is None:
             raise ConfigurationError("sar-min sweeps need a beta0 target")
-        unknown = sorted(set(self.solver) - SOLVER_KEYS)
+        unknown = sorted(set(self.solver) - SOLVER_KEYS.keys())
         if unknown:
             raise ConfigurationError(f"unknown solver settings {unknown}")
+        for key, value in self.solver.items():
+            types = SOLVER_KEYS[key]
+            if type(value) not in sum((SOLVER_TYPES[name] for name in types.split(" | ")), []):
+                raise ConfigurationError(f"solver setting {key!r} must be {types}, got {value!r}")
         object.__setattr__(self, "values", tuple(self.values))
         object.__setattr__(self, "schemes", tuple(self.schemes))
 
@@ -96,6 +103,9 @@ class ExperimentPlan:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentPlan":
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"unknown plan keys {unknown}")
         doc = dict(doc)
         doc["values"] = tuple(doc["values"])
         if "schemes" in doc:
@@ -219,13 +229,14 @@ def _run_bundle(plan: ExperimentPlan, point_index: int, value, trial: int) -> li
                     row["status"] = "nonconverged"
                 row.update(value_metric=res.sar, beta=res.beta_achieved, sar=res.sar)
 
+            # the solve behind the row: APS keeps its best start, backoff
+            # scales the power-only design
+            solve = res.best if scheme == "aps" else \
+                res.unconstrained if scheme == "backoff" else res
+            row["warnings"] = list(solve.warnings)
             if plan.objective == "balance":
-                # the balance solve behind the row: APS keeps its best start,
-                # backoff scales the power-only design
-                balance = res.best if scheme == "aps" else \
-                    res.unconstrained if scheme == "backoff" else res
-                row["warnings"] = list(balance.warnings)
-                if "no_feasible_probe" in balance.warnings:
+                row["probes"] = solve.probes
+                if "no_feasible_probe" in solve.warnings:
                     # the trivial fallback is not a balancing result
                     row["status"] = "infeasible"
         except Exception as exc:  # per-trial failures never abort the sweep

@@ -1,13 +1,29 @@
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fluidsar import balance
-from fluidsar.balance import BalanceConfig, default_upper_bracket, solve_sinr_balance
-from fluidsar.channel import Region, channel_matrix, sample_channel, uniform_line_layout
+from fluidsar.balance import (
+    MAX_DESCENTS,
+    MAX_EXPANSIONS,
+    WARM_MU_BACKOFF,
+    BalanceConfig,
+    BalanceResult,
+    default_upper_bracket,
+    solve_sinr_balance,
+)
+from fluidsar.channel import (
+    ChannelRealization,
+    Region,
+    channel_matrix,
+    sample_channel,
+    uniform_line_layout,
+)
 from fluidsar.exposure import SarModel, paper_sar_matrix, synthesize_sar_matrix
-from fluidsar.solver import SinrTargets, SolverConfig, solve_sar_min
+from fluidsar.solver import SinrTargets, SolveReport, SolverConfig, solve_sar_min
 
 from conftest import NOISE_W, WAVELENGTH, fast_config
 
@@ -58,9 +74,18 @@ def test_bisection_iteration_count_and_width():
     bracket_rows = [row for row in res.ladder if row[0] == "bracket"]
     hi_eff = bracket_rows[-1][1]
     lo_eff = bracket_rows[-2][1] if len(bracket_rows) > 1 else 0.0
-    assert res.iterations == math.ceil(math.log2((hi_eff - lo_eff) / eps))
+    n = math.ceil(math.log2((hi_eff - lo_eff) / eps))
     betas = [row[1] for row in res.ladder if row[0] == "bisect"]
     assert len(betas) == res.iterations
+    assert 0 < res.iterations < n
+    # every probe sits on the grid of bisection down to eps
+    for beta in betas:
+        k = (beta - lo_eff) / (hi_eff - lo_eff) * 2 ** n
+        assert abs(k - round(k)) < 1e-6
+    # and the answer's cell is no wider than eps
+    above = min(row[1] for row in res.ladder if row[1] > res.beta_star)
+    assert not any(row[3] for row in res.ladder if row[1] == above)
+    assert 0 < above - res.beta_star <= eps
 
 
 def test_bisection_invariant_feasible_below_infeasible_above():
@@ -165,10 +190,14 @@ def test_descent_when_no_bisection_probe_fits():
     res = solve_sinr_balance(real, DESK_MODEL, BalanceConfig(accuracy=eps), cfg)
     bisect_rows = [row for row in res.ladder if row[0] == "bisect"]
     assert bisect_rows and not any(row[3] for row in bisect_rows)
+    # the answer is a descent probe, on the halvings of the bisection probe,
+    # and the halving above it was probed and is over budget
     descend_rows = [row for row in res.ladder if row[0] == "descend"]
-    assert descend_rows and descend_rows[-1][3]
-    assert not any(row[3] for row in descend_rows[:-1])
-    assert res.beta_star == descend_rows[-1][1] > 0
+    assert (res.beta_star, True) in [(row[1], row[3]) for row in descend_rows]
+    h = bisect_rows[-1][1]
+    assert all(math.log2(h / row[1]) == round(math.log2(h / row[1])) >= 1
+               for row in descend_rows)
+    assert res.beta_star > 0
     assert "no_feasible_probe" not in res.warnings
     # the lowest infeasible probe is twice the answer: bracket width below eps
     lowest_infeasible = min(row[1] for row in res.ladder if not row[3])
@@ -194,17 +223,263 @@ def test_no_feasible_probe_is_flagged(monkeypatch):
 
 
 def test_descent_below_refuted_lower_bracket_end():
-    # a bracket whose lower end is over budget: the descent goes below it and
-    # bisection resumes, so the answer fits the budget and the final gap to
-    # the lowest infeasible probe is within the accuracy
+    # a bracket whose lower end is over budget: the descent goes below it to
+    # a halving b that fits, with 2b over budget, and the search resumes in
+    # [b, 2b], so the answer fits the budget and the final gap to the lowest
+    # infeasible probe is within the accuracy
     real = desk_channel(3)
     eps = 1e13
     res = solve_sinr_balance(real, DESK_MODEL,
                              BalanceConfig(accuracy=eps, bracket=(4e14, 6e15)),
                              fast_config())
-    assert any(row[0] == "descend" for row in res.ladder)
+    b = max(row[1] for row in res.ladder if row[0] == "descend" and row[3])
+    assert any(row[1] == 2 * b and not row[3] for row in res.ladder)
+    assert b <= res.beta_star < 2 * b
     assert 0 < res.beta_star < 4e14
     assert res.sar <= DESK_MODEL.budget + 1e-9
     lowest_infeasible = min(row[1] for row in res.ladder if not row[3])
     assert 0 < lowest_infeasible - res.beta_star <= eps
     assert "no_feasible_probe" not in res.warnings
+
+
+# ------------------------------------------------------------------ ladder
+# The probe ladder against the bisection it replaced, on stubbed probes:
+# SAR(beta) = c beta^s is monotone, so both ladders must return the same
+# target, and the new one must need far fewer probes.
+
+class StubReport:
+    """The fields of a SolveReport that the ladder reads."""
+
+    def __init__(self, beta0, sar, converged=True):
+        self.sar = sar
+        self.converged = self.feasible = converged
+        self.precoder = np.full((2, 2), beta0, dtype=complex)
+        self.layout = np.zeros((2, 2))
+        self.final_mu = 1.0
+        self.warnings = []
+
+
+def power_law(c, s):
+    def stub(realization, targets, model, cfg, initial_layout=None, initial_precoder=None):
+        return StubReport(targets.beta0, c * targets.beta0 ** s)
+    return stub
+
+
+def ladder_cases():
+    """(c, s, BalanceConfig) cases: default and user brackets, roots inside,
+    above (expansion) and below (refuted lower end, descent) the bracket."""
+    rng = np.random.default_rng(61)
+    real = desk_channel(3)
+    layout = uniform_line_layout(2, Region(1.0, WAVELENGTH))
+    hi = default_upper_bracket(real, DESK_MODEL, np.ones(2), layout, WAVELENGTH)
+    cases = []
+    for n in range(320):
+        s = rng.uniform(1.0, 3.0)
+        kind = n % 4
+        if kind == 0:    # default bracket, root inside or up to 3 doublings above
+            root = hi * 10.0 ** rng.uniform(-3.0, 0.9)
+            cfg = BalanceConfig(accuracy=hi / rng.uniform(20.0, 2000.0))
+        elif kind == 1:  # user bracket with a positive lower end holding the root
+            lo = hi * 10.0 ** rng.uniform(-3.0, -1.0)
+            root = lo * 10.0 ** rng.uniform(0.0, 1.0)
+            cfg = BalanceConfig(accuracy=(hi - lo) / rng.uniform(20.0, 2000.0),
+                                bracket=(lo, hi))
+        elif kind == 2:  # refuted lower end: the root lies below the bracket
+            lo = hi * 10.0 ** rng.uniform(-2.0, -1.0)
+            root = lo * 10.0 ** rng.uniform(-3.0, -0.01)
+            cfg = BalanceConfig(accuracy=lo * 10.0 ** rng.uniform(-3.0, -0.5),
+                                bracket=(lo, hi))
+        else:            # coarse accuracy from 0: the descent finds the answer
+            root = hi * 10.0 ** rng.uniform(-5.0, -1.0)
+            cfg = BalanceConfig(accuracy=hi * rng.uniform(0.05, 0.5))
+        cases.append((DESK_MODEL.budget / root ** s, s, cfg))
+    return real, cases
+
+
+def test_ladder_matches_bisection_with_fewer_probes(monkeypatch):
+    real, cases = ladder_cases()
+    cfg = fast_config()
+    probes = {"parent": 0, "new": 0}
+    phases = set()
+    for c, s, bal in cases:
+        stub = power_law(c, s)
+        monkeypatch.setattr(balance, "solve_sar_min", stub)
+        monkeypatch.setitem(globals(), "solve_sar_min", stub)
+        old = parent_solve_sinr_balance(real, DESK_MODEL, bal, cfg)
+        new = solve_sinr_balance(real, DESK_MODEL, bal, cfg)
+        assert new.beta_star == old.beta_star, (c, s, bal)
+        assert new.warnings == old.warnings, (c, s, bal)
+        assert np.array_equal(new.precoder, old.precoder)
+        probes["parent"] += len(old.ladder)
+        probes["new"] += len(new.ladder)
+        phases.update(row[0] for row in new.ladder)
+        assert len([r for r in new.ladder if r[0] == "descend"]) <= balance.MAX_DESCENTS
+    assert phases == {"bracket", "bisect", "descend"}
+    assert probes["new"] <= 0.65 * probes["parent"], probes
+
+
+
+def test_fixed_layout_cold_ladder_matches_bisection():
+    # cold probes at a fixed layout are a deterministic map of the target, so
+    # the ladder must end on the probe bisection ends on, to the last bit
+    cfg = fast_config(optimize_positions=False)
+    cases = ((3, BalanceConfig(accuracy=1e11, warm_start=False)),
+             (7, BalanceConfig(accuracy=1e13, bracket=(4e14, 6e15), warm_start=False)),
+             (9, BalanceConfig(accuracy=2e15, warm_start=False)))
+    phases = set()
+    for seed, bal in cases:
+        real = desk_channel(seed)
+        old = parent_solve_sinr_balance(real, DESK_MODEL, bal, cfg)
+        new = solve_sinr_balance(real, DESK_MODEL, bal, cfg)
+        assert new.beta_star == old.beta_star > 0, seed
+        assert np.array_equal(new.precoder, old.precoder), seed
+        assert new.sar == old.sar and new.warnings == old.warnings, seed
+        assert len(new.ladder) < len(old.ladder), seed
+        phases.update(row[0] for row in new.ladder)
+    assert "descend" in phases
+
+
+def test_non_monotone_sar_is_flagged(monkeypatch):
+    # feasibility is monotone in the target, but the SAR falls from 9x to 2x
+    # the budget at 3e14: a converged probe reads a lower SAR than one below it
+    budget = DESK_MODEL.budget
+
+    def stub(realization, targets, model, cfg, initial_layout=None, initial_precoder=None):
+        beta = targets.beta0
+        return StubReport(beta, budget * (beta / 1e14) ** 2 if beta < 3e14 else 2 * budget)
+    monkeypatch.setattr(balance, "solve_sar_min", stub)
+    res = solve_sinr_balance(desk_channel(3), DESK_MODEL,
+                             BalanceConfig(accuracy=1e12, bracket=(0.0, 1e15)), fast_config())
+    assert res.beta_star <= 1e14 < res.beta_star + 1e12
+    assert "non_monotone_ladder" in res.warnings
+    # the same curve without the fall is not flagged
+    monkeypatch.setattr(balance, "solve_sar_min", power_law(budget / 1e28, 2.0))
+    res = solve_sinr_balance(desk_channel(3), DESK_MODEL,
+                             BalanceConfig(accuracy=1e12, bracket=(0.0, 1e15)), fast_config())
+    assert "non_monotone_ladder" not in res.warnings
+
+# The balance solver as it was before the Illinois ladder, verbatim: blind
+# bisection of the bracket, then halving below the lowest infeasible probe.
+def parent_solve_sinr_balance(realization: ChannelRealization, model: SarModel,
+                       config: BalanceConfig | None = None,
+                       solver_config: SolverConfig | None = None,
+                       initial_layout: np.ndarray | None = None) -> BalanceResult:
+    """Bisection on the SINR target; each probe is one exposure-min solve.
+
+    Returns the largest probed target whose minimal exposure fits the budget.
+    If no bisection probe fits, up to ``MAX_DESCENTS`` further probes halve the
+    target below the lowest infeasible one (ladder phase ``"descend"``) until one
+    fits, and bisection resumes above it when the gap to the infeasible probe
+    exceeds the accuracy. If none fits, the result is the trivial solution at
+    target 0 with the warning ``no_feasible_probe``. ``iterations`` counts the
+    bisection probes only.
+    """
+    t0 = time.perf_counter()
+    config = config or BalanceConfig()
+    solver_config = solver_config or SolverConfig()
+    K = realization.num_users
+    weights = np.ones(K) if config.weights is None else np.asarray(config.weights, dtype=float)
+    budget = model.budget if config.budget is None else config.budget
+    warnings: list[str] = []
+
+    layout0 = uniform_line_layout(model.n_antennas, solver_config.region) \
+        if initial_layout is None else np.array(initial_layout, dtype=float)
+
+    ladder: list[tuple] = []
+    best: SolveReport | None = None
+    best_beta = 0.0
+    warm: SolveReport | None = None
+    warm_beta = 0.0
+
+    def probe(beta0: float, phase: str):
+        nonlocal warm, warm_beta
+        cfg = solver_config
+        kwargs: dict = {"initial_layout": layout0}
+        if config.warm_start and warm is not None and warm_beta > 0 and beta0 > 0:
+            # power-match the warm precoder to the new target scale, otherwise a
+            # large restart penalty pins the probe at the previous power level
+            kwargs = {
+                "initial_layout": warm.layout,
+                "initial_precoder": warm.precoder * np.sqrt(beta0 / warm_beta),
+            }
+            mu_warm = warm.final_mu * solver_config.a ** WARM_MU_BACKOFF
+            if mu_warm > solver_config.mu0:
+                cfg = replace(solver_config, mu0=mu_warm)
+        rep = solve_sar_min(realization, SinrTargets(weights, beta0), model, cfg, **kwargs)
+        ok = rep.converged and rep.feasible and rep.sar <= budget
+        ladder.append((phase, beta0, rep.sar, bool(ok), bool(rep.converged)))
+        if config.warm_start:
+            warm = rep if rep.converged else None
+            warm_beta = beta0
+        return rep, ok
+
+    if budget <= 0:
+        return BalanceResult(0.0, np.zeros((model.n_antennas, K), dtype=complex), layout0,
+                             0.0, budget, None, ladder, 0, ["zero_budget"],
+                             time.perf_counter() - t0)
+
+    if config.bracket is not None:
+        beta_lo, beta_hi = config.bracket
+    else:
+        beta_lo = 0.0
+        beta_hi = default_upper_bracket(realization, model, weights, layout0,
+                                        solver_config.wavelength, budget)
+
+    rep, ok = probe(beta_hi, "bracket")
+    expansions = 0
+    while ok and expansions < MAX_EXPANSIONS:
+        best, best_beta, beta_lo = rep, beta_hi, beta_hi
+        beta_hi *= 2.0
+        expansions += 1
+        rep, ok = probe(beta_hi, "bracket")
+    if ok:
+        warnings.append("bracket_exhausted")
+        return BalanceResult(beta_hi, rep.precoder, rep.layout, rep.sar, budget, rep,
+                             ladder, 0, warnings, time.perf_counter() - t0)
+
+    iterations = 0
+    descents = 0
+    while True:
+        while beta_hi - beta_lo > config.accuracy:
+            beta0 = 0.5 * (beta_lo + beta_hi)
+            rep, ok = probe(beta0, "bisect")
+            iterations += 1
+            if ok:
+                beta_lo = beta0
+                best, best_beta = rep, beta0
+            else:
+                beta_hi = beta0
+        if best is not None or descents == MAX_DESCENTS:
+            break
+        # the bracket closed before any probe fit the budget, which refutes
+        # its lower end: halve below the lowest infeasible probe. Once a probe
+        # b fits, the loop bisects what is left of [b, 2b]; from a bracket that
+        # starts at 0 that is already narrower than the accuracy.
+        beta_lo = 0.0
+        beta0 = 0.5 * beta_hi
+        rep, ok = probe(beta0, "descend")
+        descents += 1
+        if ok:
+            beta_lo = beta0
+            best, best_beta = rep, beta0
+        else:
+            beta_hi = beta0
+
+    if best is None:
+        # nothing fit even after the descent; emit the trivial solution
+        warnings.append("no_feasible_probe")
+        best = solve_sar_min(realization, SinrTargets(weights, 0.0), model,
+                             solver_config, initial_layout=layout0)
+        best_beta = 0.0
+
+    # a feasible probe above an infeasible one means the probe curve was not
+    # monotone in beta0; surface it rather than assume it away
+    feas = [(b, ok) for _, b, _, ok, _ in ladder]
+    worst_feasible = max((b for b, ok in feas if ok), default=None)
+    best_infeasible = min((b for b, ok in feas if not ok), default=None)
+    if worst_feasible is not None and best_infeasible is not None \
+            and worst_feasible > best_infeasible:
+        warnings.append("non_monotone_ladder")
+
+    return BalanceResult(best_beta, best.precoder, best.layout, best.sar, budget,
+                         best, ladder, iterations, warnings, time.perf_counter() - t0)

@@ -55,6 +55,26 @@ def test_plan_validation():
     for solver in ({"bogus": 1}, {"polish": False}, {"region": None}):
         with pytest.raises(ConfigurationError, match=next(iter(solver))):
             tiny_plan(solver=solver)
+    # and so are their values' types: an int setting takes no str, float or
+    # bool, a float setting takes an int, a bool setting takes only a bool
+    for solver in ({"max_outer": "ten"}, {"max_outer": True}, {"max_inner": 6.0},
+                   {"mu0": "1e-2"}, {"a": False}, {"optimize_positions": 1},
+                   {"min_distance": "5mm"}):
+        with pytest.raises(ConfigurationError, match=next(iter(solver))):
+            tiny_plan(solver=solver)
+    for solver in ({"mu0": 1}, {"min_distance": None}, {"min_distance": 0.006},
+                   {"optimize_positions": False}, {"max_outer": 10}):
+        tiny_plan(solver=solver)
+
+
+def test_plan_json_rejects_unknown_keys():
+    doc = tiny_plan().to_json_dict()
+    doc["polish"] = False
+    with pytest.raises(ConfigurationError, match="polish"):
+        ExperimentPlan.from_json_dict(doc)
+    with pytest.raises(ConfigurationError, match="max_outer"):
+        ExperimentPlan.from_json(json.dumps({**tiny_plan().to_json_dict(),
+                                             "solver": {"max_outer": "ten"}}))
 
 
 def test_plan_json_roundtrip():
@@ -144,6 +164,12 @@ def test_scheme_sweep_axis():
     assert schemes == {"fas", "fpa"}
 
 
+def test_sar_min_rows_carry_warnings():
+    rec = run_sweep(tiny_plan(values=(1.0 / NOISE_W,), trials=1, schemes=("fas", "fpa", "aps")))
+    assert all(isinstance(r["warnings"], list) for r in rec.rows)
+    assert all("probes" not in r for r in rec.rows)
+
+
 def test_aps_rows_carry_off_lattice_count():
     plan = tiny_plan(values=(1.0 / NOISE_W,), trials=1, schemes=("fas", "aps"))
     rec = run_sweep(plan)
@@ -163,6 +189,15 @@ def test_balance_objective_sweep_runs():
     rec = run_sweep(plan)
     assert all(r["status"] == "ok" for r in rec.rows)
     assert all("no_feasible_probe" not in r["warnings"] for r in rec.rows)
+    # each row counts the probes of its balance solve by ladder phase; backoff
+    # scales the power-only design, so it reports that design's probes
+    for r in rec.rows:
+        assert set(r["probes"]) == {"bracket", "bisect", "descend"}
+        assert r["probes"]["bracket"] >= 1
+    for pi in (0, 1):
+        nosar, backoff = (r["probes"] for r in rec.rows
+                          if r["point_index"] == pi and r["scheme"] != "fas")
+        assert nosar == backoff
     # backoff can never beat the unconstrained design it scales down
     for pi in (0, 1):
         nosar = [r for r in rec.rows if r["scheme"] == "no-sar" and r["point_index"] == pi]
