@@ -10,18 +10,22 @@ layer alternates three block updates on the penalized objective
      single-multiplier bisection,
   3. antenna positions t_m one at a time by majorize-minimize steps; when the
      free step leaves the box or breaks the spacing, the step is its exact
-     projection onto the box and the spacing rows linearized at t_m.
+     projection onto the box and the spacing rows linearized at t_m. Each
+     step is backtracked on a local curvature: it starts at half the one the
+     antenna last accepted in this solve (never below tau_m / 256) and
+     doubles until the quadratic surrogate lies above the objective at the
+     step, up to the global bound tau_m, where majorization guarantees it.
 
 The coupling residual xi = sum |h_k^H p_j - z_{k,j}|^2 is the outer stopping
 indicator; the emitted solution is rescaled so the worst SINR constraint holds
 with equality.
 
 Cache lifetimes: ``solve_sar_min`` builds one geometry cache (``_GeoCache``:
-direction cosines and conjugated path gains of the channel) and hands it to
-every inner loop of the solve. With a position lattice, the cache builds the
-lattice's tables (``_Lattice``: candidate channel rows, in-region and pair
-spacing masks, point index) on the first lattice search and keeps them for the
-rest of the solve. Nothing outlives the solve. The single-step public helpers
+direction cosines and conjugated path gains of the channel, and the local
+curvature each antenna last accepted) and hands it to every inner loop of the
+solve. With a position lattice, the cache builds the lattice's tables
+(``_Lattice``: candidate channel rows, in-region and pair spacing masks, point
+index) on the first lattice search and keeps them for the rest of the solve. Nothing outlives the solve. The single-step public helpers
 (``position_gradient``, ``update_position``, ...) build a cache per call.
 """
 from __future__ import annotations
@@ -87,6 +91,9 @@ FEASIBILITY_SLACK = 1e-5
 # PLATEAU_REL_DECREASE over the last PLATEAU_WINDOW outer iterations
 PLATEAU_WINDOW = 20
 PLATEAU_REL_DECREASE = 0.01
+# the position block's backtracked curvature never starts below this
+# fraction of the majorizer tau (a power of two: doublings reach tau exactly)
+TAU_LOC_FLOOR = 2.0 ** -8
 
 
 @dataclass(frozen=True)
@@ -187,6 +194,8 @@ class _GeoCache:
         self.fbar = np.stack([ps.path_gains.conj() for ps in realization.paths])
         self.abs_gain_sum = np.abs(self.fbar).sum(axis=1)  # (K,)
         self._lattice = None
+        # antenna -> the local curvature its last accepted SCA step used
+        self.tau_accepted: dict[int, float] = {}
 
     def phase_terms(self, t) -> np.ndarray:
         """Per-path terms of conj(h_k) for one antenna at t, shape (K, L)."""
@@ -411,7 +420,8 @@ def position_gradient(m: int, positions: np.ndarray, realization: ChannelRealiza
 
 
 def _majorizers(geo: _GeoCache, P: np.ndarray, Z: np.ndarray, wavelength: float) -> np.ndarray:
-    """Curvature bounds tau_m for all antennas (position-independent)."""
+    """Curvature bounds tau_m for all antennas (position-independent): the
+    cap of the position block's backtracked local curvature."""
     absP = np.abs(P)              # (M, K)
     colsum = absP.sum(axis=0)     # (K,)
     s2 = float((geo.abs_gain_sum ** 2).sum())
@@ -616,12 +626,14 @@ def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar,
                      counts: dict | None = None):
     """Sequential per-antenna SCA descents; mutates positions/Hbar, returns
     (E, obj, stuck). ``counts``, when given, gains one per free, QP and stuck
-    step under those status names."""
+    step under those status names, and one per curvature doubling under
+    "backtrack"."""
     if config.position_grid is not None:
         return _select_positions_on_grid(positions, geo, P, Z, region, min_distance,
                                          config, Hbar)
     M = positions.shape[0]
     taus = _majorizers(geo, P, Z, region.wavelength).tolist()
+    accepted = geo.tau_accepted
     any_stuck = False
     step_tol = 1e-8 * region.wavelength  # moves below this cannot matter
     for m in range(M):
@@ -640,22 +652,41 @@ def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar,
             # is monotone, so the verdict is the same
             if abs(grad[0]) / tau < step_tol and abs(grad[1]) / tau < step_tol:
                 break
-            t_new, status = _step_from_gradient(t_old, grad, tau, region,
-                                                min_distance, points)
+            # backtracking: try half the curvature this antenna last
+            # accepted, and double it until the surrogate at tau_loc lies
+            # above the objective at the step; tau itself always qualifies
+            tau_loc = min(tau, max(tau * TAU_LOC_FLOOR, 0.5 * accepted.get(m, 0.0)))
+            while True:
+                t_new, status = _step_from_gradient(t_old, grad, tau_loc, region,
+                                                    min_distance, points)
+                if status == "stuck":
+                    break
+                q_new = geo.phase_terms(t_new)
+                hbar_new = q_new.sum(axis=1)
+                delta = hbar_new - Hbar[:, m]
+                E_new = E + delta[:, None] * P[m, :][None, :]
+                obj_new = float(np.vdot(E_new, E_new).real)
+                if tau_loc >= tau:
+                    break
+                dx = t_new[0] - t_old[0]
+                dy = t_new[1] - t_old[1]
+                bound = obj + (grad[0] * dx + grad[1] * dy) \
+                    + 0.5 * tau_loc * (dx * dx + dy * dy)
+                if obj_new <= bound + 1e-12 * obj:
+                    break
+                tau_loc = min(2.0 * tau_loc, tau)
+                if counts is not None:
+                    counts["backtrack"] = counts.get("backtrack", 0) + 1
             if counts is not None:
                 counts[status] = counts.get(status, 0) + 1
             if status == "stuck":
                 any_stuck = True
                 break
-            q_new = geo.phase_terms(t_new)
-            hbar_new = q_new.sum(axis=1)
-            delta = hbar_new - Hbar[:, m]
-            E_new = E + delta[:, None] * P[m, :][None, :]
-            obj_new = float(np.vdot(E_new, E_new).real)
             # the tolerance must stay relative: any absolute slack here gets
             # amplified by mu in the penalized objective the caller tracks
             if obj_new > obj * (1.0 + 1e-12):
                 break  # numerically flat; keep the current point
+            accepted[m] = tau_loc
             positions[m] = t_old = t_new
             Hbar[:, m] = hbar_new
             E = E_new
@@ -690,7 +721,8 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
     objective decrease falls below eps_inner. Returns (P, Z, positions, Hbar, sweeps).
 
     ``counts``, when given, gains the number of continuous position steps by
-    status ("free", "qp", "stuck"), as ``trace`` gains the objective trace.
+    status ("free", "qp", "stuck") and of their curvature doublings
+    ("backtrack"), as ``trace`` gains the objective trace.
     ``geo`` is the solve's geometry cache; without one, the loop builds its own.
     """
     if geo is None:
@@ -847,7 +879,8 @@ class SolveReport:
     config: dict
     aux: np.ndarray | None = None
     final_mu: float = 0.0
-    # continuous position steps taken, by status: "free", "qp", "stuck"
+    # continuous position steps taken, by status: "free", "qp", "stuck"; and
+    # "backtrack", the doublings of their local curvature
     position_steps: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -915,7 +948,7 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
     mu = config.mu0
     sweeps_total = 0
     outer_done = 0
-    steps = {"free": 0, "qp": 0, "stuck": 0}
+    steps = {"free": 0, "qp": 0, "stuck": 0, "backtrack": 0}
 
     try:
         Z, _, _ = solve_auxiliary(H, P, targets, noise)

@@ -9,6 +9,12 @@ both versions and require equal bits: positions, the conj-channel matrix
 Hbar, the residual E and the stuck flag; the auxiliary variables, the
 multipliers and the gap certificate.
 
+The continuous steps also changed their rule on purpose: each step is now
+backtracked on a local curvature instead of always taking the majorizer's
+global bound, whose steps crawled. The reference sweep restates that rule
+plainly (marked "changed"), and the trajectory is pinned bit for bit against
+it, including the step counts and the curvatures carried between sweeps.
+
 The one exception is the QP fallback. The solver solves it as an exact
 projection on Python floats, whose bits differ from the reference's
 enumeration through BLAS products. So the reference sweep calls whichever QP
@@ -166,10 +172,18 @@ def ref_select_positions_on_grid(positions, geo, P, Z, region, min_distance, con
 
 
 def ref_sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar, events,
-                        qp=ref_position_qp):
+                        qp=ref_position_qp, tau_loc_of=None, counts=None):
+    # changed: each step is backtracked on a local curvature tau_loc. It
+    # starts at half the value the antenna last accepted (``tau_loc_of``, kept
+    # across sweeps by the caller), never below tau / 256, and doubles, up to
+    # the majorizer tau, until the surrogate at tau_loc lies above the
+    # objective at the step. ``counts`` gains the final status of every step
+    # and one "backtrack" per doubling.
     if config.position_grid is not None:
         return ref_select_positions_on_grid(positions, geo, P, Z, region, min_distance,
                                             config, Hbar, events)
+    tau_loc_of = {} if tau_loc_of is None else tau_loc_of
+    counts = {} if counts is None else counts
     M = positions.shape[0]
     taus = _majorizers(geo, P, Z, region.wavelength)
     any_stuck = False
@@ -186,18 +200,32 @@ def ref_sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar
             grad = ref_gradient_from_terms(q, geo, P, E, m)
             if np.abs(grad).max() / tau < step_tol:
                 break
-            t_new, status = ref_step_from_gradient(positions[m], grad, tau, region,
-                                                   min_distance, others, qp)
+            tau_loc = min(tau, max(tau / 256, 0.5 * tau_loc_of.get(m, 0.0)))
+            while True:
+                t_new, status = ref_step_from_gradient(positions[m], grad, tau_loc, region,
+                                                       min_distance, others, qp)
+                if status == "stuck":
+                    break
+                q_new = geo.phase_terms(t_new)
+                hbar_new = q_new.sum(axis=1)
+                delta = hbar_new - Hbar[:, m]
+                E_new = E + delta[:, None] * P[m, :][None, :]
+                obj_new = float(np.vdot(E_new, E_new).real)
+                if tau_loc >= tau:
+                    break
+                d = t_new - positions[m]
+                surrogate = obj + np.sum(grad * d) + 0.5 * tau_loc * np.sum(d * d)
+                if obj_new <= surrogate + 1e-12 * obj:
+                    break
+                tau_loc = min(2 * tau_loc, tau)
+                counts["backtrack"] = counts.get("backtrack", 0) + 1
+            counts[status] = counts.get(status, 0) + 1
             if status == "stuck":
                 any_stuck = True
                 break
-            q_new = geo.phase_terms(t_new)
-            hbar_new = q_new.sum(axis=1)
-            delta = hbar_new - Hbar[:, m]
-            E_new = E + delta[:, None] * P[m, :][None, :]
-            obj_new = float(np.vdot(E_new, E_new).real)
             if obj_new > obj * (1.0 + 1e-12):
                 break
+            tau_loc_of[m] = tau_loc
             positions[m] = t_new
             Hbar[:, m] = hbar_new
             E = E_new
@@ -362,8 +390,9 @@ def test_position_block_matches_reference_bit_for_bit():
                           for a in args], t))
         return t
 
-    seen_off_lattice = seen_regions = 0
+    seen_off_lattice = seen_regions = carried = 0
     stuck_flags = []
+    ref_counts = {}
     for i in range(240):
         real, config, positions, P, Z = random_state(rng, i)
         geo = _GeoCache(real, WAVELENGTH)
@@ -373,21 +402,29 @@ def test_position_block_matches_reference_bit_for_bit():
             seen_off_lattice += any(tuple(p) not in on for p in positions.tolist())
         seen_regions |= 1 << REGIONS.index(config.region.half_width)
 
-        pos_ref, H_ref = positions.copy(), Hbar.copy()
-        E_ref, obj_ref, stuck_ref = ref_sweep_positions(
-            pos_ref, geo, P, Z, config.region, config.distance, config, H_ref, events,
-            solver_qp)
-        pos_new, H_new = positions.copy(), Hbar.copy()
-        E_new, obj_new, stuck_new = solver._sweep_positions(
-            pos_new, _GeoCache(real, WAVELENGTH), P, Z, config.region, config.distance,
-            config, H_new, counts)
-        assert np.array_equal(pos_new, pos_ref), i
-        assert np.array_equal(H_new, H_ref), i
-        assert np.array_equal(E_new, E_ref), i
-        assert obj_new == obj_ref and stuck_new == stuck_ref, i
-        stuck_flags.append(stuck_ref)
+        # two sweeps on one geometry cache, the second with a perturbed
+        # precoder, so the second starts from the curvatures the first accepted
+        pos_ref, H_ref, tau_loc_of = positions.copy(), Hbar.copy(), {}
+        pos_new, H_new, geo_new = positions.copy(), Hbar.copy(), _GeoCache(real, WAVELENGTH)
+        for sweep in range(2):
+            if sweep:
+                carried += len(tau_loc_of)
+                P = P * (1.0 + 0.1 * random_complex(rng, P.shape))
+            E_ref, obj_ref, stuck_ref = ref_sweep_positions(
+                pos_ref, geo, P, Z, config.region, config.distance, config, H_ref, events,
+                solver_qp, tau_loc_of, ref_counts)
+            E_new, obj_new, stuck_new = solver._sweep_positions(
+                pos_new, geo_new, P, Z, config.region, config.distance, config, H_new, counts)
+            assert np.array_equal(pos_new, pos_ref), (i, sweep)
+            assert np.array_equal(H_new, H_ref), (i, sweep)
+            assert np.array_equal(E_new, E_ref), (i, sweep)
+            assert obj_new == obj_ref and stuck_new == stuck_ref, (i, sweep)
+            assert geo_new.tau_accepted == tau_loc_of, (i, sweep)
+            stuck_flags.append(stuck_ref)
     # the states cover every branch the rewrite touched
+    assert counts == ref_counts
     assert counts["free"] > 100 and counts["qp"] > 100 and counts["stuck"] > 0, counts
+    assert counts["backtrack"] > 100 and carried > 100, (counts, carried)
     assert any(stuck_flags) and not all(stuck_flags)
     assert sum(events) >= 5, f"{sum(events)} tied improving lattice moves"
     assert seen_off_lattice >= 20 and seen_regions == 0b111

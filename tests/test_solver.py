@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fluidsar import solver
+from fluidsar.baselines import solve_fpa
 from fluidsar.channel import (
     Region,
     channel_matrix,
@@ -152,15 +153,18 @@ def test_solve_report_counts_position_steps(paper_channel):
     targets = SinrTargets.uniform(4, 1.0 / NOISE_W)
     rep = solve_sar_min(paper_channel, targets, model, fast_config())
     steps = rep.position_steps
-    assert set(steps) == {"free", "qp", "stuck"} and steps["free"] > 0
+    assert set(steps) == {"free", "qp", "stuck", "backtrack"} and steps["free"] > 0
+    # a step starts at no less than tau / 256, so it doubles at most 8 times,
+    # and a stuck step never backtracks
+    assert 0 < steps["backtrack"] <= 8 * (steps["free"] + steps["qp"])
     assert json.loads(json.dumps(rep.to_json_dict()))["position_steps"] == steps
     # inner_loop fills a caller's dict the way it fills a trace list
     counts = {}
     inner_loop(paper_channel, uniform_line_layout(4, Region(1.0, WAVELENGTH)), rep.precoder,
                rep.aux, model, targets, fast_config().mu0, fast_config(), counts=counts)
-    assert sum(counts.values()) > 0 and set(counts) <= {"free", "qp", "stuck"}
+    assert sum(counts.values()) > 0 and set(counts) <= {"free", "qp", "stuck", "backtrack"}
     fixed = solve_sar_min(paper_channel, targets, model, fast_config(optimize_positions=False))
-    assert fixed.position_steps == {"free": 0, "qp": 0, "stuck": 0}
+    assert fixed.position_steps == {"free": 0, "qp": 0, "stuck": 0, "backtrack": 0}
 
 
 def test_positions_disabled_keeps_layout(paper_channel):
@@ -180,6 +184,21 @@ def test_position_step_improves_over_fixed(paper_channel):
                           fast_config(optimize_positions=False))
     assert moving.converged and fixed.converged
     assert moving.sar <= fixed.sar + 1e-6
+
+
+@pytest.mark.parametrize("seed", [1072566324, 3513472310, 4160729243, 1626905243])
+def test_paper_config_ends_below_the_line_array(seed):
+    # acceptance channels on which the paper settings used to end 1.10-1.35x
+    # above the fixed line array they start from: steps at the global
+    # curvature bound crawled, and the penalty path closed before the
+    # antennas got anywhere
+    model = paper_sar_matrix()
+    channel = sample_channel(seed, 4, 4, 15, NOISE_W)
+    targets = SinrTargets.uniform(4, 1.0 / NOISE_W)
+    fas = solve_sar_min(channel, targets, model, SolverConfig())
+    fpa = solve_fpa(channel, model, "sar-min", targets=targets)
+    assert fas.feasible and fpa.feasible
+    assert fas.sar <= fpa.sar, (fas.sar, fpa.sar)
 
 
 def test_degenerate_targets_zero_beta(paper_channel):

@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
+from fluidsar import solver
 from fluidsar.baselines import aps_grid, central_grid_layout
-from fluidsar.channel import Region, channel_matrix, sample_channel, uniform_line_layout
+from fluidsar.channel import (
+    Region,
+    channel_matrix,
+    min_pairwise_distance,
+    sample_channel,
+    uniform_line_layout,
+)
 from fluidsar.exposure import paper_sar_matrix, sar_value, synthesize_sar_matrix
 from fluidsar.solver import (
     DegenerateUserError,
     SinrTargets,
     _GeoCache,
+    _majorizers,
     position_gradient,
     position_majorizer,
     position_objective,
@@ -481,6 +489,81 @@ def test_update_position_respects_constraints(rng, region):
         assert region.contains(moved, tol=1e-12)
         others = np.delete(pos, m, axis=0)
         assert np.all(np.linalg.norm(others - t_new, axis=1) >= WAVELENGTH / 2 - 1e-9)
+
+
+def test_accepted_steps_meet_the_surrogate_at_their_curvature(monkeypatch):
+    # every accepted continuous step t -> t' of a sweep satisfies
+    #     J(t') <= J(t) + g.(t' - t) + tau_loc / 2 ||t' - t||^2
+    # at the local curvature tau_loc it was taken with, and no step uses a
+    # curvature above the majorizer tau. J is evaluated from scratch.
+    from test_position_reference import random_state
+
+    calls = []
+    step = solver._step_from_gradient
+
+    def recording(t_old, grad, tau, region, min_distance, others):
+        t_new, status = step(t_old, grad, tau, region, min_distance, others)
+        calls.append((live.copy(), t_old, grad, tau, t_new))
+        return t_new, status
+
+    monkeypatch.setattr(solver, "_step_from_gradient", recording)
+    rng = np.random.default_rng(31)
+    accepted = below_tau = 0
+    for i in range(0, 160, 2):  # the continuous states
+        real, config, live, P, Z = random_state(rng, i)
+        if min_pairwise_distance(live) == 0.0:
+            continue  # two antennas on one point: a step cannot name its antenna
+        geo = _GeoCache(real, WAVELENGTH)
+        taus = _majorizers(geo, P, Z, WAVELENGTH)
+        Hbar = channel_matrix(live, real, WAVELENGTH).conj()
+        calls.clear()
+        solver._sweep_positions(live, geo, P, Z, config.region, config.distance, config, Hbar)
+        # a step was accepted when the layout seen next (by the next step, or
+        # at the end) has the antenna at the step's end point
+        seen_next = [c[0] for c in calls[1:]] + [live]
+        for (layout, t_old, grad, tau_loc, t_new), after in zip(calls, seen_next):
+            m = int(np.flatnonzero(np.all(layout == t_old, axis=1))[0])
+            assert tau_loc <= taus[m]
+            if tuple(after[m]) != tuple(t_new) or tuple(t_new) == tuple(t_old):
+                continue
+            moved = layout.copy()
+            moved[m] = t_new
+            j_old = position_objective(layout, real, P, Z, WAVELENGTH)
+            j_new = position_objective(moved, real, P, Z, WAVELENGTH)
+            d = np.subtract(t_new, t_old)
+            bound = j_old + float(np.dot(grad, d)) + 0.5 * tau_loc * float(d @ d)
+            assert j_new <= bound + 1e-10 * j_old, (i, m, j_new, bound, tau_loc / taus[m])
+            accepted += 1
+            below_tau += tau_loc < taus[m]
+    assert accepted > 500 and below_tau > 0.9 * accepted, (accepted, below_tau)
+
+
+def test_backtracking_stops_at_the_majorizer(monkeypatch):
+    # with the cap set far below the local curvature, every step doubles
+    # until it reaches its antenna's cap, and none goes past it; a carried
+    # curvature of 0.6 cap starts at 0.3 cap, so the doublings do not land
+    # on the cap by themselves
+    from test_position_reference import random_state
+
+    tried = []
+    step = solver._step_from_gradient
+
+    def recording(t_old, grad, tau, *rest):
+        m = int(np.flatnonzero(np.all(positions == t_old, axis=1))[0])
+        tried.append((m, tau))
+        return step(t_old, grad, tau, *rest)
+
+    monkeypatch.setattr(solver, "_step_from_gradient", recording)
+    monkeypatch.setattr(solver, "_majorizers", lambda *a: _majorizers(*a) * 1e-4)
+    real, config, positions, P, Z = random_state(np.random.default_rng(5), 2)
+    geo = _GeoCache(real, WAVELENGTH)
+    caps = solver._majorizers(geo, P, Z, WAVELENGTH).tolist()
+    geo.tau_accepted.update({m: 0.6 * c for m, c in enumerate(caps)})
+    Hbar = channel_matrix(positions, real, WAVELENGTH).conj()
+    solver._sweep_positions(positions, geo, P, Z, config.region, config.distance, config, Hbar)
+    assert {m for m, _ in tried} == set(range(len(caps)))
+    assert all(tau <= caps[m] for m, tau in tried)
+    assert {m for m, tau in tried if tau == caps[m]} == set(range(len(caps)))
 
 
 def test_lattice_table_rows_match_direct_evaluation():
