@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import (
     ChannelRealization,
     ConfigurationError,
-    _encode_complex,
+    _JsonDoc,
+    _jsonable,
     channel_matrix,
     uniform_line_layout,
 )
@@ -57,7 +58,9 @@ class BalanceConfig:
 
 
 @dataclass
-class BalanceResult:
+class BalanceResult(_JsonDoc):
+    JSON_SKIP = ("report",)
+
     beta_star: float
     precoder: np.ndarray
     layout: np.ndarray
@@ -76,11 +79,7 @@ class BalanceResult:
                 for phase in ("bracket", "bisect", "descend")}
 
     def to_json_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "report"}
-        doc.update(precoder=_encode_complex(self.precoder), layout=self.layout.tolist(),
-                   ladder=[list(row) for row in self.ladder], warnings=list(self.warnings),
-                   solution=self.report.to_json_dict() if self.report is not None else None)
-        return doc
+        return {**super().to_json_dict(), "solution": _jsonable(self.report)}
 
 
 def default_upper_bracket(realization: ChannelRealization, model: SarModel,

@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from .balance import BalanceConfig, BalanceResult, solve_sinr_balance
 from .channel import (
     ChannelRealization,
     ConfigurationError,
-    _encode_complex,
+    _JsonDoc,
     channel_matrix,
     min_pairwise_distance,
     min_weighted_sinr,
@@ -58,7 +58,9 @@ def solve_without_sar(realization: ChannelRealization, num_antennas: int,
 
 
 @dataclass
-class BackoffResult:
+class BackoffResult(_JsonDoc):
+    JSON_SKIP = ("unconstrained",)
+
     beta: float
     precoder: np.ndarray
     layout: np.ndarray
@@ -67,14 +69,7 @@ class BackoffResult:
     unconstrained: BalanceResult
 
     def to_json_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "precoder": _encode_complex(self.precoder),
-            "layout": self.layout.tolist(),
-            "sar": self.sar,
-            "alpha": self.alpha,
-            "unconstrained_beta": self.unconstrained.beta_star,
-        }
+        return {**super().to_json_dict(), "unconstrained_beta": self.unconstrained.beta_star}
 
 
 def adaptive_backoff(realization: ChannelRealization, model: SarModel,
@@ -151,7 +146,9 @@ def _sample_combinations(n_points: int, m: int, total: int, cap: int, seed: int)
 
 
 @dataclass
-class ApsResult:
+class ApsResult(_JsonDoc):
+    JSON_SKIP = ("precoder", "best")
+
     value: float
     objective: str
     precoder: np.ndarray
@@ -165,12 +162,6 @@ class ApsResult:
     best: SolveReport | BalanceResult | None
     wall_time_s: float
     off_lattice: int  # returned antennas that sit on no lattice point
-
-    def to_json_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("precoder", "best")}
-        doc["layout"] = self.layout.tolist()
-        return doc
 
 
 def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,

@@ -8,7 +8,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +52,41 @@ def _decode_complex(pairs) -> np.ndarray:
     values.real = parts[..., 0]
     values.imag = parts[..., 1]
     return values
+
+
+def _jsonable(value):
+    """``value`` as JSON data: a complex array as ``[re, im]`` pairs, any other
+    array, tuple, list or row table as a list, a dict by value, and an object
+    with ``to_json_dict`` through it."""
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if isinstance(value, np.ndarray):
+        return _encode_complex(value) if np.iscomplexobj(value) else value.tolist()
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, str) or not hasattr(value, "__iter__"):
+        return value
+    return [_jsonable(v) for v in value]
+
+
+class _JsonDoc:
+    """The JSON codec of a dataclass: its fields in order, but those named in
+    ``JSON_SKIP``, through ``_jsonable``; as text, indented by ``JSON_INDENT``.
+    ``from_json`` reads through the class's own ``from_json_dict``."""
+
+    JSON_SKIP = ()
+    JSON_INDENT = None
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)
+                if f.name not in self.JSON_SKIP}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=self.JSON_INDENT)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_json_dict(json.loads(text))
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -122,7 +157,7 @@ class PathSet:
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
+class ChannelRealization(_JsonDoc):
     """Per-user path sets plus the receiver noise variance (watts)."""
 
     paths: tuple[PathSet, ...]
@@ -152,9 +187,6 @@ class ChannelRealization:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ChannelRealization":
         paths = tuple(
@@ -166,10 +198,6 @@ class ChannelRealization:
             for u in doc["users"]
         )
         return cls(paths=paths, noise_variance=doc["noise_variance"], seed=doc.get("seed"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChannelRealization":
-        return cls.from_json_dict(json.loads(text))
 
 
 def propagation_delta(position, theta, phi):

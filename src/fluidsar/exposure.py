@@ -1,12 +1,11 @@
 """Quadratic exposure model: SAR matrix, budget, and the exposure of a precoder."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ConfigurationError, _decode_complex, _encode_complex
+from .channel import ConfigurationError, _decode_complex, _JsonDoc
 
 __all__ = [
     "SarModel",
@@ -21,7 +20,7 @@ MIN_EIG_TOL = -1e-10
 
 
 @dataclass(frozen=True)
-class SarModel:
+class SarModel(_JsonDoc):
     """Hermitian PSD coupling matrix R (W/kg per unit transmit power) plus budget Q0.
 
     ``synthetic`` marks matrices that were generated rather than measured, so
@@ -51,24 +50,10 @@ class SarModel:
     def n_antennas(self) -> int:
         return self.matrix.shape[0]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "budget": self.budget,
-            "synthetic": self.synthetic,
-            "matrix": _encode_complex(self.matrix),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SarModel":
         return cls(matrix=_decode_complex(doc["matrix"]), budget=doc["budget"],
                    synthetic=doc.get("synthetic", False))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SarModel":
-        return cls.from_json_dict(json.loads(text))
 
 
 def sar_value(precoder: np.ndarray, model: SarModel) -> float:

@@ -7,16 +7,15 @@ execute the trials.
 """
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .balance import BalanceConfig, solve_sinr_balance
 from .baselines import BaselineConfig, adaptive_backoff, solve_aps, solve_fpa, solve_without_sar
-from .channel import DEFAULT_NOISE_W, ConfigurationError, Region, sample_channel
+from .channel import DEFAULT_NOISE_W, ConfigurationError, Region, _JsonDoc, sample_channel
 from .exposure import SarModel, paper_sar_matrix, synthesize_sar_matrix
 from .solver import SinrTargets, SolverConfig, SolverError, solve_sar_min
 
@@ -41,7 +40,7 @@ SOLVER_TYPES = {"int": [int], "float": [int, float], "bool": [bool],
 
 
 @dataclass(frozen=True)
-class ExperimentPlan:
+class ExperimentPlan(_JsonDoc):
     objective: str                      # "balance" or "sar-min"
     sweep: str                          # one of VALID_SWEEPS
     values: tuple
@@ -94,27 +93,15 @@ class ExperimentPlan:
                 raise ConfigurationError(f"solver setting {key!r} must be {types}, got {value!r}")
         object.__setattr__(self, "values", tuple(self.values))
         object.__setattr__(self, "schemes", tuple(self.schemes))
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["values"] = list(self.values)
-        d["schemes"] = list(self.schemes)
-        return d
+        for value in self.values:  # a bad point fails before any trial runs
+            _point_setup(self, value, seed=0)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentPlan":
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigurationError(f"unknown plan keys {unknown}")
-        doc = dict(doc)
-        doc["values"] = tuple(doc["values"])
-        if "schemes" in doc:
-            doc["schemes"] = tuple(doc["schemes"])
         return cls(**doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentPlan":
-        return cls.from_json_dict(json.loads(text))
 
 
 def derive_seed(master_seed: int, trial_index: int) -> int:
@@ -137,43 +124,32 @@ def worker_count() -> int:
     return max(1, min(n, cpus * 4))
 
 
-def _point_params(plan: ExperimentPlan, value):
-    """Effective (q0, beta0, half_width, paths, schemes) at one sweep point."""
-    q0, beta0, a, paths = plan.q0, plan.beta0, plan.half_width, plan.paths
+def _sar_model(m: int, q0: float) -> SarModel:
+    if m == 4:
+        return paper_sar_matrix(budget=q0)
+    return synthesize_sar_matrix(m, rng_seed=0, budget=q0)
+
+
+def _point_setup(plan: ExperimentPlan, value, seed: int):
+    """Schemes, channel of ``seed`` and solver inputs at one sweep point.
+    The plan builds them for every point, so a bad value fails when the plan
+    is built."""
+    q0, beta0, half_width, paths = plan.q0, plan.beta0, plan.half_width, plan.paths
     schemes = list(plan.schemes)
     if plan.sweep == "q0":
         q0 = float(value)
     elif plan.sweep == "beta0":
         beta0 = float(value)
     elif plan.sweep == "half_width":
-        a = float(value)
+        half_width = float(value)
     elif plan.sweep == "paths":
         paths = int(value)
     else:  # scheme sweep
         schemes = [value]
-    return q0, beta0, a, paths, schemes
-
-
-def _sar_model(plan: ExperimentPlan, q0: float) -> SarModel:
-    if plan.m == 4:
-        return paper_sar_matrix(budget=q0)
-    return synthesize_sar_matrix(plan.m, rng_seed=0, budget=q0)
-
-
-def _solver_config(plan: ExperimentPlan, half_width: float) -> SolverConfig:
-    region = Region(half_width=half_width, wavelength=plan.wavelength)
-    return SolverConfig(region=region, **plan.solver)
-
-
-def _run_bundle(plan: ExperimentPlan, point_index: int, value, trial: int) -> list[dict]:
-    """All schemes of one (sweep point, trial): shared channel, shared seed."""
-    q0, beta0, half_width, paths, schemes = _point_params(plan, value)
-    seed = derive_seed(plan.master_seed, trial)
     realization = sample_channel(seed, plan.m, plan.k, paths, plan.noise_variance)
-    model = _sar_model(plan, q0)
-    solver_config = _solver_config(plan, half_width)
-    balance_config = BalanceConfig(accuracy=plan.accuracy)
-    nosar_config = balance_config
+    solver_config = SolverConfig(region=Region(half_width=half_width,
+                                               wavelength=plan.wavelength), **plan.solver)
+    balance_config = nosar_config = BalanceConfig(accuracy=plan.accuracy)
     if plan.beta_bracket is not None:
         balance_config = BalanceConfig(
             accuracy=plan.accuracy, bracket=(0.0, plan.beta_bracket * q0 / 1.6))
@@ -184,6 +160,15 @@ def _run_bundle(plan: ExperimentPlan, point_index: int, value, trial: int) -> li
                                  grid_spacing=plan.grid_spacing,
                                  aps_cap=plan.aps_cap, aps_seed=seed)
     targets = SinrTargets.uniform(plan.k, beta0) if beta0 is not None else None
+    return (schemes, realization, _sar_model(plan.m, q0), solver_config, balance_config,
+            nosar_config, base_config, targets)
+
+
+def _run_bundle(plan: ExperimentPlan, point_index: int, value, trial: int) -> list[dict]:
+    """All schemes of one (sweep point, trial): shared channel, shared seed."""
+    seed = derive_seed(plan.master_seed, trial)
+    schemes, realization, model, solver_config, balance_config, nosar_config, \
+        base_config, targets = _point_setup(plan, value, seed)
 
     rows = []
     nosar_cache = None
@@ -248,27 +233,17 @@ def _run_bundle(plan: ExperimentPlan, point_index: int, value, trial: int) -> li
 
 
 @dataclass
-class RunRecord:
+class RunRecord(_JsonDoc):
+    JSON_INDENT = 2
+
     plan: dict
     rows: list
     aggregates: list
     version: str = "fluidsar-0.1.0"
 
-    def to_json_dict(self) -> dict:
-        return {"plan": self.plan, "rows": self.rows,
-                "aggregates": self.aggregates, "version": self.version}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RunRecord":
-        return cls(plan=doc["plan"], rows=doc["rows"],
-                   aggregates=doc["aggregates"], version=doc["version"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunRecord":
-        return cls.from_json_dict(json.loads(text))
+        return cls(**doc)
 
     def to_csv(self) -> str:
         lines = ["sweep_value,scheme,mean,stderr,trials"]
@@ -356,7 +331,7 @@ def convergence_trace(channel_seed: int, beta0_list, m: int = 4, k: int = 4,
     """
     solver_config = solver_config or SolverConfig()
     realization = sample_channel(channel_seed, m, k, paths, noise_variance)
-    model = paper_sar_matrix(budget=q0) if m == 4 else synthesize_sar_matrix(m, 0, budget=q0)
+    model = _sar_model(m, q0)
     traces = []
     for beta0 in beta0_list:
         rep = solve_sar_min(realization, SinrTargets.uniform(k, float(beta0)), model,

@@ -41,7 +41,7 @@ from .channel import (
     ChannelRealization,
     ConfigurationError,
     Region,
-    _encode_complex,
+    _JsonDoc,
     _signal_interference,
     channel_matrix,
     layout_is_feasible,
@@ -709,6 +709,12 @@ def _matched_filter(H: np.ndarray) -> np.ndarray:
     return (H / norms[:, None]).T.conj()
 
 
+def _reset_users(P: np.ndarray, H: np.ndarray, users) -> None:
+    """Degenerate-user recovery: column k of P becomes h_k / ||h_k||."""
+    for k in users:
+        P[:, k] = H[k] / max(np.linalg.norm(H[k]), 1e-300)
+
+
 def _penalized_objective(sar, E, mu):
     return sar + mu * float(np.vdot(E, E).real)
 
@@ -758,9 +764,7 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
             if recovered:
                 raise
             recovered = True
-            for k in err.users:
-                h = Hbar[k].conj()
-                P[:, k] = h / max(np.linalg.norm(h), 1e-300)
+            _reset_users(P, Hbar.conj(), err.users)
             Z, _, gap = solve_auxiliary(Hbar.conj(), P, targets, noise)
             sar = sar_value(P, model)
             prev = None  # objective baseline is void after re-initialization
@@ -854,8 +858,10 @@ class _ObjectiveTrace(_Rows):
 
 
 @dataclass
-class SolveReport:
+class SolveReport(_JsonDoc):
     """Full trajectory and the emitted solution of one solve."""
+
+    JSON_SKIP = ("aux",)
 
     precoder: np.ndarray
     layout: np.ndarray
@@ -882,32 +888,6 @@ class SolveReport:
     # continuous position steps taken, by status: "free", "qp", "stuck"; and
     # "backtrack", the doublings of their local curvature
     position_steps: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "precoder": _encode_complex(self.precoder),
-            "layout": self.layout.tolist(),
-            "sar": self.sar,
-            "sinr": self.sinr.tolist(),
-            "sinr_slack": self.sinr_slack.tolist(),
-            "beta_achieved": self.beta_achieved,
-            "min_distance": self.min_distance,
-            "in_region": self.in_region,
-            "feasible": self.feasible,
-            "converged": self.converged,
-            "status": self.status,
-            "xi": self.xi,
-            "outer_iterations": self.outer_iterations,
-            "inner_sweeps_total": self.inner_sweeps_total,
-            "outer_trace": [list(row) for row in self.outer_trace],
-            "inner_objective_trace": [list(row) for row in self.inner_objective_trace],
-            "polish_factor": self.polish_factor,
-            "wall_time_s": self.wall_time_s,
-            "warnings": list(self.warnings),
-            "config": dict(self.config),
-            "final_mu": self.final_mu,
-            "position_steps": dict(self.position_steps),
-        }
 
 
 def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: SarModel,
@@ -953,8 +933,7 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
     try:
         Z, _, _ = solve_auxiliary(H, P, targets, noise)
     except DegenerateUserError as err:
-        for k in err.users:
-            P[:, k] = H[k] / max(np.linalg.norm(H[k]), 1e-300)
+        _reset_users(P, H, err.users)
         try:
             Z, _, _ = solve_auxiliary(H, P, targets, noise)
         except DegenerateUserError:

@@ -255,9 +255,9 @@ def _run_plan(name="", **kwargs):
     cache = CACHE_DIR / f"{digest}.json"
     if cache.exists():
         doc = json.loads(cache.read_text())
-        elapsed, cores = doc["elapsed_s"], doc["cores"]
+        elapsed, workers, cores = doc.pop("elapsed_s"), doc.pop("workers"), doc.pop("cores")
         print(f"  [{name}] cached ({digest}): swept in {elapsed:.0f}s "
-              f"with {doc['workers']} worker(s) on {cores} core(s)")
+              f"with {workers} worker(s) on {cores} core(s)")
         return RunRecord.from_json_dict(doc), elapsed * cores
     workers = sweep_workers()
     t0 = time.perf_counter()

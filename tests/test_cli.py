@@ -13,6 +13,33 @@ FAST = ["--mu0", "1e-2", "--a", "0.5", "--max-outer", "60",
         "--eps-inner-rel", "1e-3", "--eps-position-rel", "1e-3"]
 
 
+# the top-level keys of each report kind, in order; a balance report's
+# "solution" is the solve report of its answer, keyed as a sar-min report
+SOLVE_KEYS = ["precoder", "layout", "sar", "sinr", "sinr_slack", "beta_achieved",
+              "min_distance", "in_region", "feasible", "converged", "status", "xi",
+              "outer_iterations", "inner_sweeps_total", "outer_trace",
+              "inner_objective_trace", "polish_factor", "wall_time_s", "warnings",
+              "config", "final_mu", "position_steps"]
+BALANCE_KEYS = ["beta_star", "precoder", "layout", "sar", "budget", "ladder", "iterations",
+                "warnings", "wall_time_s", "solution"]
+REPORT_KEYS = {
+    "sar-min": SOLVE_KEYS,
+    "sinr-balance": BALANCE_KEYS,
+    "baseline-no-sar": BALANCE_KEYS,
+    "baseline-backoff": ["beta", "precoder", "layout", "sar", "alpha", "unconstrained_beta"],
+    "baseline-fpa": ["orientation"] + BALANCE_KEYS,  # at the balance objective
+    "baseline-aps": ["value", "objective", "layout", "sar", "beta", "evaluated",
+                     "total_combinations", "coverage", "subsampled", "wall_time_s",
+                     "off_lattice"],
+}
+
+
+def assert_report_keys(doc):
+    assert list(doc) == ["kind"] + REPORT_KEYS[doc["kind"]], doc["kind"]
+    if "solution" in doc:
+        assert list(doc["solution"]) == SOLVE_KEYS, doc["kind"]
+
+
 def test_cli_sar_min_with_seed_channel(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["solve", "sar-min", "--channel", "3", "--m", "4", "--k", "4",
@@ -21,6 +48,7 @@ def test_cli_sar_min_with_seed_channel(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["kind"] == "sar-min"
+    assert_report_keys(doc)
     assert doc["converged"] is True
     assert doc["sar"] > 0
     assert len(doc["outer_trace"]) == doc["outer_iterations"]
@@ -55,6 +83,7 @@ def test_cli_sinr_balance_and_sar_file(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["kind"] == "sinr-balance"
+    assert_report_keys(doc)
     assert doc["beta_star"] > 0
     assert doc["sar"] <= 1.6 + 1e-9
     assert len(doc["ladder"]) >= 1
@@ -74,6 +103,7 @@ def test_cli_baselines(tmp_path):
         assert rc == 0, scheme
         doc = json.loads(out.read_text())
         assert doc["kind"] == f"baseline-{scheme}"
+        assert_report_keys(doc)
 
 
 def test_cli_sweep_and_stdout(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -65,6 +66,20 @@ def test_plan_validation():
     for solver in ({"mu0": 1}, {"min_distance": None}, {"min_distance": 0.006},
                    {"optimize_positions": False}, {"max_outer": 10}):
         tiny_plan(solver=solver)
+    # every sweep point's channel, SAR model, region and configurations are
+    # built with the plan, so a bad value fails before any trial runs
+    for bad, match in [(dict(sweep="half_width", values=(1.0, 0.0)), "half_width"),
+                       (dict(accuracy=0), "accuracy"), (dict(beta_bracket=-1.0), "bracket"),
+                       (dict(grid_spacing=-0.1), "grid spacing"),
+                       (dict(power_budget=0), "power budget"),
+                       (dict(noise_variance=0), "noise variance"),
+                       (dict(sweep="paths", values=(3, 0)), "L=0"),
+                       (dict(sweep="q0", values=(1.6, -0.4)), "SAR budget"),
+                       (dict(values=(1e13, -1e13)), "beta0"), (dict(m=0), "M=0")]:
+        with pytest.raises(ConfigurationError, match=match):
+            tiny_plan(**bad)
+    # and nothing derived is stored on the plan
+    assert set(vars(tiny_plan())) == {f.name for f in fields(ExperimentPlan)}
 
 
 def test_plan_json_rejects_unknown_keys():
@@ -81,6 +96,8 @@ def test_plan_json_roundtrip():
     plan = tiny_plan()
     back = ExperimentPlan.from_json(json.dumps(plan.to_json_dict()))
     assert back == plan
+    plan = tiny_plan(sweep="scheme", values=("fas", "fpa"), out_csv="a.csv")
+    assert ExperimentPlan.from_json(plan.to_json()) == plan
 
 
 def test_seed_derivation_is_stable_and_distinct():
