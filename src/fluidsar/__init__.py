@@ -24,6 +24,7 @@ from .exposure import (
     sar_value,
     synthesize_sar_matrix,
 )
+from .fixed import optimal_precoder
 from .solver import (
     DegenerateUserError,
     SinrTargets,
@@ -32,7 +33,6 @@ from .solver import (
     SolverError,
     coupling_residual,
     inner_loop,
-    polish_scale,
     position_gradient,
     position_majorizer,
     position_objective,

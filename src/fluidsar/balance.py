@@ -36,6 +36,9 @@ __all__ = ["BalanceConfig", "BalanceResult", "default_upper_bracket", "solve_sin
 MAX_DESCENTS = 20  # halvings below the lowest infeasible probe: a 1e-6 factor
 MAX_EXPANSIONS = 3  # doublings of an upper bracket end that a probe attains
 WARM_MU_BACKOFF = 12  # warm probes restart mu this many scale steps below the warm value
+# a relative SAR fall between probes that still counts as rounding, not as a
+# non-monotone ladder: far below the feasibility slack, far above rounding
+SAR_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -109,9 +112,11 @@ def default_upper_bracket(realization: ChannelRealization, model: SarModel,
 def _bisection_grid(lo: float, hi: float, accuracy: float):
     """The targets that bisection of [lo, hi] down to ``accuracy`` can probe,
     by index 0..top, and top. Index k is the midpoint of [k - t, k + t], t the
-    lowest set bit of k, in the floats that bisection computes."""
+    lowest set bit of k, in the floats that bisection computes. Halving also
+    stops at cells two float spacings of hi wide: below that, midpoints repeat
+    their ends and probes repeat."""
     top, width = 1, hi - lo
-    while width > accuracy:
+    while width > max(accuracy, 2.0 * math.ulp(hi)):
         top, width = 2 * top, 0.5 * width
     grid = {0: lo, top: hi}
 
@@ -259,7 +264,8 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
     # monotone in beta0; surface it rather than assume it away
     rows = sorted(ladder, key=lambda row: (row[1], not row[3], row[2]))
     oks, sars = [row[3] for row in rows], [row[2] for row in rows if row[4]]
-    if oks != sorted(oks, reverse=True) or sars != sorted(sars):
+    if oks != sorted(oks, reverse=True) \
+            or any(b < a * (1.0 - SAR_RTOL) for a, b in zip(sars, sars[1:])):
         warnings.append("non_monotone_ladder")
 
     return BalanceResult(best_beta, best.precoder, best.layout, best.sar, budget, best,

@@ -17,6 +17,8 @@ __all__ = [
 
 HERMITIAN_TOL = 1e-12
 MIN_EIG_TOL = -1e-10
+# synthesized matrices keep every eigenvalue at or above this fraction of the largest
+EIG_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,9 @@ def synthesize_sar_matrix(M: int, rng_seed: int = 0, diag: float = 1.6,
     Extends the measured pattern (positive diagonal, imaginary first
     off-diagonal, small negative real second off-diagonal) to M antennas,
     optionally jitters the band magnitudes (seeded, multiplicative, +/-jitter),
-    then projects to PSD by clipping negative eigenvalues at zero.
+    then floors the eigenvalues at ``EIG_FLOOR`` times the largest: a physical
+    SAR matrix is positive for any nonzero excitation. The pattern is
+    indefinite from M = 5 on; up to M = 4 (ratio 4e-3) the floor changes nothing.
     """
     if M < 1:
         raise ConfigurationError("M must be >= 1")
@@ -115,7 +119,7 @@ def synthesize_sar_matrix(M: int, rng_seed: int = 0, diag: float = 1.6,
         scale = (scale + scale.T) / 2.0  # keep the jittered matrix Hermitian
         R = R * scale
     eigs, vecs = np.linalg.eigh(R)
-    clipped = np.clip(eigs, 0.0, None)
+    clipped = np.clip(eigs, EIG_FLOOR * eigs[-1], None)
     R_psd = (vecs * clipped) @ vecs.conj().T
     R_psd = (R_psd + R_psd.conj().T) / 2.0
     return SarModel(matrix=R_psd, budget=budget, synthetic=True)

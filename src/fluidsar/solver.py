@@ -17,8 +17,10 @@ layer alternates three block updates on the penalized objective
      step, up to the global bound tau_m, where majorization guarantees it.
 
 The coupling residual xi = sum |h_k^H p_j - z_{k,j}|^2 is the outer stopping
-indicator; the emitted solution is rescaled so the worst SINR constraint holds
-with equality.
+indicator. The emitted precoder is the exact optimum at the final layout
+(``fixed.optimal_precoder``), so every SINR sits on its floor. A fixed layout
+(``optimize_positions=False``) runs no penalty iteration: that exact solve is
+the whole answer.
 
 Cache lifetimes: ``solve_sar_min`` builds one geometry cache (``_GeoCache``:
 direction cosines and conjugated path gains of the channel, and the local
@@ -50,6 +52,7 @@ from .channel import (
     uniform_line_layout,
 )
 from .exposure import SarModel, sar_value
+from .fixed import optimal_precoder
 
 __all__ = [
     "SinrTargets",
@@ -67,7 +70,6 @@ __all__ = [
     "inner_loop",
     "solve_sar_min",
     "coupling_residual",
-    "polish_scale",
 ]
 
 
@@ -129,7 +131,6 @@ class SolverConfig:
     """Tolerances, caps and geometry for one exposure-minimization solve."""
 
     region: Region = field(default_factory=Region)
-    min_distance: float | None = None  # defaults to wavelength / 2
     mu0: float = 1e-3
     a: float = 0.9
     eps_inner: float = 1e-4       # inner-loop objective decrease threshold
@@ -159,7 +160,8 @@ class SolverConfig:
 
     @property
     def distance(self) -> float:
-        return self.min_distance if self.min_distance is not None else self.wavelength / 2.0
+        """Minimum antenna spacing: half a wavelength."""
+        return self.wavelength / 2.0
 
     def to_dict(self) -> dict:
         return {
@@ -774,10 +776,9 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
         # the projection is certified optimal only to within mu * gap
         record("auxiliary", _penalized_objective(sar, E, mu), extra_slack=mu * gap)
 
-        if config.optimize_positions:
-            E, _, _ = _sweep_positions(positions, geo, P, Z, config.region,
-                                       config.distance, config, Hbar, counts)
-            record("positions", _penalized_objective(sar, E, mu))
+        E, _, _ = _sweep_positions(positions, geo, P, Z, config.region,
+                                   config.distance, config, Hbar, counts)
+        record("positions", _penalized_objective(sar, E, mu))
 
         value = prev
         threshold = max(config.eps_inner, config.eps_inner_rel * abs(value))
@@ -785,21 +786,6 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
             break
         last_value = value
     return P, Z, positions, Hbar, sweeps
-
-
-def polish_scale(P: np.ndarray, H: np.ndarray, targets: SinrTargets,
-                 noise_variance: float) -> float | None:
-    """Scale factor c putting the most-violated SINR constraint exactly on its
-    boundary; None when no scaling can reach feasibility."""
-    gbar = targets.thresholds
-    active = gbar > 0
-    if not np.any(active):
-        return 0.0
-    sig, interf = _signal_interference(H.conj() @ P)
-    denom = sig[active] / gbar[active] - interf[active]
-    if np.any(denom <= 0.0):
-        return None
-    return float(np.sqrt(np.max(noise_variance / denom)))
 
 
 def _sinr_slack(sinrs: np.ndarray, targets: SinrTargets) -> np.ndarray:
@@ -879,7 +865,6 @@ class SolveReport(_JsonDoc):
     inner_sweeps_total: int
     outer_trace: _Rows                       # (outer, mu, xi, objective, sweeps)
     inner_objective_trace: _ObjectiveTrace  # (outer, label, value)
-    polish_factor: float
     wall_time_s: float
     warnings: list
     config: dict
@@ -895,7 +880,10 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
                   initial_layout: np.ndarray | None = None,
                   initial_precoder: np.ndarray | None = None) -> SolveReport:
     """Minimize exposure subject to per-user SINR floors, spacing and region
-    constraints, via the two-layer penalty algorithm."""
+    constraints: the two-layer penalty algorithm moves the antennas, then the
+    exact fixed-layout solve gives the precoder at the final layout. With
+    ``optimize_positions=False`` the exact solve at the initial layout is the
+    whole answer (no outer iteration; converged when the targets can be met)."""
     config = config or SolverConfig()
     t0 = time.perf_counter()
     M = model.n_antennas
@@ -919,29 +907,29 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
     P = np.array(initial_precoder, dtype=complex) if initial_precoder is not None \
         else _matched_filter(H)
     warnings: list[str] = []
-    status = "max_outer"
-    converged = False
+    status = "converged"
     outer_trace = _Rows("idddi")
     inner_trace = _ObjectiveTrace()
-    xi_hist: list[float] = []
-    xi = np.inf
-    mu = config.mu0
+    xi, mu, Z = 0.0, 0.0, None
     sweeps_total = 0
     outer_done = 0
     steps = {"free": 0, "qp": 0, "stuck": 0, "backtrack": 0}
 
-    try:
-        Z, _, _ = solve_auxiliary(H, P, targets, noise)
-    except DegenerateUserError as err:
-        _reset_users(P, H, err.users)
+    if config.optimize_positions:
+        status, xi, mu = "max_outer", np.inf, config.mu0
+        xi_hist: list[float] = []
         try:
             Z, _, _ = solve_auxiliary(H, P, targets, noise)
-        except DegenerateUserError:
-            warnings.append("degenerate_user")
-            Z = np.zeros((K, K), dtype=complex)
-            status = "degenerate"
+        except DegenerateUserError as err:
+            _reset_users(P, H, err.users)
+            try:
+                Z, _, _ = solve_auxiliary(H, P, targets, noise)
+            except DegenerateUserError:
+                warnings.append("degenerate_user")
+                Z = np.zeros((K, K), dtype=complex)
+                status = "degenerate"
 
-    if status != "degenerate":
+    if config.optimize_positions and status != "degenerate":
         geo = _geo(realization, config.wavelength)
         for outer in range(config.max_outer):
             try:
@@ -963,7 +951,6 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
 
             slack = _sinr_slack(sinr_all(P, H, noise), targets)
             if xi < config.eps_outer and np.min(slack) >= -FEASIBILITY_SLACK:
-                converged = True
                 status = "converged"
                 break
 
@@ -974,25 +961,22 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
                     break
             mu = mu / config.a
 
-    polish_factor = 1.0
-    if status in ("converged", "plateau", "max_outer"):
-        c = polish_scale(P, H, targets, noise)
-        if c is None:
-            warnings.append("polish_unreachable")
-        else:
-            P = c * P
-            Z = c * Z
-            polish_factor = c
-            if converged and abs(c - 1.0) > 1e-2:
-                warnings.append("large_polish")
-            E = H.conj() @ P - Z
-            xi = float(np.vdot(E, E).real)
+    # the emitted precoder is the exact optimum at the final layout; where the
+    # targets cannot be met there, a moving layout keeps the penalty iterate
+    # and a fixed one its start, both flagged
+    exact = optimal_precoder(H, model, targets.thresholds, noise)
+    if exact is None:
+        warnings.append("infeasible_targets")
+        if not config.optimize_positions:
+            status = "infeasible"
+    else:
+        P = exact
 
     sinrs = sinr_all(P, H, noise)
     slack = _sinr_slack(sinrs, targets)
     mind = min_pairwise_distance(positions)
     in_region = region.contains(positions, tol=1e-9)
-    feasible = bool(np.min(slack) >= -FEASIBILITY_SLACK
+    feasible = bool(exact is not None and np.min(slack) >= -FEASIBILITY_SLACK
                     and mind >= dmin - 1e-9 and in_region)
     beta = float(np.min(sinrs / targets.weights))
     return SolveReport(
@@ -1005,14 +989,13 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
         min_distance=mind,
         in_region=in_region,
         feasible=feasible,
-        converged=converged,
+        converged=status == "converged",
         status=status,
         xi=float(xi),
         outer_iterations=outer_done,
         inner_sweeps_total=sweeps_total,
         outer_trace=outer_trace,
         inner_objective_trace=inner_trace,
-        polish_factor=polish_factor,
         wall_time_s=time.perf_counter() - t0,
         warnings=warnings,
         config={**config.to_dict(), "beta0": targets.beta0,

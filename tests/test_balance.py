@@ -358,6 +358,40 @@ def test_non_monotone_sar_is_flagged(monkeypatch):
                              BalanceConfig(accuracy=1e12, bracket=(0.0, 1e15)), fast_config())
     assert "non_monotone_ladder" not in res.warnings
 
+
+def test_ladder_stops_at_float_resolution(monkeypatch):
+    # an accuracy below the float spacing of the targets (the CLI's default
+    # 1e-4 at beta ~ 1e14) must not make the ladder probe one target again
+    monkeypatch.setattr(balance, "solve_sar_min", power_law(DESK_MODEL.budget / 1e28, 2.0))
+    res = solve_sinr_balance(desk_channel(3), DESK_MODEL,
+                             BalanceConfig(accuracy=1e-4, bracket=(0.0, 1e15)), fast_config())
+    betas = [row[1] for row in res.ladder]
+    assert len(betas) == len(set(betas)) and len(betas) < 20, len(betas)
+    # the last cell is two float spacings of the bracket's top end wide
+    assert 0.0 <= 1e14 - res.beta_star <= 2.0 * math.ulp(1e15)
+
+
+def test_rounding_dip_is_not_flagged(monkeypatch):
+    # probes that fit read the same SAR up to rounding, as in
+    # `solve sinr-balance --channel 5 --m 2 --k 2 --paths 3 --sar synth:2`,
+    # where two fitting probes differ by 2e-13 relative; that is no
+    # non-monotone ladder
+    budget = DESK_MODEL.budget
+
+    def stub(realization, targets, model, cfg, initial_layout=None, initial_precoder=None):
+        beta = targets.beta0
+        if beta >= 1e14:
+            return StubReport(beta, 2.0 * budget)
+        return StubReport(beta, 0.9 * budget * (1.0 - 2e-13 * (int(beta / 1e12) % 2)))
+    monkeypatch.setattr(balance, "solve_sar_min", stub)
+    res = solve_sinr_balance(desk_channel(3), DESK_MODEL,
+                             BalanceConfig(accuracy=1e10, bracket=(0.0, 1e15)), fast_config())
+    sars = [sar for _, _, sar, _, converged in sorted(res.ladder, key=lambda row: row[1])
+            if converged]
+    assert sars != sorted(sars)  # the ladder does read a dip
+    assert "non_monotone_ladder" not in res.warnings
+
+
 # The balance solver as it was before the Illinois ladder, verbatim: blind
 # bisection of the bracket, then halving below the lowest infeasible probe.
 def parent_solve_sinr_balance(realization: ChannelRealization, model: SarModel,

@@ -191,15 +191,19 @@ def test_aps_layouts_respect_spacing():
 
 def test_fas_seeded_from_aps_winner_not_worse():
     # continuous refinement from the winning lattice placement can only reduce:
-    # seed the full state (layout, precoder, penalty level) so the descent
-    # continues from the winner instead of restarting the penalty ramp
+    # seed the full state (layout, exact precoder, penalty level) so the
+    # descent continues from the winner instead of restarting the penalty
+    # ramp. A lattice layout is solved exactly, with no penalty, so the level
+    # is the one a cold FAS solve of the same channel ends at
     from dataclasses import replace
     real = small_channel(10)
     cfg = fast_config()
     targets = SinrTargets.uniform(2, 1.0 / NOISE_W)
     aps = solve_aps(real, SMALL_MODEL, "sar-min",
                     BaselineConfig(aps_cap=10, aps_seed=2), cfg, targets=targets)
-    seeded_cfg = replace(cfg, mu0=aps.best.final_mu * cfg.a ** 12)
+    assert aps.best.final_mu == 0.0 and aps.best.outer_iterations == 0
+    cold = solve_sar_min(real, targets, SMALL_MODEL, cfg)
+    seeded_cfg = replace(cfg, mu0=cold.final_mu * cfg.a ** 12)
     fas = solve_sar_min(real, targets, SMALL_MODEL, seeded_cfg,
                         initial_layout=aps.layout, initial_precoder=aps.precoder)
     assert fas.converged

@@ -18,7 +18,7 @@ FAST = ["--mu0", "1e-2", "--a", "0.5", "--max-outer", "60",
 SOLVE_KEYS = ["precoder", "layout", "sar", "sinr", "sinr_slack", "beta_achieved",
               "min_distance", "in_region", "feasible", "converged", "status", "xi",
               "outer_iterations", "inner_sweeps_total", "outer_trace",
-              "inner_objective_trace", "polish_factor", "wall_time_s", "warnings",
+              "inner_objective_trace", "wall_time_s", "warnings",
               "config", "final_mu", "position_steps"]
 BALANCE_KEYS = ["beta_star", "precoder", "layout", "sar", "budget", "ladder", "iterations",
                 "warnings", "wall_time_s", "solution"]

@@ -4,6 +4,7 @@ import pytest
 from fluidsar.channel import ConfigurationError
 from fluidsar.exposure import (
     SarModel,
+    _banded_pattern,
     identity_sar_model,
     paper_sar_matrix,
     sar_value,
@@ -97,6 +98,22 @@ def test_synthesize_hermitian_psd(m):
         R = model.matrix
         assert np.abs(R - R.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(R).min() >= -1e-10
+
+
+def test_synthesize_positive_definite_up_to_m9():
+    # a physical SAR matrix is positive for any nonzero excitation; from M = 5
+    # on, the banded pattern is singular or indefinite, and its eigenvalues are
+    # floored at 1e-3 of the largest, below every eigenvalue up to M = 4
+    for m in range(1, 10):
+        eigs = np.linalg.eigvalsh(synthesize_sar_matrix(m).matrix)
+        assert eigs[0] >= 0.999e-3 * eigs[-1], (m, eigs)
+    # up to M = 4 the floor changes nothing: the matrices of an exact
+    # eigenvalue reconstruction with a clip at zero
+    for m in range(1, 5):
+        R = _banded_pattern(m, 1.6, 1.2, -0.42)
+        eigs, vecs = np.linalg.eigh(R)
+        want = (vecs * np.clip(eigs, 0.0, None)) @ vecs.conj().T
+        assert np.array_equal(synthesize_sar_matrix(m).matrix, (want + want.conj().T) / 2.0)
 
 
 def test_synthesize_deterministic_per_seed():

@@ -224,8 +224,7 @@ def inner_loop_start(channel, recover):
 
 
 @pytest.mark.parametrize("recover", [False, True])
-@pytest.mark.parametrize("positions", [True, False])
-def test_inner_loop_scores_sar_once_per_sweep(paper_channel, monkeypatch, recover, positions):
+def test_inner_loop_scores_sar_once_per_sweep(paper_channel, monkeypatch, recover):
     # only the precoder block and degenerate-user recovery change P, so one
     # SAR value serves every objective of a sweep
     calls = []
@@ -233,7 +232,7 @@ def test_inner_loop_scores_sar_once_per_sweep(paper_channel, monkeypatch, recove
     monkeypatch.setattr(solver, "sar_value", lambda P, m: calls.append(1) or sar_value_(P, m))
     layout, P, Z, model, targets = inner_loop_start(paper_channel, recover)
     trace = []
-    cfg = fast_config(optimize_positions=positions)
+    cfg = fast_config()
     *_, sweeps = inner_loop(paper_channel, layout, P, Z, model, targets, cfg.mu0, cfg,
                             trace=trace)
     recoveries = sum(label == "recovered" for _, label, _ in trace)
