@@ -35,7 +35,6 @@ __all__ = ["BalanceConfig", "BalanceResult", "default_upper_bracket", "solve_sin
 
 MAX_DESCENTS = 20  # halvings below the lowest infeasible probe: a 1e-6 factor
 MAX_EXPANSIONS = 3  # doublings of an upper bracket end that a probe attains
-WARM_MU_BACKOFF = 12  # warm probes restart mu this many scale steps below the warm value
 # a relative SAR fall between probes that still counts as rounding, not as a
 # non-monotone ladder: far below the feasibility slack, far above rounding
 SAR_RTOL = 1e-9
@@ -198,14 +197,15 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
         kwargs: dict = {"initial_layout": layout0}
         if config.warm_start and warm is not None and warm_beta > 0 and beta0 > 0:
             # power-match the warm precoder to the new target scale, otherwise a
-            # large restart penalty pins the probe at the previous power level
+            # large restart penalty pins the probe at the previous power level;
+            # mu resumes at the warm probe's final value, which the stopping
+            # rule on xi puts where that probe's layout stopped moving
             kwargs = {
                 "initial_layout": warm.layout,
                 "initial_precoder": warm.precoder * np.sqrt(beta0 / warm_beta),
             }
-            mu_warm = warm.final_mu * solver_config.a ** WARM_MU_BACKOFF
-            if mu_warm > solver_config.mu0:
-                cfg = replace(solver_config, mu0=mu_warm)
+            if warm.final_mu > solver_config.mu0:
+                cfg = replace(solver_config, mu0=warm.final_mu)
         rep = solve_sar_min(realization, SinrTargets(weights, beta0), model, cfg, **kwargs)
         ok = rep.converged and rep.feasible and rep.sar <= budget
         ladder.append((phase, beta0, rep.sar, bool(ok), bool(rep.converged)))

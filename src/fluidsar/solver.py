@@ -17,10 +17,11 @@ layer alternates three block updates on the penalized objective
      step, up to the global bound tau_m, where majorization guarantees it.
 
 The coupling residual xi = sum |h_k^H p_j - z_{k,j}|^2 is the outer stopping
-indicator. The emitted precoder is the exact optimum at the final layout
-(``fixed.optimal_precoder``), so every SINR sits on its floor. A fixed layout
-(``optimize_positions=False``) runs no penalty iteration: that exact solve is
-the whole answer.
+indicator: the loop converges at the first outer iteration with xi below
+eps_outer whose layout admits an exact solve (``fixed.optimal_precoder``),
+and that solve's precoder, with every SINR on its floor, is emitted in place
+of the penalty iterate. A fixed layout (``optimize_positions=False``) runs no
+penalty iteration: the exact solve is the whole answer.
 
 Cache lifetimes: ``solve_sar_min`` builds one geometry cache (``_GeoCache``:
 direction cosines and conjugated path gains of the channel, and the local
@@ -788,13 +789,6 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
     return P, Z, positions, Hbar, sweeps
 
 
-def _sinr_slack(sinrs: np.ndarray, targets: SinrTargets) -> np.ndarray:
-    """Relative SINR margin sinr_k / threshold_k - 1 of each user; a user
-    without a floor gets 1.0."""
-    gbar = targets.thresholds
-    return np.where(gbar > 0, sinrs / np.where(gbar > 0, gbar, 1.0) - 1.0, 1.0)
-
-
 class _Rows:
     """Append-only rows of fixed-type fields, held column by column in typed
     arrays (``array`` typecodes, one per field): a few bytes a row where a
@@ -910,14 +904,13 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
     status = "converged"
     outer_trace = _Rows("idddi")
     inner_trace = _ObjectiveTrace()
-    xi, mu, Z = 0.0, 0.0, None
+    xi, mu, Z, exact = 0.0, 0.0, None, None
     sweeps_total = 0
     outer_done = 0
     steps = {"free": 0, "qp": 0, "stuck": 0, "backtrack": 0}
 
     if config.optimize_positions:
         status, xi, mu = "max_outer", np.inf, config.mu0
-        xi_hist: list[float] = []
         try:
             Z, _, _ = solve_auxiliary(H, P, targets, noise)
         except DegenerateUserError as err:
@@ -942,20 +935,21 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
                 break
             sweeps_total += sweeps
             outer_done = outer + 1
-            H = Hbar.conj()
             E = Hbar @ P - Z
             xi = float(np.vdot(E, E).real)
             obj = sar_value(P, model) + mu * xi
             outer_trace.append((outer, mu, xi, obj, sweeps))
-            xi_hist.append(xi)
 
-            slack = _sinr_slack(sinr_all(P, H, noise), targets)
-            if xi < config.eps_outer and np.min(slack) >= -FEASIBILITY_SLACK:
-                status = "converged"
-                break
+            # the paper's stopping rule, at a layout the exact solve serves
+            if xi < config.eps_outer:
+                H = channel_matrix(positions, realization, config.wavelength)
+                exact = optimal_precoder(H, model, targets.thresholds, noise)
+                if exact is not None:
+                    status = "converged"
+                    break
 
-            if len(xi_hist) > PLATEAU_WINDOW:
-                first = xi_hist[-PLATEAU_WINDOW - 1]
+            if len(outer_trace) > PLATEAU_WINDOW:
+                first = outer_trace[-PLATEAU_WINDOW - 1][2]
                 if first > 0 and (first - xi) / first < PLATEAU_REL_DECREASE:
                     status = "plateau"
                     break
@@ -964,7 +958,9 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
     # the emitted precoder is the exact optimum at the final layout; where the
     # targets cannot be met there, a moving layout keeps the penalty iterate
     # and a fixed one its start, both flagged
-    exact = optimal_precoder(H, model, targets.thresholds, noise)
+    if exact is None:
+        H = channel_matrix(positions, realization, config.wavelength)
+        exact = optimal_precoder(H, model, targets.thresholds, noise)
     if exact is None:
         warnings.append("infeasible_targets")
         if not config.optimize_positions:
@@ -973,7 +969,9 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
         P = exact
 
     sinrs = sinr_all(P, H, noise)
-    slack = _sinr_slack(sinrs, targets)
+    # relative SINR margin sinr_k / threshold_k - 1; a user without a floor gets 1.0
+    gbar = targets.thresholds
+    slack = np.where(gbar > 0, sinrs / np.where(gbar > 0, gbar, 1.0) - 1.0, 1.0)
     mind = min_pairwise_distance(positions)
     in_region = region.contains(positions, tol=1e-9)
     feasible = bool(exact is not None and np.min(slack) >= -FEASIBILITY_SLACK

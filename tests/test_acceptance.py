@@ -325,7 +325,7 @@ def sweep_records():
 def test_criterion_7_orderings(sweep_records):
     with criterion(7, "scheme orderings by one pooled stderr"):
         total = sum(sweep_records["_elapsed"].values())
-        assert total < 1800.0, f"ordering sweeps took {total:.0f} core-seconds"
+        assert total < 900.0, f"ordering sweeps took {total:.0f} core-seconds"
         # balance: FAS >= APS >= FPA on the region and budget sweeps
         for name in ("fig5", "fig6_L5"):
             rec = sweep_records[name]

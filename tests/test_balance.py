@@ -9,7 +9,6 @@ from fluidsar import balance
 from fluidsar.balance import (
     MAX_DESCENTS,
     MAX_EXPANSIONS,
-    WARM_MU_BACKOFF,
     BalanceConfig,
     BalanceResult,
     default_upper_bracket,
@@ -436,9 +435,8 @@ def parent_solve_sinr_balance(realization: ChannelRealization, model: SarModel,
                 "initial_layout": warm.layout,
                 "initial_precoder": warm.precoder * np.sqrt(beta0 / warm_beta),
             }
-            mu_warm = warm.final_mu * solver_config.a ** WARM_MU_BACKOFF
-            if mu_warm > solver_config.mu0:
-                cfg = replace(solver_config, mu0=mu_warm)
+            if warm.final_mu > solver_config.mu0:
+                cfg = replace(solver_config, mu0=warm.final_mu)
         rep = solve_sar_min(realization, SinrTargets(weights, beta0), model, cfg, **kwargs)
         ok = rep.converged and rep.feasible and rep.sar <= budget
         ladder.append((phase, beta0, rep.sar, bool(ok), bool(rep.converged)))

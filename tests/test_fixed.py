@@ -126,27 +126,31 @@ def test_every_sinr_sits_on_its_floor():
 
 def test_never_above_the_penalty_iterate(monkeypatch):
     # the penalty path's own precoder at its final layout, scaled up until its
-    # worst SINR meets the floor, is a feasible point: the exact solve is at
-    # or below it
+    # worst SINR meets the floor, is a feasible point: the exact solve at that
+    # layout is at or below it
     model = paper_sar_matrix()
     targets = SinrTargets.uniform(4, BETA_REF)
     exact = {}
     for trial in range(4):
         ch = acceptance_channel(trial)
         exact[trial] = solve_sar_min(ch, targets, model, fast_config())
+    optimum = solver.optimal_precoder  # the unpatched solve
     monkeypatch.setattr(solver, "optimal_precoder", lambda *args: None)
     for trial, rep in exact.items():
         pen = solve_sar_min(acceptance_channel(trial), targets, model, fast_config())
-        # without an exact answer, the penalty iterate is kept and flagged
-        assert not pen.feasible and "infeasible_targets" in pen.warnings
-        assert pen.xi == rep.xi and np.array_equal(pen.layout, rep.layout)
+        # without an exact answer the loop cannot stop on xi: the penalty
+        # iterate is kept and flagged, and the path runs on past the point
+        # where the unpatched solve stopped
+        assert not pen.converged and not pen.feasible and "infeasible_targets" in pen.warnings
+        assert list(pen.outer_trace)[:rep.outer_iterations] == list(rep.outer_trace)
         H = channel_matrix(pen.layout, acceptance_channel(trial), WAVELENGTH)
         G = np.abs(H.conj() @ pen.precoder) ** 2
         sig = np.diag(G).copy()
         np.fill_diagonal(G, 0.0)  # interference as an off-diagonal sum: no cancellation
         interf = G.sum(axis=1)
         scale = np.max(NOISE_W / (sig / targets.thresholds - interf))
-        assert rep.sar <= scale * sar_value(pen.precoder, model), trial
+        best = sar_value(optimum(H, model, targets.thresholds, NOISE_W), model)
+        assert best <= scale * sar_value(pen.precoder, model), trial
         assert rep.sar == exact_sar(acceptance_channel(trial), rep.layout, model, BETA_REF)
 
 
@@ -175,6 +179,19 @@ def test_infeasible_targets_are_flagged_without_warnings():
     assert rep.status == "infeasible" and not rep.converged and not rep.feasible
     assert rep.warnings == ["infeasible_targets"]
     assert np.linalg.norm(rep.precoder) > 0  # the start, not a silent zero
+
+
+def test_infeasible_targets_stop_a_moving_layout_unconverged():
+    # the same targets, which no layout of one antenna can meet: xi falls
+    # below eps_outer, but without an exact solve the loop does not converge
+    model = synthesize_sar_matrix(1)
+    ch = sample_channel(3, 1, 2, 5, NOISE_W)
+    cfg = fast_config()
+    rep = solve_sar_min(ch, SinrTargets.uniform(2, 2.0), model, cfg)
+    assert min(xi for _, _, xi, _, _ in rep.outer_trace) < cfg.eps_outer
+    assert rep.status in ("max_outer", "plateau") and not rep.converged and not rep.feasible
+    assert rep.warnings == ["infeasible_targets"]
+    assert rep.outer_iterations > 0 and np.linalg.norm(rep.precoder) > 0
 
 
 def test_zero_targets_give_the_zero_precoder():

@@ -15,6 +15,7 @@ from fluidsar.channel import (
     uniform_line_layout,
 )
 from fluidsar.exposure import paper_sar_matrix, sar_value, synthesize_sar_matrix
+from fluidsar.harness import derive_seed
 from fluidsar.solver import (
     SinrTargets,
     SolverConfig,
@@ -77,6 +78,30 @@ def test_solve_paper_config_trace_monotone(paper_channel):
     # outer xi trace decays
     xis = [row[2] for row in rep.outer_trace]
     assert xis[-1] <= xis[0]
+
+
+def test_outer_loop_stops_on_xi_once_the_exact_solve_exists(paper_channel, monkeypatch):
+    # the paper's stopping rule: the first outer iteration with xi below
+    # eps_outer whose layout the exact solve serves ends the loop, and the
+    # precoder of that solve is the one emitted, with no second solve
+    calls = []
+    optimum = solver.optimal_precoder
+
+    def counted(*args):
+        calls.append(optimum(*args))
+        return calls[-1]
+    monkeypatch.setattr(solver, "optimal_precoder", counted)
+    cfg = SolverConfig()
+    rep = solve_sar_min(paper_channel, SinrTargets.uniform(4, 1.0 / NOISE_W),
+                        paper_sar_matrix(), cfg)
+    assert rep.converged and rep.feasible and rep.status == "converged"
+    xis = [row[2] for row in rep.outer_trace]
+    assert len(xis) == rep.outer_iterations and xis[-1] == rep.xi < cfg.eps_outer
+    # one exact solve per outer iteration below eps_outer; every one before
+    # the last found no precoder
+    assert len(calls) == sum(xi < cfg.eps_outer for xi in xis)
+    assert all(P is None for P in calls[:-1])
+    assert rep.precoder is calls[-1]
 
 
 def test_solve_single_user_single_antenna_closed_form():
@@ -256,15 +281,17 @@ def test_traces_read_back_as_appended(paper_channel):
     assert list(outer) == [(0, 1e-3, 2.5, 1.25, 3), (1, 1.1e-3, 0.1 + 0.2, 1 / 3, 4)]
 
 
-def test_paper_config_report_is_small(paper_channel):
-    # a paper-config report holds about 250 outer and 1,900 inner trace
-    # rows; typed arrays keep them at a few bytes a row
+def test_paper_config_report_is_small():
+    # reference channel 2 of the exposure sweeps: a paper-config report of
+    # about 130 outer and 2,300 inner trace rows; typed arrays keep them at a
+    # few bytes a row
+    channel = sample_channel(derive_seed(909, 2), 4, 4, 15, NOISE_W)
     model = paper_sar_matrix()
     targets = SinrTargets.uniform(4, 1.0 / NOISE_W)
     tracemalloc.start()
     try:
         before = tracemalloc.take_snapshot()
-        rep = solve_sar_min(paper_channel, targets, model, SolverConfig())
+        rep = solve_sar_min(channel, targets, model, SolverConfig())
         after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
