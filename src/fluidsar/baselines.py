@@ -1,6 +1,7 @@
 """Comparison schemes: power-only design, backoff scaling, grid search, fixed array."""
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import time
@@ -45,6 +46,8 @@ class BaselineConfig:
             raise ConfigurationError("power budget must be positive")
         if self.grid_spacing is not None and self.grid_spacing <= 0:
             raise ConfigurationError("grid spacing must be positive")
+        if self.aps_cap < 1:
+            raise ConfigurationError("aps_cap must be at least 1")
 
 
 def solve_without_sar(realization: ChannelRealization, num_antennas: int,
@@ -124,18 +127,12 @@ def central_grid_layout(grid: np.ndarray, m: int, min_distance: float) -> np.nda
     raise ConfigurationError("lattice cannot host this many antennas")
 
 
-def _off_lattice(layout: np.ndarray, grid: np.ndarray) -> int:
-    """Antennas of ``layout`` that sit on no point of ``grid`` (exact match)."""
-    points = set(map(tuple, grid.tolist()))
-    return sum(p not in points for p in map(tuple, np.asarray(layout).tolist()))
-
-
-def _sample_combinations(n_points: int, m: int, total: int, cap: int, seed: int):
+def _sample_combinations(n_points: int, m: int, cap: int, seed: int):
     """Deterministic uniform subsample of m-subsets when enumeration is too big."""
     rng = np.random.default_rng(seed)
     seen = set()
     out = []
-    # rejection sampling over sorted index tuples; cap << total keeps this fast
+    # rejection sampling over sorted index tuples; cap << C(n, m) keeps this fast
     while len(out) < cap:
         combo = tuple(sorted(rng.choice(n_points, size=m, replace=False).tolist()))
         if combo in seen:
@@ -161,7 +158,6 @@ class ApsResult(_JsonDoc):
     subsampled: bool
     best: SolveReport | BalanceResult | None
     wall_time_s: float
-    off_lattice: int  # returned antennas that sit on no lattice point
 
 
 def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
@@ -169,16 +165,16 @@ def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
               solver_config: SolverConfig | None = None,
               balance_config: BalanceConfig | None = None,
               targets: SinrTargets | None = None,
-              method: str = "combinations") -> ApsResult:
+              method: str = "alternating") -> ApsResult:
     """Antenna placement restricted to a half-wavelength lattice.
 
     objective "sar-min" minimizes exposure at fixed targets; "balance"
     maximizes the worst weighted SINR under the budget.
 
-    method "combinations" enumerates M-subsets of the lattice (seeded uniform
-    subsample above ``aps_cap``) and runs the solver with the position block
-    disabled on each; method "alternating" runs one solve whose position block
-    does an exact per-antenna exhaustive search over the lattice.
+    method "alternating" runs one solve from each of two lattice starts, whose
+    position block moves each antenna to its best lattice point; method
+    "combinations" enumerates M-subsets of the lattice (seeded uniform
+    subsample above ``aps_cap``) and solves each at its fixed layout.
     """
     t0 = time.perf_counter()
     if objective not in ("sar-min", "balance"):
@@ -197,32 +193,30 @@ def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
         raise ConfigurationError("grid too coarse: fewer candidate points than antennas")
 
     if method == "alternating":
-        discrete = replace(solver_config, optimize_positions=True,
-                           position_grid=tuple(map(tuple, grid)))
-        # two deterministic starts: the line array and the innermost lattice
-        # cluster; the per-antenna lattice descent refines each, keep the best
-        starts = [uniform_line_layout(M, discrete.region),
-                  central_grid_layout(grid, M, discrete.distance)]
-        if balance_config is None:
-            balance_config = BalanceConfig()
+        cfg = replace(solver_config, optimize_positions=True,
+                      position_grid=tuple(map(tuple, grid)))
+        # lattice starts: the line array moved onto the lattice row nearest the
+        # x-axis, where that row can hold it, and the innermost cluster; the
+        # per-antenna lattice descent refines each, keep the best
+        layouts = [central_grid_layout(grid, M, cfg.distance)]
+        row = grid[grid[:, 1] == grid[np.abs(grid[:, 1]).argmin(), 1]]
+        with contextlib.suppress(ConfigurationError):
+            layouts.insert(0, central_grid_layout(row, M, cfg.distance))
         # cold probes: the discrete reconfiguration happens in the low-penalty
         # phase, which warm-started probes skip
-        cfg, bal = discrete, replace(balance_config, warm_start=False)
-        layouts = starts
-        total = len(starts)
-        subsampled = False
+        bal = replace(balance_config or BalanceConfig(), warm_start=False)
+        total, subsampled = len(layouts), False
     else:
         total = math.comb(n_points, M)
         subsampled = total > config.aps_cap
         if subsampled:
-            combos = _sample_combinations(n_points, M, total, config.aps_cap, config.aps_seed)
+            combos = _sample_combinations(n_points, M, config.aps_cap, config.aps_seed)
         else:
             combos = list(itertools.combinations(range(n_points), M))
         cfg, bal = fixed, balance_config
         layouts = (grid[list(combo)] for combo in combos)
 
-    best = None
-    best_key = None
+    best = best_key = None
     evaluated = 0
     for layout in layouts:
         if min_pairwise_distance(layout) < fixed.distance - 1e-12:
@@ -250,8 +244,7 @@ def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
                      total_combinations=total,
                      coverage=evaluated / total if total else 1.0,
                      subsampled=subsampled, best=best,
-                     wall_time_s=time.perf_counter() - t0,
-                     off_lattice=_off_lattice(best.layout, grid))
+                     wall_time_s=time.perf_counter() - t0)
 
 
 def solve_fpa(realization: ChannelRealization, model: SarModel, objective: str,

@@ -202,8 +202,7 @@ def _run_bundle(plan: ExperimentPlan, point_index: int, value, trial: int) -> li
 
             if scheme == "aps":
                 row.update(value_metric=res.value, beta=res.beta, sar=res.sar,
-                           aps_coverage=res.coverage, aps_subsampled=res.subsampled,
-                           aps_off_lattice=res.off_lattice)
+                           aps_coverage=res.coverage, aps_subsampled=res.subsampled)
             elif scheme == "backoff":
                 row.update(value_metric=res.beta, beta=res.beta, sar=res.sar, alpha=res.alpha)
             elif plan.objective == "balance":

@@ -15,6 +15,8 @@ layer alternates three block updates on the penalized objective
      antenna last accepted in this solve (never below tau_m / 256) and
      doubles until the quadratic surrogate lies above the objective at the
      step, up to the global bound tau_m, where majorization guarantees it.
+     With ``position_grid`` set, each antenna instead moves to its best
+     allowed point of that lattice, which the antennas start on and never leave.
 
 The coupling residual xi = sum |h_k^H p_j - z_{k,j}|^2 is the outer stopping
 indicator: the loop converges at the first outer iteration with xi below
@@ -28,7 +30,8 @@ direction cosines and conjugated path gains of the channel, and the local
 curvature each antenna last accepted) and hands it to every inner loop of the
 solve. With a position lattice, the cache builds the lattice's tables
 (``_Lattice``: candidate channel rows, in-region and pair spacing masks, point
-index) on the first lattice search and keeps them for the rest of the solve. Nothing outlives the solve. The single-step public helpers
+index) on the first lattice search and keeps them for the rest of the solve.
+Nothing outlives the solve. The single-step public helpers
 (``position_gradient``, ``update_position``, ...) build a cache per call.
 """
 from __future__ import annotations
@@ -221,21 +224,19 @@ class _GeoCache:
 
 
 class _Lattice:
-    """What the lattice search needs about its n candidate points.
+    """What the lattice search needs about its n candidate points, sorted in
+    (x, y) order so that the first best candidate is the lowest (x, y).
 
-    ``hbar`` holds the conj-channel rows (n, K); every row is computed
-    independently, so a row reads the same whether it is taken from this table
-    or evaluated alone. ``spaced[i, j]`` says whether points i and j keep the
-    minimum spacing, with the arithmetic the search applies to an antenna
-    that is off the lattice, so the two tests agree bit for bit; ``index``
-    maps an (x, y) point of ``points`` to its row.
+    ``hbar`` holds the conj-channel rows (n, K), each computed independently
+    of the others. ``spaced[i, j]`` says whether points i and j keep the
+    minimum spacing; ``index`` maps an (x, y) point of ``grid`` to its row.
     """
 
     def __init__(self, geo: _GeoCache, position_grid, half_width_m: float,
                  min_distance: float):
         self.key = (position_grid, half_width_m, min_distance)
         grid = np.asarray(position_grid, dtype=float)
-        self.grid = grid
+        grid = self.grid = grid[np.lexsort((grid[:, 1], grid[:, 0]))]
         self.hbar = geo.conj_rows(grid)
         self.in_region = np.all(np.abs(grid) <= half_width_m, axis=1)
         # dx*dx + dy*dy: the two squares and the two-term sum of
@@ -246,8 +247,7 @@ class _Lattice:
         dy *= dy
         dx += dy
         self.spaced = dx >= min_distance ** 2
-        self.points = list(map(tuple, grid.tolist()))
-        self.index = {p: i for i, p in enumerate(self.points)}
+        self.index = {p: i for i, p in enumerate(map(tuple, grid.tolist()))}
 
 
 def _ragged(realization: ChannelRealization) -> bool:
@@ -574,51 +574,33 @@ def update_position(m: int, positions: np.ndarray, realization: ChannelRealizati
 
 def _select_positions_on_grid(positions, geo, P, Z, region, min_distance, config, Hbar):
     """Per-antenna exhaustive search over the lattice: each antenna moves to
-    the candidate that minimizes the coupling residual exactly (its current
-    point included, so the objective never increases). Ties go to the lower
-    x, then the lower y, then the current point. Mutates positions/Hbar.
+    the candidate that minimizes the coupling residual exactly, if that is
+    below the residual where it stands. The candidates are the allowed lattice
+    points and its own, in (x, y) order, so ties go to the lower x, then the
+    lower y. Every antenna must sit on a lattice point. Mutates positions/Hbar.
     """
     lat = geo.lattice(config.position_grid, region.half_width_m, min_distance)
-    grid, grid_hbar = lat.grid, lat.hbar
-    d2 = min_distance ** 2
-    # the lattice row of each antenna, None for one off the lattice (a start
-    # such as the line array can leave antennas there)
-    at = [lat.index.get(p) for p in map(tuple, positions.tolist())]
+    at = [lat.index[p] for p in map(tuple, positions.tolist())]
     M = positions.shape[0]
     E = Hbar @ P - Z
     obj = float(np.vdot(E, E).real)
     pnorm2 = (np.abs(P) ** 2).sum(axis=1)  # ||P[m, :]||^2 per antenna
     for m in range(M):
         ok = lat.in_region.copy()
-        for j in range(M):
-            if j == m:
-                continue
-            if at[j] is not None:
-                ok &= lat.spaced[at[j]]
-            else:
-                ok &= ((grid - positions[j]) ** 2).sum(axis=1) >= d2
-        if not ok.any():
-            continue
-        # conj-channel values for all candidates: the current point, then the
-        # lattice rows, (n_c, K)
-        here = grid_hbar[at[m]] if at[m] is not None else geo.conj_rows(positions[m][None, :])[0]
-        hbar_c = np.concatenate((here[None, :], grid_hbar[ok]))
-        delta = hbar_c - Hbar[:, m][None, :]
+        for j in at[:m] + at[m + 1:]:
+            ok &= lat.spaced[j]
+        ok[at[m]] = True
+        rows = np.flatnonzero(ok)
+        # conj-channel values of the candidates, (n_c, K)
+        delta = lat.hbar[rows] - Hbar[:, m][None, :]
         s = E.conj() @ P[m, :]
         obj_c = obj + 2.0 * np.real(delta @ s) + (np.abs(delta) ** 2).sum(axis=1) * pnorm2[m]
         best = int(obj_c.argmin())
         if obj_c[best] >= obj:
             continue
-        rows = np.flatnonzero(ok).tolist()
-        ties = np.flatnonzero(obj_c == obj_c[best]).tolist()
-        if len(ties) > 1:
-            # min keeps the first of equal keys, as a stable sort would
-            here_xy = tuple(positions[m].tolist())
-            best = min(ties, key=lambda i: lat.points[rows[i - 1]] if i else here_xy)
-        if best:
-            at[m] = rows[best - 1]
-            positions[m] = grid[at[m]]
-        Hbar[:, m] = hbar_c[best]
+        at[m] = int(rows[best])
+        positions[m] = lat.grid[at[m]]
+        Hbar[:, m] = lat.hbar[at[m]]
         E = E + delta[best][:, None] * P[m, :][None, :]
         obj = float(np.vdot(E, E).real)
     E = Hbar @ P - Z
@@ -896,6 +878,9 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
             raise ConfigurationError("initial layout must have shape (M, 2)")
     if not layout_is_feasible(positions, region, dmin):
         raise ConfigurationError("initial antenna layout violates region or spacing")
+    if config.position_grid is not None and not set(map(tuple, positions.tolist())) \
+            <= set(map(tuple, np.asarray(config.position_grid, dtype=float).tolist())):
+        raise ConfigurationError("initial antenna layout is off the position lattice")
 
     H = channel_matrix(positions, realization, config.wavelength)
     P = np.array(initial_precoder, dtype=complex) if initial_precoder is not None \

@@ -156,7 +156,8 @@ def test_aps_grid_single_layout_equals_fixed_solve():
     model4 = synthesize_sar_matrix(4, budget=1.6)
     real4 = sample_channel(6, 4, 2, 4, NOISE_W)
     targets = SinrTargets.uniform(2, 1.0 / NOISE_W)
-    res = solve_aps(real4, model4, "sar-min", BaselineConfig(), cfg, targets=targets)
+    res = solve_aps(real4, model4, "sar-min", BaselineConfig(), cfg, targets=targets,
+                    method="combinations")
     assert res.total_combinations == 1
     assert res.evaluated == 1 and not res.subsampled
     from dataclasses import replace
@@ -171,13 +172,15 @@ def test_aps_subsampling_flagged_and_deterministic():
     cfg = fast_config()
     targets = SinrTargets.uniform(2, 0.5 / NOISE_W)
     bcfg = BaselineConfig(aps_cap=6, aps_seed=5)
-    a = solve_aps(real, SMALL_MODEL, "sar-min", bcfg, cfg, targets=targets)
-    b = solve_aps(real, SMALL_MODEL, "sar-min", bcfg, cfg, targets=targets)
+    a = solve_aps(real, SMALL_MODEL, "sar-min", bcfg, cfg, targets=targets,
+                  method="combinations")
+    b = solve_aps(real, SMALL_MODEL, "sar-min", bcfg, cfg, targets=targets,
+                  method="combinations")
     assert a.subsampled and a.evaluated <= 6
     assert a.coverage == pytest.approx(a.evaluated / a.total_combinations)
     assert a.value == b.value and np.array_equal(a.layout, b.layout)
     c = solve_aps(real, SMALL_MODEL, "sar-min", BaselineConfig(aps_cap=6, aps_seed=9),
-                  cfg, targets=targets)
+                  cfg, targets=targets, method="combinations")
     assert c.evaluated <= 6  # different seed may pick different combos
 
 
@@ -185,7 +188,7 @@ def test_aps_layouts_respect_spacing():
     real = small_channel(9)
     cfg = fast_config()
     res = solve_aps(real, SMALL_MODEL, "sar-min", BaselineConfig(aps_cap=10, aps_seed=1),
-                    cfg, targets=SinrTargets.uniform(2, 0.5 / NOISE_W))
+                    cfg, targets=SinrTargets.uniform(2, 0.5 / NOISE_W), method="combinations")
     assert min_pairwise_distance(res.layout) >= WAVELENGTH / 2 - 1e-12
 
 
@@ -200,7 +203,8 @@ def test_fas_seeded_from_aps_winner_not_worse():
     cfg = fast_config()
     targets = SinrTargets.uniform(2, 1.0 / NOISE_W)
     aps = solve_aps(real, SMALL_MODEL, "sar-min",
-                    BaselineConfig(aps_cap=10, aps_seed=2), cfg, targets=targets)
+                    BaselineConfig(aps_cap=10, aps_seed=2), cfg, targets=targets,
+                    method="combinations")
     assert aps.best.final_mu == 0.0 and aps.best.outer_iterations == 0
     cold = solve_sar_min(real, targets, SMALL_MODEL, cfg)
     seeded_cfg = replace(cfg, mu0=cold.final_mu * cfg.a ** 12)
@@ -210,26 +214,40 @@ def test_fas_seeded_from_aps_winner_not_worse():
     assert fas.sar <= aps.sar + 1e-6
 
 
-def test_aps_reports_antennas_off_the_lattice():
-    # the alternating search keeps an antenna where it started when no lattice
-    # point improves on it, so a line-array start can leave antennas off the
-    # lattice; the result says how many, matching the layout against the grid
+@pytest.mark.parametrize("half_width", [1.0, 2.5, 3.0])
+def test_aps_antennas_sit_on_lattice_points(half_width):
+    # both methods start and stay on the lattice: the alternating search from
+    # the lattice row nearest the x-axis and the innermost cluster, the
+    # combinations from lattice subsets
+    cfg = fast_config(region=Region(half_width, WAVELENGTH))
+    on = set(map(tuple, aps_grid(cfg.region, WAVELENGTH / 2).tolist()))
+    real = sample_channel(3, 4, 4, 5, NOISE_W)
     targets = SinrTargets.uniform(4, 1.0 / NOISE_W)
-    counts = []
-    for seed, half_width in ((0, 1.0), (3, 2.5), (4, 1.0)):
-        cfg = fast_config(region=Region(half_width, WAVELENGTH))
-        real = sample_channel(seed, 4, 4, 5, NOISE_W)
-        res = solve_aps(real, paper_sar_matrix(), "sar-min", BaselineConfig(), cfg,
-                        targets=targets, method="alternating")
-        grid = aps_grid(cfg.region, WAVELENGTH / 2)
-        gap = np.abs(res.layout[:, None, :] - grid[None, :, :]).max(axis=2).min(axis=1)
-        assert res.off_lattice == int(np.count_nonzero(gap > 0))
-        assert res.to_json_dict()["off_lattice"] == res.off_lattice
-        counts.append(res.off_lattice)
-    assert counts[0] == 4 and counts[1] > 0 and counts[2] == 0
-    res = solve_aps(small_channel(9), SMALL_MODEL, "sar-min", BaselineConfig(aps_cap=10),
-                    fast_config(), targets=SinrTargets.uniform(2, 0.5 / NOISE_W))
-    assert res.off_lattice == 0  # combinations place antennas on lattice points only
+    bal = BalanceConfig(accuracy=1e13, bracket=(0.0, 1e15))
+    for method in ("alternating", "combinations"):
+        for objective in ("sar-min", "balance"):
+            res = solve_aps(real, paper_sar_matrix(), objective, BaselineConfig(aps_cap=3),
+                            cfg, bal, targets, method=method)
+            assert set(map(tuple, res.layout.tolist())) <= on, (method, objective)
+
+
+def test_aps_starts_from_the_cluster_alone_when_no_row_holds_the_array():
+    # at 0.7 wavelengths the lattice of +-1 wavelength has rows of 3 points
+    cfg = fast_config()
+    spacing = 0.7 * WAVELENGTH
+    res = solve_aps(sample_channel(3, 4, 4, 5, NOISE_W), paper_sar_matrix(), "sar-min",
+                    BaselineConfig(grid_spacing=spacing), cfg,
+                    targets=SinrTargets.uniform(4, 1.0 / NOISE_W))
+    assert res.evaluated == 1
+    on = set(map(tuple, aps_grid(cfg.region, spacing).tolist()))
+    assert set(map(tuple, res.layout.tolist())) <= on
+
+
+def test_aps_rejects_nonpositive_cap():
+    # a cap below one would leave no subset to solve
+    for cap in (0, -3):
+        with pytest.raises(ConfigurationError, match="aps_cap"):
+            BaselineConfig(aps_cap=cap)
 
 
 def test_aps_rejects_bad_objective():

@@ -1,0 +1,41 @@
+"""The benchmark under bench/ calls the program through its public names:
+``solve_aps(..., method=...)``, ``BaselineConfig(aps_cap=, aps_seed=)``,
+``ExperimentPlan(aps_cap=)`` and the functions its tracer wraps. These tests
+run one operation of each workload through that workload's own checks, so a
+change of those names or of what they return fails here, not first in a
+benchmark run. They only read bench/.
+"""
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import tracer  # noqa: E402
+import workloads  # noqa: E402
+
+MASTER_SEED = 909  # the benchmark's default channel family
+# one operation per workload: a paper-settings solve, one channel through every
+# balance scheme, and the fig4 plan (FAS, no-SAR and backoff) through run_sweep
+TASKS = {"sarmin-ref": 0, "balance-trial": (0, 0), "acceptance-mix": "fig4"}
+
+
+def test_every_traced_layer_resolves():
+    for name, modname, attr in tracer.LAYERS:
+        assert callable(getattr(importlib.import_module(modname), attr, None)), name
+
+
+@pytest.mark.parametrize("name", sorted(TASKS))
+def test_one_operation_passes_its_workload_checks(name):
+    wl, task = workloads.WORKLOADS[name](MASTER_SEED), TASKS[name]
+    assert task in wl.tasks
+    outputs = wl.run(task)
+    checks = workloads.Checks()
+    verdicts = wl.verdicts(task, outputs, checks)
+    assert checks.errors == []
+    assert len(verdicts) == len(outputs) and all(v is None for v in verdicts), verdicts
+    sars, betas = wl.fas_values(task, outputs)
+    assert sars or betas
+    assert wl.fingerprint(task, outputs)

@@ -29,8 +29,7 @@ REPORT_KEYS = {
     "baseline-backoff": ["beta", "precoder", "layout", "sar", "alpha", "unconstrained_beta"],
     "baseline-fpa": ["orientation"] + BALANCE_KEYS,  # at the balance objective
     "baseline-aps": ["value", "objective", "layout", "sar", "beta", "evaluated",
-                     "total_combinations", "coverage", "subsampled", "wall_time_s",
-                     "off_lattice"],
+                     "total_combinations", "coverage", "subsampled", "wall_time_s"],
 }
 
 

@@ -4,6 +4,7 @@ import pytest
 from fluidsar import solver
 from fluidsar.baselines import aps_grid, central_grid_layout
 from fluidsar.channel import (
+    ConfigurationError,
     Region,
     channel_matrix,
     min_pairwise_distance,
@@ -605,6 +606,22 @@ def test_lattice_tables_built_once_per_solve(monkeypatch):
                         initial_layout=central_grid_layout(grid, 4, WAVELENGTH / 2))
     assert rep.outer_iterations > 1 and rep.inner_sweeps_total > rep.outer_iterations
     assert tables == [len(grid)]
+
+
+def test_lattice_solve_rejects_a_start_off_its_lattice():
+    # the lattice search moves antennas between lattice points only, so a
+    # start it could not index (the line array sits at x = +-lambda/4,
+    # +-3 lambda/4) is refused, with or without an explicit layout
+    real = sample_channel(3, 4, 4, 15, NOISE_W)
+    region = Region(1.0, WAVELENGTH)
+    grid = aps_grid(region, WAVELENGTH / 2)
+    cfg = fast_config(region=region, position_grid=tuple(map(tuple, grid)))
+    targets = SinrTargets.uniform(4, 1.0 / NOISE_W)
+    start = grid[[0, 2, 4, 12]]  # (-1, -1), (-1, 0), (-1, 1) and (0, 0) wavelengths
+    start[3, 0] += 1e-9
+    for layout in (None, uniform_line_layout(4, region), start):
+        with pytest.raises(ConfigurationError, match="off the position lattice"):
+            solve_sar_min(real, targets, paper_sar_matrix(), cfg, initial_layout=layout)
 
 
 @pytest.mark.parametrize("half_width,box,spacing", [
