@@ -168,6 +168,13 @@ class ChannelRealization(_JsonDoc):
         if self.noise_variance <= 0:
             raise ConfigurationError("noise variance must be positive")
         object.__setattr__(self, "paths", tuple(self.paths))
+        # the users' direction cosines and path gains stacked, each (K, L), for
+        # the batched channel_matrix; None when the users' path counts differ
+        stacked = None
+        if len({ps.count for ps in self.paths}) == 1:
+            stacked = tuple(np.stack(rows) for rows in zip(
+                *((*ps.direction_cosines, ps.path_gains) for ps in self.paths)))
+        object.__setattr__(self, "_stacked", stacked)
 
     @property
     def num_users(self) -> int:
@@ -228,8 +235,18 @@ def channel_vector(positions: np.ndarray, paths: PathSet, wavelength: float = DE
 
 def channel_matrix(positions: np.ndarray, realization: ChannelRealization,
                    wavelength: float = DEFAULT_WAVELENGTH) -> np.ndarray:
-    """Stack per-user channel vectors into H of shape (K, M)."""
-    return np.stack([channel_vector(positions, ps, wavelength) for ps in realization.paths])
+    """Stack per-user channel vectors into H of shape (K, M).
+
+    All users at once when their path counts match: the operations of
+    ``channel_vector`` on a (K, M, L) phase array, and one matrix-vector
+    product per user, so every row has the bits of its ``channel_vector``.
+    """
+    if realization._stacked is None:
+        return np.stack([channel_vector(positions, ps, wavelength) for ps in realization.paths])
+    ax, ay, gains = realization._stacked
+    pts = np.atleast_2d(np.asarray(positions, dtype=float))
+    rho = pts[None, :, 0, None] * ax[:, None, :] + pts[None, :, 1, None] * ay[:, None, :]
+    return (np.exp(-1j * (2.0 * np.pi / wavelength) * rho) @ gains[:, :, None])[:, :, 0]
 
 
 def sinr(precoder: np.ndarray, realization: ChannelRealization, positions: np.ndarray,
@@ -242,13 +259,13 @@ def sinr(precoder: np.ndarray, realization: ChannelRealization, positions: np.nd
 def _signal_interference(couplings: np.ndarray):
     """Per-user signal |h_k^H p_k|^2 and interference sum_{j != k} |h_k^H p_j|^2
     from the (K, K) couplings, row k holding h_k^H p_j."""
-    gains = np.abs(couplings) ** 2
-    signal = np.diag(gains).copy()
+    gains = np.abs(couplings)
+    gains *= gains
+    signal = gains.diagonal().copy()
     # off-diagonal sum, not rowsum-minus-diagonal: the latter cancels
     # catastrophically when the signal term dominates
-    off = gains.copy()
-    np.fill_diagonal(off, 0.0)
-    return signal, off.sum(axis=1)
+    gains.flat[::gains.shape[0] + 1] = 0.0
+    return signal, gains.sum(axis=1)
 
 
 def sinr_all(precoder: np.ndarray, H: np.ndarray, noise_variance: float) -> np.ndarray:

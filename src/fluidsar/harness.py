@@ -4,6 +4,12 @@ Per-trial seeds derive deterministically from (master seed, point index,
 trial index), all schemes at one (point, trial) share the same channel, and
 the reduction order is fixed, so aggregates do not depend on how many workers
 execute the trials.
+
+A sweep runs as tasks, one per (point, trial, scheme), submitted longest
+scheme first (static LPT scheduling, Graham 1969) and put back in row order.
+No-SAR and backoff share one power-only design, and so one task. Along an axis
+that this design does not read (``q0``, ``beta0``, ``scheme``), one task per
+trial solves it once and gives every point's no-SAR and backoff rows.
 """
 from __future__ import annotations
 
@@ -30,7 +36,13 @@ __all__ = [
 
 VALID_SWEEPS = ("q0", "beta0", "half_width", "paths", "scheme")
 VALID_SCHEMES = ("fas", "aps", "fpa", "no-sar", "backoff")
-BALANCE_ONLY = ("no-sar", "backoff")
+# the schemes of the power-only design (balance objective only)
+POWER_ONLY = ("no-sar", "backoff")
+# the sweep axes that the power-only design reads
+POWER_ONLY_AXES = ("half_width", "paths")
+# task kinds in submission order, longest first: one alternating APS task
+# takes tenths of a second, an FPA task a few milliseconds
+TASK_ORDER = ("aps", "fas", "power-only", "fpa")
 # keys of a plan's ``solver`` dict and their type names: the SolverConfig
 # fields, except the region that the plan's half_width and wavelength set
 SOLVER_KEYS = {f.name: f.type for f in fields(SolverConfig) if f.name != "region"}
@@ -80,7 +92,7 @@ class ExperimentPlan(_JsonDoc):
         for s in schemes:
             if s not in VALID_SCHEMES:
                 raise ConfigurationError(f"unknown scheme {s!r}")
-            if self.objective == "sar-min" and s in BALANCE_ONLY:
+            if self.objective == "sar-min" and s in POWER_ONLY:
                 raise ConfigurationError(f"{s} only applies to the balance objective")
         if self.objective == "sar-min" and self.beta0 is None:
             raise ConfigurationError("sar-min sweeps need a beta0 target")
@@ -98,10 +110,15 @@ class ExperimentPlan(_JsonDoc):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentPlan":
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigurationError(f"unknown plan keys {unknown}")
-        return cls(**doc)
+        return cls(**_known_keys(cls, doc, "plan"))
+
+
+def _known_keys(cls, doc: dict, what: str) -> dict:
+    """``doc``, once every key of it is a field of ``cls``."""
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"unknown {what} keys {unknown}")
+    return doc
 
 
 def derive_seed(master_seed: int, trial_index: int) -> int:
@@ -130,12 +147,20 @@ def _sar_model(m: int, q0: float) -> SarModel:
     return synthesize_sar_matrix(m, rng_seed=0, budget=q0)
 
 
+def _point_schemes(plan: ExperimentPlan, value) -> list:
+    return [value] if plan.sweep == "scheme" else list(plan.schemes)
+
+
+def _kind(scheme: str) -> str:
+    return "power-only" if scheme in POWER_ONLY else scheme
+
+
 def _point_setup(plan: ExperimentPlan, value, seed: int):
     """Schemes, channel of ``seed`` and solver inputs at one sweep point.
     The plan builds them for every point, so a bad value fails when the plan
     is built."""
     q0, beta0, half_width, paths = plan.q0, plan.beta0, plan.half_width, plan.paths
-    schemes = list(plan.schemes)
+    schemes = _point_schemes(plan, value)
     if plan.sweep == "q0":
         q0 = float(value)
     elif plan.sweep == "beta0":
@@ -144,8 +169,6 @@ def _point_setup(plan: ExperimentPlan, value, seed: int):
         half_width = float(value)
     elif plan.sweep == "paths":
         paths = int(value)
-    else:  # scheme sweep
-        schemes = [value]
     realization = sample_channel(seed, plan.m, plan.k, paths, plan.noise_variance)
     solver_config = SolverConfig(region=Region(half_width=half_width,
                                                wavelength=plan.wavelength), **plan.solver)
@@ -164,70 +187,95 @@ def _point_setup(plan: ExperimentPlan, value, seed: int):
             nosar_config, base_config, targets)
 
 
-def _run_bundle(plan: ExperimentPlan, point_index: int, value, trial: int) -> list[dict]:
-    """All schemes of one (sweep point, trial): shared channel, shared seed."""
-    seed = derive_seed(plan.master_seed, trial)
-    schemes, realization, model, solver_config, balance_config, nosar_config, \
-        base_config, targets = _point_setup(plan, value, seed)
+def _tasks(plan: ExperimentPlan) -> list[tuple]:
+    """Every (point, trial, scheme) of the plan in one task ``(kind, trial,
+    points)``, in submission order: by ``TASK_ORDER``, ties in plan order.
+    A power-only task holds one point, or every point of its trial when the
+    sweep axis is not one that the power-only design reads."""
+    shared = plan.sweep not in POWER_ONLY_AXES
+    groups: dict = {}
+    for pi, value in enumerate(plan.values):
+        for trial in range(plan.trials):
+            for scheme in _point_schemes(plan, value):
+                kind = _kind(scheme)
+                points = groups.setdefault(
+                    (kind, trial, None if kind == "power-only" and shared else pi), [])
+                if pi not in points:
+                    points.append(pi)
+    return sorted(((kind, trial, tuple(points)) for (kind, trial, _), points in groups.items()),
+                  key=lambda task: TASK_ORDER.index(task[0]))
 
+
+def _run_task(plan: ExperimentPlan, kind: str, trial: int, points: tuple) -> list[tuple]:
+    """The rows of the schemes of ``kind`` at ``points`` for one trial, each
+    with its place in the record, (point, trial, place among the point's
+    schemes). Every scheme at a point shares its channel and seed, and every
+    no-SAR and backoff row of the task shares one power-only design."""
+    seed = derive_seed(plan.master_seed, trial)
     rows = []
     nosar_cache = None
-    for scheme in schemes:
-        row = {
-            "point_index": point_index,
-            "sweep_value": value,
-            "scheme": scheme,
-            "trial": trial,
-            "seed": seed,
-            "status": "ok",
-        }
-        try:
-            if scheme == "fas" and plan.objective == "balance":
-                res = solve_sinr_balance(realization, model, balance_config, solver_config)
-            elif scheme == "fas":
-                res = solve_sar_min(realization, targets, model, solver_config)
-            elif scheme == "fpa":
-                res = solve_fpa(realization, model, plan.objective, solver_config,
-                                balance_config, targets)
-            elif scheme == "aps":
-                res = solve_aps(realization, model, plan.objective, base_config,
-                                solver_config, balance_config, targets, method="alternating")
-            else:  # no-sar and backoff share the power-only design
-                if nosar_cache is None:
-                    nosar_cache = solve_without_sar(realization, plan.m, base_config,
-                                                    solver_config, nosar_config)
-                res = nosar_cache if scheme == "no-sar" else adaptive_backoff(
-                    realization, model, base_config, solver_config, balance_config,
-                    unconstrained=nosar_cache)
+    for point_index in points:
+        value = plan.values[point_index]
+        schemes, realization, model, solver_config, balance_config, nosar_config, \
+            base_config, targets = _point_setup(plan, value, seed)
+        for place, scheme in enumerate(schemes):
+            if _kind(scheme) != kind:
+                continue
+            row = {
+                "point_index": point_index,
+                "sweep_value": value,
+                "scheme": scheme,
+                "trial": trial,
+                "seed": seed,
+                "status": "ok",
+            }
+            try:
+                if scheme == "fas" and plan.objective == "balance":
+                    res = solve_sinr_balance(realization, model, balance_config, solver_config)
+                elif scheme == "fas":
+                    res = solve_sar_min(realization, targets, model, solver_config)
+                elif scheme == "fpa":
+                    res = solve_fpa(realization, model, plan.objective, solver_config,
+                                    balance_config, targets)
+                elif scheme == "aps":
+                    res = solve_aps(realization, model, plan.objective, base_config,
+                                    solver_config, balance_config, targets, method="alternating")
+                else:  # no-sar and backoff share the power-only design
+                    if nosar_cache is None:
+                        nosar_cache = solve_without_sar(realization, plan.m, base_config,
+                                                        solver_config, nosar_config)
+                    res = nosar_cache if scheme == "no-sar" else adaptive_backoff(
+                        realization, model, base_config, solver_config, balance_config,
+                        unconstrained=nosar_cache)
 
-            if scheme == "aps":
-                row.update(value_metric=res.value, beta=res.beta, sar=res.sar,
-                           aps_coverage=res.coverage, aps_subsampled=res.subsampled)
-            elif scheme == "backoff":
-                row.update(value_metric=res.beta, beta=res.beta, sar=res.sar, alpha=res.alpha)
-            elif plan.objective == "balance":
-                row.update(value_metric=res.beta_star, beta=res.beta_star,
-                           sar=None if scheme == "no-sar" else res.sar)
-            else:
-                if not (res.converged and res.feasible):
-                    row["status"] = "nonconverged"
-                row.update(value_metric=res.sar, beta=res.beta_achieved, sar=res.sar)
+                if scheme == "aps":
+                    row.update(value_metric=res.value, beta=res.beta, sar=res.sar,
+                               aps_coverage=res.coverage, aps_subsampled=res.subsampled)
+                elif scheme == "backoff":
+                    row.update(value_metric=res.beta, beta=res.beta, sar=res.sar, alpha=res.alpha)
+                elif plan.objective == "balance":
+                    row.update(value_metric=res.beta_star, beta=res.beta_star,
+                               sar=None if scheme == "no-sar" else res.sar)
+                else:
+                    if not (res.converged and res.feasible):
+                        row["status"] = "nonconverged"
+                    row.update(value_metric=res.sar, beta=res.beta_achieved, sar=res.sar)
 
-            # the solve behind the row: APS keeps its best start, backoff
-            # scales the power-only design
-            solve = res.best if scheme == "aps" else \
-                res.unconstrained if scheme == "backoff" else res
-            row["warnings"] = list(solve.warnings)
-            if plan.objective == "balance":
-                row["probes"] = solve.probes
-                if "no_feasible_probe" in solve.warnings:
-                    # the trivial fallback is not a balancing result
-                    row["status"] = "infeasible"
-        except Exception as exc:  # per-trial failures never abort the sweep
-            row["status"] = "error"
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            row.setdefault("value_metric", None)
-        rows.append(row)
+                # the solve behind the row: APS keeps its best start, backoff
+                # scales the power-only design
+                solve = res.best if scheme == "aps" else \
+                    res.unconstrained if scheme == "backoff" else res
+                row["warnings"] = list(solve.warnings)
+                if plan.objective == "balance":
+                    row["probes"] = solve.probes
+                    if "no_feasible_probe" in solve.warnings:
+                        # the trivial fallback is not a balancing result
+                        row["status"] = "infeasible"
+            except Exception as exc:  # per-trial failures never abort the sweep
+                row["status"] = "error"
+                row["error"] = f"{type(exc).__name__}: {exc}"
+                row.setdefault("value_metric", None)
+            rows.append(((point_index, trial, place), row))
     return rows
 
 
@@ -242,7 +290,7 @@ class RunRecord(_JsonDoc):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RunRecord":
-        return cls(**doc)
+        return cls(**_known_keys(cls, doc, "record"))
 
     def to_csv(self) -> str:
         lines = ["sweep_value,scheme,mean,stderr,trials"]
@@ -270,8 +318,7 @@ def _csv_number(v) -> str:
 def _aggregate(plan: ExperimentPlan, rows: list[dict]) -> list[dict]:
     out = []
     for pi, value in enumerate(plan.values):
-        schemes = [value] if plan.sweep == "scheme" else plan.schemes
-        for scheme in schemes:
+        for scheme in _point_schemes(plan, value):
             vals = [r["value_metric"] for r in rows
                     if r["point_index"] == pi and r["scheme"] == scheme
                     and r["status"] == "ok" and r.get("value_metric") is not None]
@@ -292,18 +339,17 @@ def _aggregate(plan: ExperimentPlan, rows: list[dict]) -> list[dict]:
 
 
 def run_sweep(plan: ExperimentPlan) -> RunRecord:
-    """Execute the plan; per-trial isolation, order-independent reduction."""
-    bundles = [(pi, value, trial)
-               for pi, value in enumerate(plan.values)
-               for trial in range(plan.trials)]
-    workers = worker_count()
-    if workers > 1 and len(bundles) > 1:
+    """Execute the plan; per-trial isolation, order-independent reduction.
+    One worker or many, the same tasks run in the same order of submission."""
+    tasks = _tasks(plan)
+    workers = min(worker_count(), len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(_run_bundle_star,
-                                   [(plan, pi, value, trial) for pi, value, trial in bundles]))
+            done = list(pool.map(_run_task, [plan] * len(tasks), *zip(*tasks)))
     else:
-        nested = [_run_bundle(plan, pi, value, trial) for pi, value, trial in bundles]
-    rows = [row for bundle in nested for row in bundle]
+        done = [_run_task(plan, *task) for task in tasks]
+    rows = [row for _, row in sorted((item for items in done for item in items),
+                                     key=lambda item: item[0])]
     record = RunRecord(plan=plan.to_json_dict(), rows=rows,
                        aggregates=_aggregate(plan, rows))
     if plan.out_csv:
@@ -313,10 +359,6 @@ def run_sweep(plan: ExperimentPlan) -> RunRecord:
         with open(plan.out_json, "w") as fh:
             fh.write(record.to_json())
     return record
-
-
-def _run_bundle_star(args):
-    return _run_bundle(*args)
 
 
 def convergence_trace(channel_seed: int, beta0_list, m: int = 4, k: int = 4,

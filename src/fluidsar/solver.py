@@ -195,9 +195,8 @@ class SolverConfig:
 class _GeoCache:
     def __init__(self, realization: ChannelRealization, wavelength: float):
         self.kappa = 2.0 * np.pi / wavelength
-        self.ax = np.stack([ps.direction_cosines[0] for ps in realization.paths])  # (K, L)
-        self.ay = np.stack([ps.direction_cosines[1] for ps in realization.paths])
-        self.fbar = np.stack([ps.path_gains.conj() for ps in realization.paths])
+        self.ax, self.ay, gains = realization._stacked  # (K, L) each
+        self.fbar = gains.conj()
         self.abs_gain_sum = np.abs(self.fbar).sum(axis=1)  # (K,)
         self._lattice = None
         # antenna -> the local curvature its last accepted SCA step used
@@ -250,13 +249,8 @@ class _Lattice:
         self.index = {p: i for i, p in enumerate(map(tuple, grid.tolist()))}
 
 
-def _ragged(realization: ChannelRealization) -> bool:
-    counts = {ps.count for ps in realization.paths}
-    return len(counts) > 1
-
-
 def _geo(realization: ChannelRealization, wavelength: float) -> _GeoCache:
-    if _ragged(realization):
+    if realization._stacked is None:
         raise ConfigurationError("per-user path counts must match")
     return _GeoCache(realization, wavelength)
 
@@ -312,59 +306,66 @@ def solve_auxiliary(H: np.ndarray, P: np.ndarray, targets: SinrTargets,
     """
     C = H.conj() @ P  # (K, K), row k holds h_k^H p_j
     K = C.shape[0]
-    gbar = targets.thresholds
     sig, interf = _signal_interference(C)
-    y0 = sig - gbar * (interf + noise_variance)
+    # |C|^2 and its row sums stay in numpy (its complex modulus is not
+    # Python's abs); the rest runs on Python floats: at most K users, where
+    # per-call array overhead would dominate. Each expression repeats the
+    # operations of its array form in the same order, so the bits match.
+    beta0 = targets.beta0
+    users, need = [], []
+    for k, (sk, ik, wk) in enumerate(zip(sig.tolist(), interf.tolist(),
+                                         targets.weights.tolist())):
+        gk = beta0 * wk
+        if sk - gk * (ik + noise_variance) < 0:
+            need.append((k, ik))
+            users.append((sk, ik * gk, gk, gk * noise_variance))
+    if not need:
+        return C.copy(), np.zeros(K), 0.0
 
-    Z = C.copy()
-    zeta = np.zeros(K)
-    need = y0 < 0
-    if not np.any(need):
-        return Z, zeta, 0.0
-
-    idx = np.where(need)[0]
-    s = sig[idx]
-    w = interf[idx] * gbar[idx]
-    g = gbar[idx]
-    gn = g * noise_variance
-
-    def value(z):
-        # squared projection distance along the dual path at multiplier z
-        return s * (z / (1.0 - z)) ** 2 + (interf[idx] * (z * g / (1.0 + z * g)) ** 2)
-
-    # the bisection runs on Python floats: at most K entries, where per-call
-    # array overhead would dominate. The root function
+    # the bisection: the root function
     #     s / (1 - z)^2 - w / (1 + z g)^2 - g sigma^2
-    # is written out inline with the operations of its array form, so the
-    # bits match. All users take the same number of steps: the bisection stops
-    # once every user's stopping test is met, or after 60 steps. Each rounded
-    # operation is monotone in z, so y_hi = f(hi) never grows as hi falls, and
-    # hi - lo never grows: a test once met stays met. The users' brackets are
+    # is written out inline with the operations of its array form. All users
+    # take the same number of steps: the bisection stops once every user's
+    # stopping test is met, or after 60 steps. Each rounded operation is
+    # monotone in z, so y_hi = f(hi) never grows as hi falls, and hi - lo
+    # never grows: a test once met stays met. The users' brackets are
     # independent, so each user runs until its own test is met, and then all
     # continue to the largest of those step counts.
-    users = list(zip(s.tolist(), w.tolist(), g.tolist(), gn.tolist()))
     hi0 = 1.0 - 1e-9
     brackets = []
     for su, wu, gu, gnu in users:
         a = 1.0 - hi0
         b = 1.0 + hi0 * gu
         brackets.append((0.0, hi0, su / (a * a) - wu / (b * b) - gnu, 0))
-    degenerate = [int(k) for k, (_, _, y, _) in zip(idx, brackets) if y <= 0.0]
+    degenerate = [k for (k, _), (_, _, y, _) in zip(need, brackets) if y <= 0.0]
     if degenerate:
         raise DegenerateUserError(degenerate)
 
     brackets = [_dual_bisection(u, *br, 0, 60) for u, br in zip(users, brackets)]
     steps = max(k for _, _, _, k in brackets)
     brackets = [_dual_bisection(u, *br, steps, 0) for u, br in zip(users, brackets)]
-    lo = np.array([br[0] for br in brackets])
-    hi = np.array([br[1] for br in brackets])
-    z_opt = hi  # feasible side of the bracket
-    gap = float(np.sum(value(hi) - value(lo)))
 
-    zeta[idx] = z_opt
-    Z[idx, :] = C[idx, :] / (1.0 + z_opt * g)[:, None]
-    Z[idx, idx] = np.diag(C)[idx] / (1.0 - z_opt)
-    return Z, zeta, gap
+    def value(su, iu, gu, z):
+        # squared projection distance along the dual path at multiplier z
+        r = z / (1.0 - z)
+        q = z * gu / (1.0 + z * gu)
+        return su * (r * r) + iu * (q * q)
+
+    def scaled(c, d):
+        # numpy's complex / real: (re + im * 0) * (1 / d), (im - re * 0) * (1 / d)
+        f = 1.0 / d
+        return complex((c.real + c.imag * 0.0) * f, (c.imag - c.real * 0.0) * f)
+
+    rows = C.tolist()
+    zeta = [0.0] * K
+    gaps = []
+    for (k, iu), (su, _, gu, _), (lo, hi, _, _) in zip(need, users, brackets):
+        gaps.append(value(su, iu, gu, hi) - value(su, iu, gu, lo))
+        zeta[k] = hi  # feasible side of the bracket
+        row = [scaled(c, 1.0 + hi * gu) for c in rows[k]]
+        row[k] = scaled(rows[k][k], 1.0 - hi)
+        rows[k] = row
+    return np.array(rows, dtype=complex), np.array(zeta), float(np.add.reduce(gaps))
 
 
 def _dual_bisection(user, lo: float, hi: float, y_hi: float, k: int, k_min: int, k_max: int):

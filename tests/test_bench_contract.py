@@ -18,7 +18,8 @@ import workloads  # noqa: E402
 
 MASTER_SEED = 909  # the benchmark's default channel family
 # one operation per workload: a paper-settings solve, one channel through every
-# balance scheme, and the fig4 plan (FAS, no-SAR and backoff) through run_sweep
+# balance scheme, and the fig4 plan (FAS, no-SAR and backoff) through a serial
+# run_sweep
 TASKS = {"sarmin-ref": 0, "balance-trial": (0, 0), "acceptance-mix": "fig4"}
 
 
@@ -27,9 +28,8 @@ def test_every_traced_layer_resolves():
         assert callable(getattr(importlib.import_module(modname), attr, None)), name
 
 
-@pytest.mark.parametrize("name", sorted(TASKS))
-def test_one_operation_passes_its_workload_checks(name):
-    wl, task = workloads.WORKLOADS[name](MASTER_SEED), TASKS[name]
+def run_and_check(name, task):
+    wl = workloads.WORKLOADS[name](MASTER_SEED)
     assert task in wl.tasks
     outputs = wl.run(task)
     checks = workloads.Checks()
@@ -39,3 +39,16 @@ def test_one_operation_passes_its_workload_checks(name):
     sars, betas = wl.fas_values(task, outputs)
     assert sars or betas
     assert wl.fingerprint(task, outputs)
+
+
+@pytest.mark.parametrize("name", sorted(TASKS))
+def test_one_operation_passes_its_workload_checks(name, monkeypatch):
+    monkeypatch.delenv("FAS_THREADS", raising=False)
+    run_and_check(name, TASKS[name])
+
+
+def test_pooled_sweep_passes_its_workload_checks(monkeypatch):
+    # the benchmark runs its sweeps on a pool of 2 workers: fig5 (FAS, APS and
+    # FPA over the region) through run_sweep's process pool
+    monkeypatch.setenv("FAS_THREADS", "2")
+    run_and_check("acceptance-mix", "fig5")

@@ -104,6 +104,28 @@ def test_channel_vector_matches_bruteforce(rng):
             assert abs(h[m] - acc) <= 1e-12 * max(1.0, abs(acc))
 
 
+@pytest.mark.parametrize("M", [1, 4, 6])
+@pytest.mark.parametrize("K", [1, 4])
+@pytest.mark.parametrize("L", [1, 5, 15])
+def test_channel_matrix_is_stacked_channel_vectors_bit_for_bit(rng, M, K, L):
+    # all users at once must round every entry as the per-user vector does
+    for _ in range(20):
+        real = ChannelRealization(paths=tuple(make_paths(rng, L) for _ in range(K)))
+        pos = rng.uniform(-3 * WAVELENGTH, 3 * WAVELENGTH, (M, 2))
+        want = np.stack([channel_vector(pos, ps, WAVELENGTH) for ps in real.paths])
+        assert channel_matrix(pos, real, WAVELENGTH).tobytes() == want.tobytes()
+
+
+def test_channel_matrix_of_ragged_path_counts(rng):
+    # users with different path counts take the per-user path
+    real = ChannelRealization(paths=(make_paths(rng, 3), make_paths(rng, 7), make_paths(rng, 1)))
+    pos = rng.uniform(-WAVELENGTH, WAVELENGTH, (4, 2))
+    H = channel_matrix(pos, real, WAVELENGTH)
+    assert H.shape == (3, 4)
+    for k, ps in enumerate(real.paths):
+        assert H[k].tobytes() == channel_vector(pos, ps, WAVELENGTH).tobytes()
+
+
 def test_channel_translation_covariance(rng):
     # shifting one antenna multiplies each per-path term by a pure phase
     paths = make_paths(rng, 5)

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fluidsar import balance
+from fluidsar import balance, harness
 from fluidsar.channel import ConfigurationError
 from fluidsar.harness import (
     ExperimentPlan,
@@ -133,6 +133,88 @@ def test_run_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     assert serial.rows == parallel.rows
 
 
+# three plans whose tasks differ in kind and size: a budget sweep whose
+# power-only task serves every point, a region sweep with the lattice search,
+# and a scheme sweep that is all power-only tasks
+SCHEDULE_PLANS = {
+    "q0": dict(sweep="q0", values=(0.4, 1.6), trials=2, schemes=("fas", "no-sar", "backoff")),
+    "half_width": dict(sweep="half_width", values=(1.0, 1.5), trials=2,
+                       schemes=("fas", "aps", "fpa")),
+    "scheme": dict(sweep="scheme", values=("backoff", "no-sar"), trials=3),
+}
+
+
+def balance_plan(**overrides):
+    return tiny_plan(**{"objective": "balance", "master_seed": 3, "accuracy": 1e11,
+                        "beta0": None, **overrides})
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_PLANS))
+def test_rows_and_csv_do_not_depend_on_the_worker_count(name, monkeypatch):
+    plan = balance_plan(**SCHEDULE_PLANS[name])
+    monkeypatch.delenv("FAS_THREADS", raising=False)
+    serial = run_sweep(plan)
+    assert all(r["status"] == "ok" for r in serial.rows)
+    # rows in record order: point, trial, then the point's schemes in plan order
+    schemes = [[v] if plan.sweep == "scheme" else list(plan.schemes) for v in plan.values]
+    assert [(r["point_index"], r["trial"], r["scheme"]) for r in serial.rows] == \
+        [(pi, t, s) for pi in range(len(plan.values)) for t in range(plan.trials)
+         for s in schemes[pi]]
+    for workers in ("2", "3"):
+        monkeypatch.setenv("FAS_THREADS", workers)
+        pooled = run_sweep(plan)
+        assert pooled.rows == serial.rows, workers
+        assert pooled.to_csv().encode() == serial.to_csv().encode(), workers
+
+
+def counting(monkeypatch, name):
+    """Count the calls that run_sweep makes to ``harness.<name>``."""
+    calls = []
+    original = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+def test_power_only_design_is_solved_once_per_trial(monkeypatch):
+    monkeypatch.delenv("FAS_THREADS", raising=False)  # the patch is in-process
+    calls = counting(monkeypatch, "solve_without_sar")
+    plan = balance_plan(sweep="q0", values=(0.1, 0.4, 1.6), trials=2,
+                        schemes=("no-sar", "backoff"))
+    rec = run_sweep(plan)
+    assert len(calls) == 2  # not one per (point, trial): the design does not read Q0
+    # every point's no-SAR row is the one design; each backoff scales it to its own budget
+    for trial in range(plan.trials):
+        nosar = [r for r in rec.rows if r["trial"] == trial and r["scheme"] == "no-sar"]
+        backoff = [r for r in rec.rows if r["trial"] == trial and r["scheme"] == "backoff"]
+        assert len({r["value_metric"] for r in nosar}) == 1
+        assert [r["sweep_value"] for r in backoff] == list(plan.values)
+        assert all(r["sar"] <= r["sweep_value"] * (1 + 1e-12) for r in backoff)
+    # along the region axis the design changes with the point: one per (point, trial)
+    calls.clear()
+    run_sweep(balance_plan(sweep="half_width", values=(1.0, 1.5), trials=2,
+                           schemes=("no-sar",)))
+    assert len(calls) == 4
+
+
+def test_tasks_run_longest_scheme_first(monkeypatch):
+    monkeypatch.delenv("FAS_THREADS", raising=False)
+    calls = counting(monkeypatch, "_run_task")
+    plan = balance_plan(sweep="q0", values=(0.4, 1.6), trials=2,
+                        schemes=("fpa", "backoff", "fas", "aps", "no-sar"))
+    rec = run_sweep(plan)
+    # aps, fas, power-only, fpa; ties in plan order (point, then trial)
+    assert [(kind, trial, points) for _, kind, trial, points in calls] == \
+        [(kind, t, (pi,)) for kind in ("aps", "fas") for pi in (0, 1) for t in (0, 1)] + \
+        [("power-only", t, (0, 1)) for t in (0, 1)] + \
+        [("fpa", t, (pi,)) for pi in (0, 1) for t in (0, 1)]
+    assert [r["scheme"] for r in rec.rows[:5]] == list(plan.schemes)
+
+
 def test_run_sweep_aggregates_recomputable():
     rec = run_sweep(tiny_plan())
     for agg in rec.aggregates:
@@ -155,6 +237,12 @@ def test_run_record_json_roundtrip(tmp_path):
     assert back.rows == rec.rows
     assert back.aggregates == rec.aggregates
     assert back.version == rec.version
+
+
+def test_run_record_json_rejects_unknown_keys():
+    with pytest.raises(ConfigurationError, match=r"unknown record keys \['elapsed_s'\]"):
+        RunRecord.from_json_dict({"plan": {}, "rows": [], "aggregates": [], "elapsed_s": 1})
+    assert RunRecord.from_json_dict({"plan": {}, "rows": [], "aggregates": []}).rows == []
 
 
 def test_run_sweep_crn_same_channel_across_schemes():
