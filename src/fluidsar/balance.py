@@ -47,7 +47,6 @@ class BalanceConfig:
     accuracy: float = 1e-4
     bracket: tuple[float, float] | None = None
     weights: np.ndarray | None = None
-    budget: float | None = None  # defaults to the SAR model budget
     warm_start: bool = True
 
     def __post_init__(self):
@@ -86,26 +85,18 @@ class BalanceResult(_JsonDoc):
 
 def default_upper_bracket(realization: ChannelRealization, model: SarModel,
                           weights: np.ndarray, layout: np.ndarray,
-                          wavelength: float, budget: float | None = None) -> float:
+                          wavelength: float) -> float:
     """Power-limited upper bound on the attainable weighted SINR.
 
     A single interference-free user cannot beat ||h_k||^2 ||p_k||^2 / sigma^2,
-    and the budget caps ||p||^2 at Q0 over the smallest positive eigenvalue of
-    the exposure matrix; the factor 4 leaves slack for position gains.
+    and the budget caps ||p||^2 at Q0 over the smallest eigenvalue of the
+    exposure matrix; the factor 4 leaves slack for position gains.
     """
-    q0 = model.budget if budget is None else budget
-    if q0 <= 0:
-        return 0.0
-    sym = (model.matrix + model.matrix.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(sym)
-    positive = eigs[eigs > 1e-12 * max(1.0, float(eigs.max()))]
-    if positive.size == 0:
-        raise ConfigurationError("exposure matrix has no positive eigenvalue")
-    lam = float(positive.min())
     H = channel_matrix(layout, realization, wavelength)
     gains = np.linalg.norm(H, axis=1) ** 2
     w = np.asarray(weights, dtype=float)
-    return float(4.0 * np.max((q0 / lam) * gains / (realization.noise_variance * w)))
+    return float(4.0 * np.max((model.budget / model.min_eig) * gains
+                              / (realization.noise_variance * w)))
 
 
 def _bisection_grid(lo: float, hi: float, accuracy: float):
@@ -181,7 +172,7 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
     solver_config = solver_config or SolverConfig()
     K = realization.num_users
     weights = np.ones(K) if config.weights is None else np.asarray(config.weights, dtype=float)
-    budget = model.budget if config.budget is None else config.budget
+    budget = model.budget
     warnings: list[str] = []
 
     layout0 = uniform_line_layout(model.n_antennas, solver_config.region) \
@@ -214,17 +205,12 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
             warm_beta = beta0
         return rep, ok
 
-    if budget <= 0:
-        return BalanceResult(0.0, np.zeros((model.n_antennas, K), dtype=complex), layout0,
-                             0.0, budget, None, ladder, 0, ["zero_budget"],
-                             time.perf_counter() - t0)
-
     if config.bracket is not None:
         beta_lo, beta_hi = config.bracket
     else:
         beta_lo = 0.0
         beta_hi = default_upper_bracket(realization, model, weights, layout0,
-                                        solver_config.wavelength, budget)
+                                        solver_config.wavelength)
 
     rep, ok = probe(beta_hi, "bracket")
     lo = (beta_lo, None)

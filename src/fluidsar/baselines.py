@@ -37,15 +37,12 @@ __all__ = [
 @dataclass(frozen=True)
 class BaselineConfig:
     power_budget: float = 2.0
-    grid_spacing: float | None = None  # defaults to wavelength / 2
     aps_cap: int = 20000
     aps_seed: int = 0
 
     def __post_init__(self):
         if self.power_budget <= 0:
             raise ConfigurationError("power budget must be positive")
-        if self.grid_spacing is not None and self.grid_spacing <= 0:
-            raise ConfigurationError("grid spacing must be positive")
         if self.aps_cap < 1:
             raise ConfigurationError("aps_cap must be at least 1")
 
@@ -184,10 +181,8 @@ def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
     config = config or BaselineConfig()
     solver_config = solver_config or SolverConfig()
     fixed = replace(solver_config, optimize_positions=False)
-    spacing = config.grid_spacing if config.grid_spacing is not None \
-        else solver_config.wavelength / 2.0
     M = model.n_antennas
-    grid = aps_grid(solver_config.region, spacing)
+    grid = aps_grid(solver_config.region, fixed.distance)
     n_points = grid.shape[0]
     if n_points < M:
         raise ConfigurationError("grid too coarse: fewer candidate points than antennas")

@@ -132,7 +132,6 @@ def main(argv=None) -> int:
             p.add_argument("--beta0", type=float, default=None)
         if name == "aps":
             p.add_argument("--aps-cap", type=int, default=20000)
-            p.add_argument("--grid-spacing", type=float, default=None)
             p.add_argument("--method", choices=("alternating", "combinations"),
                            default="alternating")
 
@@ -200,7 +199,6 @@ def main(argv=None) -> int:
     if args.command == "baseline":
         bal = BalanceConfig(accuracy=args.eps1, weights=weights)
         bcfg = BaselineConfig(power_budget=args.power_budget,
-                              grid_spacing=getattr(args, "grid_spacing", None),
                               aps_cap=getattr(args, "aps_cap", 20000))
         if args.scheme == "no-sar":
             res = solve_without_sar(realization, args.m, bcfg, cfg, bal)

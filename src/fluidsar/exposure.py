@@ -1,4 +1,5 @@
-"""Quadratic exposure model: SAR matrix, budget, and the exposure of a precoder."""
+"""Quadratic exposure model: a positive definite SAR matrix, its budget, and
+the exposure of a precoder."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -16,17 +17,21 @@ __all__ = [
 ]
 
 HERMITIAN_TOL = 1e-12
-MIN_EIG_TOL = -1e-10
+PD_RTOL = 1e-12  # smallest eigenvalue of R, relative to its largest, that counts as positive
 # synthesized matrices keep every eigenvalue at or above this fraction of the largest
 EIG_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
 class SarModel(_JsonDoc):
-    """Hermitian PSD coupling matrix R (W/kg per unit transmit power) plus budget Q0.
+    """Hermitian positive definite coupling matrix R (W/kg per unit transmit
+    power) plus budget Q0.
 
     ``synthetic`` marks matrices that were generated rather than measured, so
-    reports can flag them.
+    reports can flag them. The model is the one place that checks R: it keeps
+    R's smallest eigenvalue ``min_eig`` and its lower Cholesky factor
+    ``factor`` (R = C C^H), each computed once, and refuses a matrix whose
+    smallest eigenvalue is not above ``PD_RTOL`` times its largest.
     """
 
     matrix: np.ndarray
@@ -41,12 +46,15 @@ class SarModel(_JsonDoc):
         if np.abs(R - R.conj().T).max() > HERMITIAN_TOL * scale:
             raise ConfigurationError("SAR matrix is not Hermitian")
         eigs = np.linalg.eigvalsh(R)
-        if eigs.min() < MIN_EIG_TOL:
+        if not eigs[0] > PD_RTOL * eigs[-1]:
             raise ConfigurationError(
-                f"SAR matrix is not PSD (min eigenvalue {eigs.min():.3e})")
+                f"SAR matrix is not positive definite (eigenvalues {eigs[0]:.3e} "
+                f"to {eigs[-1]:.3e})")
         if self.budget <= 0:
             raise ConfigurationError("SAR budget must be positive")
         object.__setattr__(self, "matrix", R)
+        object.__setattr__(self, "min_eig", float(eigs[0]))
+        object.__setattr__(self, "factor", np.linalg.cholesky(R))
 
     @property
     def n_antennas(self) -> int:

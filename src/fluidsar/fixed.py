@@ -4,7 +4,8 @@ With the positions fixed, min sum_k p_k^H R p_k subject to the SINR floors g_k
 is convex, and the virtual-uplink fixed point solves it exactly (Yates 1995;
 Wiesel, Eldar & Shamai 2006):
     lam_k = g_k / h_k^H (R + sum_{j!=k} lam_j h_j h_j^H)^{-1} h_k .
-With R = C C^H and whitened channels w_k = C^{-1} h_k, the quadratic form is
+R is positive definite, so it has the Cholesky factor R = C C^H that the
+``SarModel`` keeps; with whitened channels w_k = C^{-1} h_k, the quadratic form is
 the value of a ridge least-squares problem,
     min_x ||w_k - sum_{j!=k} x_j w_j||^2 + sum_{j!=k} |x_j|^2 / lam_j ,
 whose residual is the optimal whitened beam v_k; the matrices inside the
@@ -19,25 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ConfigurationError
 from .exposure import SarModel
 
 __all__ = ["optimal_precoder"]
 
 MAX_ITER = 400  # fixed-point steps; a fixed point still rising after them is unbounded
 RTOL = 1e-13    # relative change of every lam_k at which the fixed point has settled
-PD_RTOL = 1e-12  # smallest eigenvalue of R, relative to its largest, that counts as positive
-
-
-def _whitener(R: np.ndarray) -> np.ndarray:
-    """Cholesky factor C of R = C C^H; a matrix that is not positive definite
-    raises ``ConfigurationError``."""
-    eigs = np.linalg.eigvalsh(R)
-    if not eigs[0] > PD_RTOL * eigs[-1]:
-        raise ConfigurationError(
-            f"SAR matrix is not positive definite (eigenvalues {eigs[0]:.3e} "
-            f"to {eigs[-1]:.3e})")
-    return np.linalg.cholesky(R)
 
 
 def _ridge_residuals(W: np.ndarray, lam: np.ndarray):
@@ -62,9 +50,8 @@ def optimal_precoder(H: np.ndarray, model: SarModel, thresholds: np.ndarray,
     (K, M) meet ``thresholds``, each with equality; None when no power
     allocation meets them (the fixed point does not settle, or the power
     system has no positive solution). All-zero thresholds give the zero
-    precoder. A SAR matrix that is not positive definite raises
-    ``ConfigurationError``."""
-    C = _whitener(model.matrix)
+    precoder."""
+    C = model.factor
     g = np.asarray(thresholds, dtype=float)
     if not np.any(g > 0):
         return np.zeros((model.n_antennas, g.size), dtype=complex)

@@ -69,7 +69,6 @@ class ExperimentPlan(_JsonDoc):
     beta0: float | None = None
     power_budget: float = 2.0
     aps_cap: int = 20000
-    grid_spacing: float | None = None
     accuracy: float = 1e-4              # bisection accuracy for balance sweeps
     # optional initial upper bracket for the target bisection, quoted at the
     # reference budget 1.6 and scaled with the point's budget; the balance
@@ -180,7 +179,6 @@ def _point_setup(plan: ExperimentPlan, value, seed: int):
         nosar_config = BalanceConfig(accuracy=plan.accuracy,
                                      bracket=(0.0, plan.beta_bracket))
     base_config = BaselineConfig(power_budget=plan.power_budget,
-                                 grid_spacing=plan.grid_spacing,
                                  aps_cap=plan.aps_cap, aps_seed=seed)
     targets = SinrTargets.uniform(plan.k, beta0) if beta0 is not None else None
     return (schemes, realization, _sar_model(plan.m, q0), solver_config, balance_config,

@@ -263,7 +263,9 @@ def solve_precoder(H: np.ndarray, Z: np.ndarray, model: SarModel, mu: float) -> 
     """Minimizer of the penalized objective over the precoder columns.
 
     Solves (R + R^H + 2 mu sum_i h_i h_i^H) p_k = 2 mu sum_i z_{i,k} h_i for
-    every k at once. Adds a tiny ridge only if the system reports singular.
+    every k at once; with R positive definite the system is too. A solve that
+    fails or leaves a residual above 1e-8 of the right-hand side raises
+    ``SolverError``.
     """
     if mu <= 0:
         raise SolverError("precoder step requires a positive penalty factor")
@@ -272,19 +274,10 @@ def solve_precoder(H: np.ndarray, Z: np.ndarray, model: SarModel, mu: float) -> 
     B = 2.0 * mu * (H.T @ Z)
     try:
         P = np.linalg.solve(A, B)
-    except np.linalg.LinAlgError:
-        P = None
-    scale = max(1.0, float(np.linalg.norm(B)))
-    if P is None or np.linalg.norm(A @ P - B) > 1e-8 * scale:
-        ridge = 1e-12
-        try:
-            P = np.linalg.solve(A + ridge * np.eye(A.shape[0]), B)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                "singular precoder system; increase mu or regularize the SAR matrix") from exc
-        if np.linalg.norm(A @ P - B) > 1e-8 * scale:
-            raise SolverError(
-                "precoder stationarity residual too large; increase mu or regularize")
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("singular precoder system") from exc
+    if np.linalg.norm(A @ P - B) > 1e-8 * max(1.0, float(np.linalg.norm(B))):
+        raise SolverError("precoder stationarity residual too large")
     return P
 
 

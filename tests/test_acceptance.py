@@ -6,9 +6,12 @@ of the suite reuses finished sweeps (delete the directory for a cold run).
 
 A cache key hashes the plan together with a digest of the package sources
 (src/fluidsar/*.py), so a record written by older code is never read back:
-after any change to the package the first run is cold. A cold sweep runs its
-trials on min(2, cpu count) worker processes unless FAS_THREADS says
-otherwise; results do not depend on the worker count (criterion 10). Each
+after any change to the package the first run is cold. Each record stores
+that digest, and writing a cold record deletes the records of every other
+digest, so the directory holds only what the current sources can read. A
+cold sweep runs its trials on min(2, cpu count) worker processes unless
+FAS_THREADS says otherwise; results do not depend on the worker count
+(criterion 10). Each
 record stores the core-seconds of the cold sweep that wrote it (wall time
 times the cores it could use), and a cache hit reports that figure, so the
 time bound of criterion 7 holds on warm runs too and is no looser in
@@ -249,13 +252,14 @@ def _run_plan(name="", **kwargs):
                     aps_cap=8, solver=dict(EXPERIMENT_SOLVER))
     defaults.update(kwargs)
     plan = ExperimentPlan(**defaults)
-    key = json.dumps({"plan": plan.to_json_dict(), "source": source_digest()},
-                     sort_keys=True)
+    source = source_digest()
+    key = json.dumps({"plan": plan.to_json_dict(), "source": source}, sort_keys=True)
     digest = hashlib.sha1(key.encode()).hexdigest()[:16]
     cache = CACHE_DIR / f"{digest}.json"
     if cache.exists():
         doc = json.loads(cache.read_text())
         elapsed, workers, cores = doc.pop("elapsed_s"), doc.pop("workers"), doc.pop("cores")
+        doc.pop("source", None)
         print(f"  [{name}] cached ({digest}): swept in {elapsed:.0f}s "
               f"with {workers} worker(s) on {cores} core(s)")
         return RunRecord.from_json_dict(doc), elapsed * cores
@@ -267,8 +271,13 @@ def _run_plan(name="", **kwargs):
     elapsed = time.perf_counter() - t0
     cores = min(workers, os.cpu_count() or 1)
     CACHE_DIR.mkdir(exist_ok=True)
+    for old in CACHE_DIR.glob("*.json"):  # other sources' records: no key reaches them
+        with contextlib.suppress(ValueError):
+            if json.loads(old.read_text()).get("source") == source:
+                continue
+        old.unlink()
     doc = rec.to_json_dict()
-    doc.update(elapsed_s=elapsed, workers=workers, cores=cores)
+    doc.update(elapsed_s=elapsed, workers=workers, cores=cores, source=source)
     cache.write_text(json.dumps(doc, indent=2))
     print(f"  [{name}] swept in {elapsed:.0f}s with {workers} worker(s) "
           f"on {cores} core(s)")
@@ -287,6 +296,22 @@ def test_cache_key_follows_every_source_file(tmp_path):
         assert source_digest(tmp_path) != base, path.name
         path.write_bytes(original)
     assert source_digest(tmp_path) == base
+
+
+def test_cold_record_deletes_records_of_other_sources(tmp_path, monkeypatch):
+    monkeypatch.setitem(globals(), "CACHE_DIR", tmp_path)
+    (tmp_path / "old.json").write_text(json.dumps({"source": "0" * 40}))
+    (tmp_path / "legacy.json").write_text("{}")
+    (tmp_path / "torn.json").write_text('{"rows": [')
+    (tmp_path / "kept.json").write_text(json.dumps({"source": source_digest()}))
+    plan = dict(name="tiny", objective="sar-min", sweep="beta0", values=(BETA_REF,),
+                schemes=("fpa",), beta0=BETA_REF, trials=1, m=2, k=2, paths=3)
+    rec, _ = _run_plan(**plan)
+    written = sorted(p.name for p in tmp_path.glob("*.json"))
+    assert len(written) == 2 and "kept.json" in written
+    written.remove("kept.json")
+    assert json.loads((tmp_path / written[0]).read_text())["source"] == source_digest()
+    assert _run_plan(**plan)[0].rows == rec.rows  # read back from the record
 
 
 @pytest.fixture(scope="session")

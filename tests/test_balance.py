@@ -21,7 +21,7 @@ from fluidsar.channel import (
     sample_channel,
     uniform_line_layout,
 )
-from fluidsar.exposure import SarModel, paper_sar_matrix, synthesize_sar_matrix
+from fluidsar.exposure import SarModel, synthesize_sar_matrix
 from fluidsar.solver import SinrTargets, SolveReport, SolverConfig, solve_sar_min
 
 from conftest import NOISE_W, WAVELENGTH, fast_config
@@ -32,13 +32,6 @@ def desk_channel(seed, k=2, paths=4):
 
 
 DESK_MODEL = synthesize_sar_matrix(2, budget=1.6)
-
-
-def test_upper_bracket_zero_budget(paper_channel):
-    layout = uniform_line_layout(4, Region(1.0, WAVELENGTH))
-    model = paper_sar_matrix()
-    assert default_upper_bracket(paper_channel, model, np.ones(4), layout,
-                                 WAVELENGTH, budget=0.0) == 0.0
 
 
 def test_upper_bracket_scalar_case():
@@ -112,11 +105,32 @@ def test_balance_solution_within_budget_and_attains_target():
 
 def test_zero_budget_returns_zero():
     real = desk_channel(1)
-    model = synthesize_sar_matrix(2, budget=1.6)
-    res = solve_sinr_balance(real, model, BalanceConfig(accuracy=1e10, budget=1e-9),
-                             fast_config())
+    model = synthesize_sar_matrix(2, budget=1e-9)
+    res = solve_sinr_balance(real, model, BalanceConfig(accuracy=1e10), fast_config())
     # vanishing budget: no meaningful SINR attainable
     assert res.beta_star <= 1e-9 * (1.0 / NOISE_W)
+
+
+def test_fixed_layout_balance_never_refactors_the_sar_matrix(monkeypatch):
+    calls = {"eigvalsh": 0, "cholesky": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    model = synthesize_sar_matrix(2, budget=1.6)
+    built = dict(calls)
+    calls.update(eigvalsh=0, cholesky=0)
+    res = solve_sinr_balance(desk_channel(1), model, BalanceConfig(accuracy=1e11),
+                             fast_config(optimize_positions=False))
+    assert res.beta_star > 0 and len(res.ladder) > 1
+    assert calls == {"eigvalsh": 0, "cholesky": 0}
+    assert built == {"eigvalsh": 1, "cholesky": 1}  # the model's own check
 
 
 def test_budget_monotonicity():
@@ -412,7 +426,7 @@ def parent_solve_sinr_balance(realization: ChannelRealization, model: SarModel,
     solver_config = solver_config or SolverConfig()
     K = realization.num_users
     weights = np.ones(K) if config.weights is None else np.asarray(config.weights, dtype=float)
-    budget = model.budget if config.budget is None else config.budget
+    budget = model.budget
     warnings: list[str] = []
 
     layout0 = uniform_line_layout(model.n_antennas, solver_config.region) \
@@ -455,7 +469,7 @@ def parent_solve_sinr_balance(realization: ChannelRealization, model: SarModel,
     else:
         beta_lo = 0.0
         beta_hi = default_upper_bracket(realization, model, weights, layout0,
-                                        solver_config.wavelength, budget)
+                                        solver_config.wavelength)
 
     rep, ok = probe(beta_hi, "bracket")
     expansions = 0

@@ -232,14 +232,12 @@ def test_aps_antennas_sit_on_lattice_points(half_width):
 
 
 def test_aps_starts_from_the_cluster_alone_when_no_row_holds_the_array():
-    # at 0.7 wavelengths the lattice of +-1 wavelength has rows of 3 points
-    cfg = fast_config()
-    spacing = 0.7 * WAVELENGTH
+    # the half-wavelength lattice of +-0.5 wavelength has rows of 3 points
+    cfg = fast_config(region=Region(0.5, WAVELENGTH))
     res = solve_aps(sample_channel(3, 4, 4, 5, NOISE_W), paper_sar_matrix(), "sar-min",
-                    BaselineConfig(grid_spacing=spacing), cfg,
-                    targets=SinrTargets.uniform(4, 1.0 / NOISE_W))
+                    BaselineConfig(), cfg, targets=SinrTargets.uniform(4, 1.0 / NOISE_W))
     assert res.evaluated == 1
-    on = set(map(tuple, aps_grid(cfg.region, spacing).tolist()))
+    on = set(map(tuple, aps_grid(cfg.region, cfg.distance).tolist()))
     assert set(map(tuple, res.layout.tolist())) <= on
 
 

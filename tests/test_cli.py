@@ -88,6 +88,21 @@ def test_cli_sinr_balance_and_sar_file(tmp_path):
     assert len(doc["ladder"]) >= 1
 
 
+def test_cli_refuses_a_singular_sar_file_before_solving(tmp_path, monkeypatch):
+    from fluidsar import cli
+    from fluidsar.channel import ConfigurationError
+    from test_exposure import singular_sar_json
+    sar_file = tmp_path / "sar.json"
+    sar_file.write_text(singular_sar_json())
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran on the singular model")
+    monkeypatch.setattr(cli, "solve_sar_min", no_solve)
+    with pytest.raises(ConfigurationError, match="positive definite"):
+        main(["solve", "sar-min", "--channel", "5", "--m", "2", "--k", "2", "--paths", "3",
+              "--beta0", str(0.5 / NOISE_W), "--sar", f"file:{sar_file}"] + FAST)
+
+
 def test_cli_baselines(tmp_path):
     for scheme, extra in [
         ("no-sar", []),

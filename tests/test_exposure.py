@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from fluidsar.channel import ConfigurationError
+from fluidsar.channel import ConfigurationError, _jsonable
 from fluidsar.exposure import (
     SarModel,
     _banded_pattern,
@@ -134,6 +136,30 @@ def test_model_rejects_indefinite():
     bad = np.array([[1.0, 0.0], [0.0, -0.5]])
     with pytest.raises(ConfigurationError):
         SarModel(matrix=bad, budget=1.6)
+
+
+def singular_sar_json(budget: float = 1.6) -> str:
+    """A SAR model document whose matrix is PSD but singular (eigenvalues 0, 2)."""
+    return json.dumps({"matrix": _jsonable(np.ones((2, 2), dtype=complex)),
+                       "budget": budget, "synthetic": False})
+
+
+def test_model_rejects_singular_psd_matrix():
+    # PSD but singular, or nearly so: no Cholesky factor, no whitened channels
+    for R in (np.ones((2, 2)), np.diag([1.0, 1e-13])):
+        with pytest.raises(ConfigurationError, match="positive definite"):
+            SarModel(matrix=R, budget=1.6)
+    with pytest.raises(ConfigurationError, match="positive definite"):
+        SarModel.from_json(singular_sar_json())
+
+
+def test_model_keeps_factor_and_smallest_eigenvalue():
+    for model in (paper_sar_matrix(), synthesize_sar_matrix(6, jitter=0.05),
+                  identity_sar_model(3, 2.0)):
+        R, C = model.matrix, model.factor
+        assert np.array_equal(C, np.linalg.cholesky(R))
+        assert np.allclose(C @ C.conj().T, R, rtol=0, atol=1e-12)
+        assert model.min_eig == np.linalg.eigvalsh(R)[0] > 0
 
 
 def test_model_rejects_nonpositive_budget():

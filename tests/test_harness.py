@@ -72,7 +72,6 @@ def test_plan_validation():
     # built with the plan, so a bad value fails before any trial runs
     for bad, match in [(dict(sweep="half_width", values=(1.0, 0.0)), "half_width"),
                        (dict(accuracy=0), "accuracy"), (dict(beta_bracket=-1.0), "bracket"),
-                       (dict(grid_spacing=-0.1), "grid spacing"),
                        (dict(power_budget=0), "power budget"),
                        (dict(noise_variance=0), "noise variance"),
                        (dict(sweep="paths", values=(3, 0)), "L=0"),
