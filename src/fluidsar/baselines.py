@@ -169,7 +169,9 @@ def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
     maximizes the worst weighted SINR under the budget.
 
     method "alternating" runs one solve from each of two lattice starts, whose
-    position block moves each antenna to its best lattice point; method
+    position block moves each antenna to its best lattice point; each solve
+    stops, on the exact solve at its layout, once no lattice move can lower
+    its coupling residual (the solver's settled-layout exit); method
     "combinations" enumerates M-subsets of the lattice (seeded uniform
     subsample above ``aps_cap``) and solves each at its fixed layout.
     """

@@ -40,8 +40,8 @@ class SarModel(_JsonDoc):
 
     def __post_init__(self):
         R = np.asarray(self.matrix, dtype=complex)
-        if R.ndim != 2 or R.shape[0] != R.shape[1]:
-            raise ConfigurationError("SAR matrix must be square")
+        if R.ndim != 2 or R.shape[0] != R.shape[1] or R.size == 0:
+            raise ConfigurationError("SAR matrix must be square and non-empty")
         scale = max(1.0, float(np.abs(R).max()))
         if np.abs(R - R.conj().T).max() > HERMITIAN_TOL * scale:
             raise ConfigurationError("SAR matrix is not Hermitian")
@@ -50,8 +50,8 @@ class SarModel(_JsonDoc):
             raise ConfigurationError(
                 f"SAR matrix is not positive definite (eigenvalues {eigs[0]:.3e} "
                 f"to {eigs[-1]:.3e})")
-        if self.budget <= 0:
-            raise ConfigurationError("SAR budget must be positive")
+        if not 0.0 < self.budget < np.inf:  # false for NaN too
+            raise ConfigurationError("SAR budget must be a finite positive number")
         object.__setattr__(self, "matrix", R)
         object.__setattr__(self, "min_eig", float(eigs[0]))
         object.__setattr__(self, "factor", np.linalg.cholesky(R))

@@ -40,8 +40,10 @@ VALID_SCHEMES = ("fas", "aps", "fpa", "no-sar", "backoff")
 POWER_ONLY = ("no-sar", "backoff")
 # the sweep axes that the power-only design reads
 POWER_ONLY_AXES = ("half_width", "paths")
-# task kinds in submission order, longest first: one alternating APS task
-# takes tenths of a second, an FPA task a few milliseconds
+# task kinds in submission order, longest first. Run serially, an alternating
+# APS balance task takes 0.1-0.25 s, a FAS task 60-115 ms, a sar-min APS task
+# 20-45 ms and an FPA task a few milliseconds; putting FAS before APS did not
+# shorten a pooled round of the sar-min sweeps
 TASK_ORDER = ("aps", "fas", "power-only", "fpa")
 # keys of a plan's ``solver`` dict and their type names: the SolverConfig
 # fields, except the region that the plan's half_width and wavelength set

@@ -22,8 +22,13 @@ The coupling residual xi = sum |h_k^H p_j - z_{k,j}|^2 is the outer stopping
 indicator: the loop converges at the first outer iteration with xi below
 eps_outer whose layout admits an exact solve (``fixed.optimal_precoder``),
 and that solve's precoder, with every SINR on its floor, is emitted in place
-of the penalty iterate. A fixed layout (``optimize_positions=False``) runs no
-penalty iteration: the exact solve is the whole answer.
+of the penalty iterate. A lattice path has a second exit: after an outer
+iteration that moved no antenna, once no lattice move can lower the residual
+(``_lattice_settled``: ||P[m, :]|| d(t_m) >= 2 sqrt(xi) for every antenna,
+d(t) the distance from t's conj-channel row to the nearest other row), the
+exact solve at that layout ends the path just as the xi rule does. A fixed
+layout (``optimize_positions=False``) runs no penalty iteration: the exact
+solve is the whole answer.
 
 Cache lifetimes: ``solve_sar_min`` builds one geometry cache (``_GeoCache``:
 direction cosines and conjugated path gains of the channel, and the local
@@ -601,6 +606,18 @@ def _select_positions_on_grid(positions, geo, P, Z, region, min_distance, config
     return E, float(np.vdot(E, E).real), False
 
 
+def _lattice_settled(lat: _Lattice, positions, P, xi: float) -> bool:
+    """Whether no lattice move can lower a coupling residual E of
+    ||E||^2 = xi: moving antenna m changes its conj-channel row by some delta
+    and E by delta P[m, :], so ||E + delta P[m, :]|| >= |delta| ||P[m, :]|| -
+    ||E|| >= ||E|| once ||P[m, :]|| d(t_m) >= 2 sqrt(xi) for every antenna,
+    d(t) the distance from t's row to the nearest row of another point."""
+    at = [lat.index[p] for p in map(tuple, positions.tolist())]
+    d = np.linalg.norm(lat.hbar[None, :, :] - lat.hbar[at][:, None, :], axis=2)
+    d[np.arange(len(at)), at] = np.inf
+    return bool(np.all(np.linalg.norm(P, axis=1) * d.min(axis=1) >= 2.0 * math.sqrt(xi)))
+
+
 def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar,
                      counts: dict | None = None):
     """Sequential per-antenna SCA descents; mutates positions/Hbar, returns
@@ -904,6 +921,7 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
     if config.optimize_positions and status != "degenerate":
         geo = _geo(realization, config.wavelength)
         for outer in range(config.max_outer):
+            start = positions
             try:
                 P, Z, positions, Hbar, sweeps = inner_loop(
                     realization, positions, P, Z, model, targets, mu, config,
@@ -919,8 +937,13 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
             obj = sar_value(P, model) + mu * xi
             outer_trace.append((outer, mu, xi, obj, sweeps))
 
-            # the paper's stopping rule, at a layout the exact solve serves
-            if xi < config.eps_outer:
+            # the paper's stopping rule, or a lattice layout that stood still
+            # and that no lattice move can improve, at a layout the exact
+            # solve serves
+            if xi < config.eps_outer or (
+                    config.position_grid is not None and np.array_equal(start, positions)
+                    and _lattice_settled(geo.lattice(config.position_grid, region.half_width_m,
+                                                     dmin), positions, P, xi)):
                 H = channel_matrix(positions, realization, config.wavelength)
                 exact = optimal_precoder(H, model, targets.thresholds, noise)
                 if exact is not None:

@@ -252,3 +252,52 @@ def test_aps_rejects_bad_objective():
     real = small_channel(1)
     with pytest.raises(ConfigurationError):
         solve_aps(real, SMALL_MODEL, "capacity", BaselineConfig(), fast_config())
+
+
+def test_aps_settled_lattice_exit_keeps_every_result(monkeypatch):
+    # a lattice path stops once its layout stood still and no lattice move can
+    # improve it, and the exact solve takes over; without that exit it runs on
+    # to the paper's xi rule. On the acceptance channels both give the same
+    # bits, every balance probe the same verdict, and the exit saves outer
+    # iterations
+    from fluidsar import baselines, solver
+    from fluidsar.harness import derive_seed
+    from test_acceptance import BETA_REF, EXPERIMENT_SOLVER
+    outer, ladders = [], []
+    inner_loop, balance = solver.inner_loop, baselines.solve_sinr_balance
+
+    def counting_inner_loop(*args, **kwargs):
+        outer.append(1)
+        return inner_loop(*args, **kwargs)
+
+    def recording_balance(*args, **kwargs):
+        res = balance(*args, **kwargs)
+        ladders.append(res.ladder)
+        return res
+    monkeypatch.setattr(solver, "inner_loop", counting_inner_loop)
+    monkeypatch.setattr(baselines, "solve_sinr_balance", recording_balance)
+    model, targets = paper_sar_matrix(), SinrTargets.uniform(4, BETA_REF)
+    bal = BalanceConfig(accuracy=1e13, bracket=(0.0, 1e15))
+
+    def run():
+        outer.clear()
+        ladders.clear()
+        results = []
+        for trial in range(6):
+            real = sample_channel(derive_seed(909, trial), 4, 4, 15, NOISE_W)
+            for half_width in (1.0, 3.0):
+                cfg = SolverConfig(region=Region(half_width, WAVELENGTH), **EXPERIMENT_SOLVER)
+                for objective in ("sar-min", "balance"):
+                    results.append(solve_aps(real, model, objective, BaselineConfig(), cfg,
+                                             bal, targets))
+        return results, len(outer), list(ladders)
+
+    on, outer_on, ladders_on = run()
+    monkeypatch.setattr(solver, "_lattice_settled", lambda *args: False)
+    off, outer_off, ladders_off = run()
+    for a, b in zip(on, off):
+        assert (a.value, a.beta, a.sar) == (b.value, b.beta, b.sar)
+        assert a.layout.tobytes() == b.layout.tobytes()
+        assert a.precoder.tobytes() == b.precoder.tobytes()
+    assert len(on) == 24 and ladders_on == ladders_off and len(ladders_on) == 24
+    assert outer_on < 0.6 * outer_off  # 2,659 against 6,313 when written

@@ -103,6 +103,21 @@ def test_cli_refuses_a_singular_sar_file_before_solving(tmp_path, monkeypatch):
               "--beta0", str(0.5 / NOISE_W), "--sar", f"file:{sar_file}"] + FAST)
 
 
+@pytest.mark.parametrize("problem", ["sar-min", "sinr-balance"])
+def test_cli_refuses_a_nan_budget_before_solving(monkeypatch, problem):
+    from fluidsar import cli
+    from fluidsar.channel import ConfigurationError
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran with a NaN budget")
+    monkeypatch.setattr(cli, "solve_sar_min", no_solve)
+    monkeypatch.setattr(cli, "solve_sinr_balance", no_solve)
+    extra = ["--beta0", str(0.5 / NOISE_W)] if problem == "sar-min" else []
+    with pytest.raises(ConfigurationError, match="finite positive"):
+        main(["solve", problem, "--channel", "5", "--paths", "3", "--q0", "nan"]
+             + extra + FAST)
+
+
 def test_cli_baselines(tmp_path):
     for scheme, extra in [
         ("no-sar", []),

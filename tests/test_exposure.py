@@ -167,6 +167,22 @@ def test_model_rejects_nonpositive_budget():
         SarModel(matrix=np.eye(2), budget=0.0)
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf")])
+def test_model_rejects_a_budget_that_is_not_finite(budget):
+    with pytest.raises(ConfigurationError, match="finite positive"):
+        SarModel(matrix=np.eye(2), budget=budget)
+    doc = json.loads(paper_sar_matrix().to_json())
+    doc["budget"] = budget
+    with pytest.raises(ConfigurationError, match="finite positive"):
+        SarModel.from_json(json.dumps(doc))
+
+
+def test_model_rejects_an_empty_matrix():
+    for R in (np.zeros((0, 0)), np.zeros((0,))):
+        with pytest.raises(ConfigurationError, match="non-empty"):
+            SarModel(matrix=R, budget=1.0)
+
+
 def test_identity_model_measures_power(rng):
     model = identity_sar_model(4, budget=2.0)
     P = random_complex(rng, (4, 3))

@@ -642,3 +642,78 @@ def test_lattice_masks_match_direct_evaluation(half_width, box, spacing):
         for j in range(n):
             assert lat.spaced[i, j] == (((grid[i] - grid[j]) ** 2).sum() >= d ** 2)
     assert lat.in_region.all() == (box >= half_width)
+
+
+def nearest_row_distance(lat, i):
+    """Distance from lattice point i's conj-channel row to the nearest row of
+    any other point, by a plain loop over the points."""
+    return min(np.linalg.norm(lat.hbar[j] - lat.hbar[i]) for j in range(len(lat.grid)) if j != i)
+
+
+@pytest.mark.parametrize("half_width", [1.0, 3.0])
+def test_lattice_search_leaves_a_settled_layout_unchanged(half_width):
+    # when ||P[m, :]|| d(t_m) >= 2 ||E|| for every antenna, no lattice move
+    # lowers the residual: the search must keep every antenna where it is.
+    # The states use random and adversarial residuals: -s delta P[m, :], with
+    # delta the step to the nearest row of the tightest antenna, ties the bound
+    real = sample_channel(8, 4, 4, 15, NOISE_W)
+    region = Region(half_width, WAVELENGTH)
+    grid = aps_grid(region, WAVELENGTH / 2)
+    cfg = fast_config(region=region, position_grid=tuple(map(tuple, grid)))
+    geo = _GeoCache(real, WAVELENGTH)
+    lat = geo.lattice(cfg.position_grid, region.half_width_m, cfg.distance)
+    rng = np.random.default_rng(17)
+    moved_beyond_bound = 0
+    for i in range(60):
+        at = []
+        for j in rng.permutation(len(grid)).tolist():
+            if all(lat.spaced[j, k] for k in at):
+                at.append(j)
+            if len(at) == 4:
+                break
+        positions = lat.grid[at].copy()
+        Hbar = lat.hbar[at].T.copy()
+        P = random_complex(rng, (4, 4), scale=rng.uniform(0.1, 10.0))
+        d = np.array([nearest_row_distance(lat, j) for j in at])
+        reach = np.linalg.norm(P, axis=1) * d
+        bound = reach.min() / 2.0
+        if i % 2:
+            E = random_complex(rng, (4, 4))
+        else:
+            m = int(reach.argmin())
+            j = min((k for k in range(len(grid)) if k != at[m]),
+                    key=lambda k: np.linalg.norm(lat.hbar[k] - lat.hbar[at[m]]))
+            E = -np.outer(lat.hbar[j] - lat.hbar[at[m]], P[m])
+        for scale in (rng.uniform(0.0, 0.999), 0.999, 3.0):
+            E_s = E * (scale * bound / np.linalg.norm(E))
+            Z = Hbar @ P - E_s
+            xi = float(np.vdot(E_s, E_s).real)
+            settled = solver._lattice_settled(lat, positions, P, xi)
+            assert settled == (scale < 1.0), (i, scale)
+            pos, H = positions.copy(), Hbar.copy()
+            solver._select_positions_on_grid(pos, geo, P, Z, region, cfg.distance, cfg, H)
+            if settled:
+                assert np.array_equal(pos, positions) and np.array_equal(H, Hbar), (i, scale)
+            else:
+                moved_beyond_bound += not np.array_equal(pos, positions)
+    # beyond the bound the same states do move: the check is not vacuous
+    assert moved_beyond_bound >= 10
+
+
+def test_settled_lattice_solve_stops_on_the_exact_solve():
+    # the settled exit stops a lattice path long before the paper's xi rule
+    # would, as converged, and emits the exact optimum at its layout
+    from fluidsar.fixed import optimal_precoder
+    real = sample_channel(0, 4, 4, 15, NOISE_W)
+    region = Region(1.0, WAVELENGTH)
+    grid = aps_grid(region, WAVELENGTH / 2)
+    cfg = fast_config(region=region, position_grid=tuple(map(tuple, grid)))
+    model, targets = paper_sar_matrix(), SinrTargets.uniform(4, 1.0 / NOISE_W)
+    rep = solve_sar_min(real, targets, model, cfg,
+                        initial_layout=central_grid_layout(grid, 4, cfg.distance))
+    assert rep.converged and rep.status == "converged" and rep.feasible
+    assert rep.xi >= cfg.eps_outer and rep.xi == rep.outer_trace[-1][2]
+    exact = optimal_precoder(channel_matrix(rep.layout, real, WAVELENGTH), model,
+                             targets.thresholds, NOISE_W)
+    assert np.array_equal(rep.precoder, exact)
+    assert rep.sar == sar_value(exact, model)
