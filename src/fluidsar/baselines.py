@@ -14,8 +14,8 @@ from .channel import (
     ChannelRealization,
     ConfigurationError,
     _JsonDoc,
+    aps_grid,
     channel_matrix,
-    min_pairwise_distance,
     min_weighted_sinr,
     uniform_line_layout,
 )
@@ -100,28 +100,15 @@ def adaptive_backoff(realization: ChannelRealization, model: SarModel,
                          sar=sar_value(P, model), alpha=alpha, unconstrained=unconstrained)
 
 
-def aps_grid(region, spacing: float) -> np.ndarray:
-    """Candidate positions: a centered square lattice inside the region."""
-    a = region.half_width_m
-    n_side = int(math.floor(2.0 * a / spacing + 1e-9)) + 1
-    offset = (2.0 * a - (n_side - 1) * spacing) / 2.0
-    coords = -a + offset + spacing * np.arange(n_side)
-    xx, yy = np.meshgrid(coords, coords, indexing="ij")
-    return np.column_stack([xx.ravel(), yy.ravel()])
-
-
-def central_grid_layout(grid: np.ndarray, m: int, min_distance: float) -> np.ndarray:
+def central_grid_layout(grid: np.ndarray, m: int, spacing: float) -> np.ndarray:
     """Deterministic starting placement for lattice search: the m innermost
-    grid points that keep pairwise spacing, in (radius, x, y) order."""
-    order = np.lexsort((grid[:, 1], grid[:, 0], (grid ** 2).sum(axis=1)))
-    chosen: list[np.ndarray] = []
-    for idx in order:
-        p = grid[idx]
-        if all(np.linalg.norm(p - q) >= min_distance - 1e-12 for q in chosen):
-            chosen.append(p)
-            if len(chosen) == m:
-                return np.array(chosen)
-    raise ConfigurationError("lattice cannot host this many antennas")
+    points of ``grid``, a centered lattice of step ``spacing``, in (radius,
+    x, y) order. The squared radius is counted in half steps, an integer, so
+    that ties are exact."""
+    if len(grid) < m:
+        raise ConfigurationError("lattice cannot host this many antennas")
+    half_steps = np.rint(2.0 * grid / spacing)
+    return grid[np.lexsort((grid[:, 1], grid[:, 0], (half_steps ** 2).sum(axis=1)))[:m]]
 
 
 def _sample_combinations(n_points: int, m: int, cap: int, seed: int):
@@ -184,14 +171,13 @@ def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
     solver_config = solver_config or SolverConfig()
     fixed = replace(solver_config, optimize_positions=False)
     M = model.n_antennas
-    grid = aps_grid(solver_config.region, fixed.distance)
+    grid = aps_grid(solver_config.region)
     n_points = grid.shape[0]
     if n_points < M:
         raise ConfigurationError("grid too coarse: fewer candidate points than antennas")
 
     if method == "alternating":
-        cfg = replace(solver_config, optimize_positions=True,
-                      position_grid=tuple(map(tuple, grid)))
+        cfg = replace(solver_config, optimize_positions=True, lattice=True)
         # lattice starts: the line array moved onto the lattice row nearest the
         # x-axis, where that row can hold it, and the innermost cluster; the
         # per-antenna lattice descent refines each, keep the best
@@ -202,7 +188,8 @@ def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
         # cold probes: the discrete reconfiguration happens in the low-penalty
         # phase, which warm-started probes skip
         bal = replace(balance_config or BalanceConfig(), warm_start=False)
-        total, subsampled = len(layouts), False
+        total = evaluated = len(layouts)
+        subsampled = False
     else:
         total = math.comb(n_points, M)
         subsampled = total > config.aps_cap
@@ -211,14 +198,12 @@ def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
         else:
             combos = list(itertools.combinations(range(n_points), M))
         cfg, bal = fixed, balance_config
+        evaluated = len(combos)
         layouts = (grid[list(combo)] for combo in combos)
 
+    # distinct lattice points are at least lambda/2 apart: every layout is spaced
     best = best_key = None
-    evaluated = 0
     for layout in layouts:
-        if min_pairwise_distance(layout) < fixed.distance - 1e-12:
-            continue
-        evaluated += 1
         if objective == "sar-min":
             rep = solve_sar_min(realization, targets, model, cfg, initial_layout=layout)
             if not (rep.converged and rep.feasible):

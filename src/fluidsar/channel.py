@@ -8,6 +8,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "min_weighted_sinr",
     "sample_channel",
     "uniform_line_layout",
+    "aps_grid",
     "min_pairwise_distance",
     "layout_is_feasible",
 ]
@@ -298,16 +300,28 @@ def sample_channel(rng_seed: int, M: int, K: int, L: int,
     return ChannelRealization(paths=tuple(paths), noise_variance=noise_variance, seed=rng_seed)
 
 
-def uniform_line_layout(M: int, region: Region, spacing: float | None = None) -> np.ndarray:
+def uniform_line_layout(M: int, region: Region) -> np.ndarray:
     """Wavelength/2-spaced line of M antennas centered on the x-axis of S."""
-    if spacing is None:
-        spacing = region.wavelength / 2.0
+    spacing = region.wavelength / 2.0
     span = (M - 1) * spacing
     if span > 2.0 * region.half_width_m:
         raise ConfigurationError(
             f"line of {M} antennas at spacing {spacing:g} m does not fit in the region")
     x = (np.arange(M) - (M - 1) / 2.0) * spacing
     return np.column_stack([x, np.zeros(M)])
+
+
+def aps_grid(region: Region) -> np.ndarray:
+    """The region's half-wavelength lattice: the largest centered square of
+    points spaced lambda/2 that fits in S, in (x, y) order. Its coordinates
+    are exact multiples s k of the step (k integer or half-integer), so the
+    lattice is symmetric under x -> -x and y -> -y, and any two distinct
+    points are at least lambda/2 apart."""
+    s = region.wavelength / 2.0
+    n = int(math.floor(4.0 * region.half_width + 1e-9)) + 1
+    coords = s * (np.arange(n) - (n - 1) / 2.0)
+    xx, yy = np.meshgrid(coords, coords, indexing="ij")
+    return np.column_stack([xx.ravel(), yy.ravel()])
 
 
 def min_pairwise_distance(positions: np.ndarray) -> float:

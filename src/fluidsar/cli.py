@@ -41,7 +41,7 @@ def _load_sar(args, m: int) -> SarModel:
             model = SarModel(model.matrix, budget, model.synthetic)
         return model
     if spec.startswith("synth:"):
-        return synthesize_sar_matrix(int(spec[len("synth:"):]), rng_seed=0, budget=budget)
+        return synthesize_sar_matrix(int(spec[len("synth:"):]), budget=budget)
     raise SystemExit(f"unknown --sar spec {spec!r}")
 
 

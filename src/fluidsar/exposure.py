@@ -94,39 +94,32 @@ def paper_sar_matrix(budget: float = 1.6) -> SarModel:
     return SarModel(matrix=_PAPER_R4.copy(), budget=budget, synthetic=False)
 
 
-def _banded_pattern(M: int, diag: float, band1: float, band2: float) -> np.ndarray:
+def _banded_pattern(M: int) -> np.ndarray:
+    """The measured pattern at M antennas: 1.6 on the diagonal, -1.2j above it
+    and 1.2j below, and -0.42 on the second off-diagonals."""
     R = np.zeros((M, M), dtype=complex)
-    np.fill_diagonal(R, diag)
+    np.fill_diagonal(R, 1.6)
     for i in range(M - 1):
-        R[i, i + 1] = -1j * band1
-        R[i + 1, i] = 1j * band1
+        R[i, i + 1] = -1j * 1.2
+        R[i + 1, i] = 1j * 1.2
     for i in range(M - 2):
-        R[i, i + 2] = band2
-        R[i + 2, i] = band2
+        R[i, i + 2] = -0.42
+        R[i + 2, i] = -0.42
     return R
 
 
-def synthesize_sar_matrix(M: int, rng_seed: int = 0, diag: float = 1.6,
-                          band1: float = 1.2, band2: float = -0.42,
-                          jitter: float = 0.0, budget: float = 1.6) -> SarModel:
+def synthesize_sar_matrix(M: int, budget: float = 1.6) -> SarModel:
     """Banded Hermitian matrix for antenna counts the measurement does not cover.
 
     Extends the measured pattern (positive diagonal, imaginary first
     off-diagonal, small negative real second off-diagonal) to M antennas,
-    optionally jitters the band magnitudes (seeded, multiplicative, +/-jitter),
     then floors the eigenvalues at ``EIG_FLOOR`` times the largest: a physical
     SAR matrix is positive for any nonzero excitation. The pattern is
     indefinite from M = 5 on; up to M = 4 (ratio 4e-3) the floor changes nothing.
     """
     if M < 1:
         raise ConfigurationError("M must be >= 1")
-    R = _banded_pattern(M, diag, band1, band2)
-    if jitter > 0.0:
-        rng = np.random.default_rng(rng_seed)
-        scale = 1.0 + jitter * rng.uniform(-1.0, 1.0, size=(M, M))
-        scale = (scale + scale.T) / 2.0  # keep the jittered matrix Hermitian
-        R = R * scale
-    eigs, vecs = np.linalg.eigh(R)
+    eigs, vecs = np.linalg.eigh(_banded_pattern(M))
     clipped = np.clip(eigs, EIG_FLOOR * eigs[-1], None)
     R_psd = (vecs * clipped) @ vecs.conj().T
     R_psd = (R_psd + R_psd.conj().T) / 2.0

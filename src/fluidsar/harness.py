@@ -46,11 +46,12 @@ POWER_ONLY_AXES = ("half_width", "paths")
 # shorten a pooled round of the sar-min sweeps
 TASK_ORDER = ("aps", "fas", "power-only", "fpa")
 # keys of a plan's ``solver`` dict and their type names: the SolverConfig
-# fields, except the region that the plan's half_width and wavelength set
-SOLVER_KEYS = {f.name: f.type for f in fields(SolverConfig) if f.name != "region"}
+# fields, except the region that the plan's half_width and wavelength set and
+# the lattice that only APS sets
+SOLVER_KEYS = {f.name: f.type for f in fields(SolverConfig)
+               if f.name not in ("region", "lattice")}
 # the value types of each type name: a float setting takes an int, not a bool
-SOLVER_TYPES = {"int": [int], "float": [int, float], "bool": [bool],
-                "tuple": [tuple, list], "None": [type(None)]}
+SOLVER_TYPES = {"int": [int], "float": [int, float], "bool": [bool]}
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,9 @@ class ExperimentPlan(_JsonDoc):
         if unknown:
             raise ConfigurationError(f"unknown solver settings {unknown}")
         for key, value in self.solver.items():
-            types = SOLVER_KEYS[key]
-            if type(value) not in sum((SOLVER_TYPES[name] for name in types.split(" | ")), []):
-                raise ConfigurationError(f"solver setting {key!r} must be {types}, got {value!r}")
+            kind = SOLVER_KEYS[key]
+            if type(value) not in SOLVER_TYPES[kind]:
+                raise ConfigurationError(f"solver setting {key!r} must be {kind}, got {value!r}")
         object.__setattr__(self, "values", tuple(self.values))
         object.__setattr__(self, "schemes", tuple(self.schemes))
         for value in self.values:  # a bad point fails before any trial runs
@@ -145,7 +146,7 @@ def worker_count() -> int:
 def _sar_model(m: int, q0: float) -> SarModel:
     if m == 4:
         return paper_sar_matrix(budget=q0)
-    return synthesize_sar_matrix(m, rng_seed=0, budget=q0)
+    return synthesize_sar_matrix(m, budget=q0)
 
 
 def _point_schemes(plan: ExperimentPlan, value) -> list:

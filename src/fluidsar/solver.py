@@ -15,8 +15,9 @@ layer alternates three block updates on the penalized objective
      antenna last accepted in this solve (never below tau_m / 256) and
      doubles until the quadratic surrogate lies above the objective at the
      step, up to the global bound tau_m, where majorization guarantees it.
-     With ``position_grid`` set, each antenna instead moves to its best
-     allowed point of that lattice, which the antennas start on and never leave.
+     With ``lattice`` set, each antenna instead moves to its best free point
+     of the region's lambda/2 lattice, which the antennas start on and never
+     leave.
 
 The coupling residual xi = sum |h_k^H p_j - z_{k,j}|^2 is the outer stopping
 indicator: the loop converges at the first outer iteration with xi below
@@ -33,10 +34,9 @@ solve is the whole answer.
 Cache lifetimes: ``solve_sar_min`` builds one geometry cache (``_GeoCache``:
 direction cosines and conjugated path gains of the channel, and the local
 curvature each antenna last accepted) and hands it to every inner loop of the
-solve. With a position lattice, the cache builds the lattice's tables
-(``_Lattice``: candidate channel rows, in-region and pair spacing masks, point
-index) on the first lattice search and keeps them for the rest of the solve.
-Nothing outlives the solve. The single-step public helpers
+solve; a lattice solve builds the lattice's table with it (``_Lattice``: the
+points, their channel rows and an index of points). Nothing outlives the
+solve. The single-step public helpers
 (``position_gradient``, ``update_position``, ...) build a cache per call.
 """
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .channel import (
     Region,
     _JsonDoc,
     _signal_interference,
+    aps_grid,
     channel_matrix,
     layout_is_feasible,
     min_pairwise_distance,
@@ -153,9 +154,10 @@ class SolverConfig:
     max_inner: int = 200
     max_sca_iter: int = 30
     optimize_positions: bool = True
-    # when set, the position block picks each antenna's best point from this
-    # (n, 2) lattice instead of taking continuous majorize-minimize steps
-    position_grid: tuple | None = None
+    # when set, a moving solve starts on the region's lambda/2 lattice
+    # (``aps_grid``), and its position block picks each antenna's best free
+    # point of it instead of taking continuous majorize-minimize steps
+    lattice: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.a < 1.0):
@@ -189,7 +191,7 @@ class SolverConfig:
             "max_inner": self.max_inner,
             "max_sca_iter": self.max_sca_iter,
             "optimize_positions": self.optimize_positions,
-            "discrete_positions": self.position_grid is not None,
+            "discrete_positions": self.lattice,
         }
 
 
@@ -198,14 +200,16 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 class _GeoCache:
-    def __init__(self, realization: ChannelRealization, wavelength: float):
+    def __init__(self, realization: ChannelRealization, wavelength: float,
+                 lattice: Region | None = None):
         self.kappa = 2.0 * np.pi / wavelength
         self.ax, self.ay, gains = realization._stacked  # (K, L) each
         self.fbar = gains.conj()
         self.abs_gain_sum = np.abs(self.fbar).sum(axis=1)  # (K,)
-        self._lattice = None
         # antenna -> the local curvature its last accepted SCA step used
         self.tau_accepted: dict[int, float] = {}
+        # the lattice search's table of that region's lattice, if one is given
+        self.lattice = None if lattice is None else _Lattice(self, lattice)
 
     def phase_terms(self, t) -> np.ndarray:
         """Per-path terms of conj(h_k) for one antenna at t, shape (K, L)."""
@@ -217,47 +221,25 @@ class _GeoCache:
                                           + points[:, 1, None, None] * self.ay[None, :, :]))
         return (self.fbar[None, :, :] * phase).sum(axis=2)
 
-    def lattice(self, position_grid, half_width_m: float, min_distance: float) -> "_Lattice":
-        """The candidate lattice of ``position_grid`` in a box of half-width
-        ``half_width_m`` with spacing ``min_distance``, built once per cache."""
-        lat = self._lattice
-        if lat is None or lat.key[0] is not position_grid \
-                or lat.key[1:] != (half_width_m, min_distance):
-            lat = self._lattice = _Lattice(self, position_grid, half_width_m, min_distance)
-        return lat
-
 
 class _Lattice:
-    """What the lattice search needs about its n candidate points, sorted in
-    (x, y) order so that the first best candidate is the lowest (x, y).
+    """What the lattice search needs about a region's lambda/2 lattice: its n
+    points ``grid`` in (x, y) order, so that the first best candidate is the
+    lowest (x, y); their conj-channel rows ``hbar`` (n, K), each computed
+    independently of the others; and ``index``, which maps an (x, y) point
+    of ``grid`` to its row. Any two distinct points keep the spacing."""
 
-    ``hbar`` holds the conj-channel rows (n, K), each computed independently
-    of the others. ``spaced[i, j]`` says whether points i and j keep the
-    minimum spacing; ``index`` maps an (x, y) point of ``grid`` to its row.
-    """
-
-    def __init__(self, geo: _GeoCache, position_grid, half_width_m: float,
-                 min_distance: float):
-        self.key = (position_grid, half_width_m, min_distance)
-        grid = np.asarray(position_grid, dtype=float)
-        grid = self.grid = grid[np.lexsort((grid[:, 1], grid[:, 0]))]
-        self.hbar = geo.conj_rows(grid)
-        self.in_region = np.all(np.abs(grid) <= half_width_m, axis=1)
-        # dx*dx + dy*dy: the two squares and the two-term sum of
-        # ((g_i - g_j) ** 2).sum(), without an (n, n, 2) temporary
-        dx = grid[:, 0, None] - grid[None, :, 0]
-        dy = grid[:, 1, None] - grid[None, :, 1]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        self.spaced = dx >= min_distance ** 2
-        self.index = {p: i for i, p in enumerate(map(tuple, grid.tolist()))}
+    def __init__(self, geo: _GeoCache, region: Region):
+        self.grid = aps_grid(region)
+        self.hbar = geo.conj_rows(self.grid)
+        self.index = {p: i for i, p in enumerate(map(tuple, self.grid.tolist()))}
 
 
-def _geo(realization: ChannelRealization, wavelength: float) -> _GeoCache:
+def _geo(realization: ChannelRealization, wavelength: float,
+         lattice: Region | None = None) -> _GeoCache:
     if realization._stacked is None:
         raise ConfigurationError("per-user path counts must match")
-    return _GeoCache(realization, wavelength)
+    return _GeoCache(realization, wavelength, lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -571,35 +553,31 @@ def update_position(m: int, positions: np.ndarray, realization: ChannelRealizati
     return np.array(t_new), status
 
 
-def _select_positions_on_grid(positions, geo, P, Z, region, min_distance, config, Hbar):
+def _select_positions_on_grid(positions, lat: _Lattice, P, Z, Hbar):
     """Per-antenna exhaustive search over the lattice: each antenna moves to
     the candidate that minimizes the coupling residual exactly, if that is
-    below the residual where it stands. The candidates are the allowed lattice
-    points and its own, in (x, y) order, so ties go to the lower x, then the
-    lower y. Every antenna must sit on a lattice point. Mutates positions/Hbar.
+    below the residual where it stands. The candidates are the points no
+    other antenna holds, its own included, in (x, y) order, so ties go to the
+    lower x, then the lower y. Every antenna must sit on a lattice point.
+    Mutates positions/Hbar.
     """
-    lat = geo.lattice(config.position_grid, region.half_width_m, min_distance)
     at = [lat.index[p] for p in map(tuple, positions.tolist())]
     M = positions.shape[0]
     E = Hbar @ P - Z
     obj = float(np.vdot(E, E).real)
     pnorm2 = (np.abs(P) ** 2).sum(axis=1)  # ||P[m, :]||^2 per antenna
     for m in range(M):
-        ok = lat.in_region.copy()
-        for j in at[:m] + at[m + 1:]:
-            ok &= lat.spaced[j]
-        ok[at[m]] = True
-        rows = np.flatnonzero(ok)
-        # conj-channel values of the candidates, (n_c, K)
-        delta = lat.hbar[rows] - Hbar[:, m][None, :]
+        # conj-channel steps to every point, (n, K)
+        delta = lat.hbar - Hbar[:, m][None, :]
         s = E.conj() @ P[m, :]
         obj_c = obj + 2.0 * np.real(delta @ s) + (np.abs(delta) ** 2).sum(axis=1) * pnorm2[m]
+        obj_c[at[:m] + at[m + 1:]] = np.inf
         best = int(obj_c.argmin())
         if obj_c[best] >= obj:
             continue
-        at[m] = int(rows[best])
-        positions[m] = lat.grid[at[m]]
-        Hbar[:, m] = lat.hbar[at[m]]
+        at[m] = best
+        positions[m] = lat.grid[best]
+        Hbar[:, m] = lat.hbar[best]
         E = E + delta[best][:, None] * P[m, :][None, :]
         obj = float(np.vdot(E, E).real)
     E = Hbar @ P - Z
@@ -624,9 +602,8 @@ def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar,
     (E, obj, stuck). ``counts``, when given, gains one per free, QP and stuck
     step under those status names, and one per curvature doubling under
     "backtrack"."""
-    if config.position_grid is not None:
-        return _select_positions_on_grid(positions, geo, P, Z, region, min_distance,
-                                         config, Hbar)
+    if config.lattice:
+        return _select_positions_on_grid(positions, geo.lattice, P, Z, Hbar)
     M = positions.shape[0]
     taus = _majorizers(geo, P, Z, region.wavelength).tolist()
     accepted = geo.tau_accepted
@@ -728,7 +705,7 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
     ``geo`` is the solve's geometry cache; without one, the loop builds its own.
     """
     if geo is None:
-        geo = _geo(realization, config.wavelength)
+        geo = _geo(realization, config.wavelength, config.region if config.lattice else None)
     noise = realization.noise_variance
     positions = np.array(positions, dtype=float)
     Hbar = channel_matrix(positions, realization, config.wavelength).conj()
@@ -889,9 +866,11 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
             raise ConfigurationError("initial layout must have shape (M, 2)")
     if not layout_is_feasible(positions, region, dmin):
         raise ConfigurationError("initial antenna layout violates region or spacing")
-    if config.position_grid is not None and not set(map(tuple, positions.tolist())) \
-            <= set(map(tuple, np.asarray(config.position_grid, dtype=float).tolist())):
-        raise ConfigurationError("initial antenna layout is off the position lattice")
+    if config.optimize_positions:
+        geo = _geo(realization, config.wavelength, region if config.lattice else None)
+        if config.lattice and not all(p in geo.lattice.index
+                                      for p in map(tuple, positions.tolist())):
+            raise ConfigurationError("initial antenna layout is off the position lattice")
 
     H = channel_matrix(positions, realization, config.wavelength)
     P = np.array(initial_precoder, dtype=complex) if initial_precoder is not None \
@@ -919,7 +898,6 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
                 status = "degenerate"
 
     if config.optimize_positions and status != "degenerate":
-        geo = _geo(realization, config.wavelength)
         for outer in range(config.max_outer):
             start = positions
             try:
@@ -941,9 +919,8 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
             # and that no lattice move can improve, at a layout the exact
             # solve serves
             if xi < config.eps_outer or (
-                    config.position_grid is not None and np.array_equal(start, positions)
-                    and _lattice_settled(geo.lattice(config.position_grid, region.half_width_m,
-                                                     dmin), positions, P, xi)):
+                    config.lattice and np.array_equal(start, positions)
+                    and _lattice_settled(geo.lattice, positions, P, xi)):
                 H = channel_matrix(positions, realization, config.wavelength)
                 exact = optimal_precoder(H, model, targets.thresholds, noise)
                 if exact is not None:

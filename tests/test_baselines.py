@@ -8,6 +8,7 @@ from fluidsar.baselines import (
     BaselineConfig,
     adaptive_backoff,
     aps_grid,
+    central_grid_layout,
     solve_aps,
     solve_fpa,
     solve_without_sar,
@@ -140,17 +141,36 @@ def test_fas_from_ula_never_worse_than_fpa(paper_channel):
 # ------------------------------------------------------------- APS
 
 def test_aps_grid_counts(region):
-    grid = aps_grid(region, WAVELENGTH / 2)
+    grid = aps_grid(region)
     assert grid.shape == (25, 2)  # 5 x 5 at half-wavelength spacing over [-l, l]
     assert math.comb(25, 4) == 12650
     assert min_pairwise_distance(grid[:2]) >= WAVELENGTH / 2 - 1e-12
+
+
+@pytest.mark.parametrize("half_width", [1.0, 2.5, 3.0])
+def test_aps_grid_is_symmetric(half_width):
+    # the coordinates are exact multiples of lambda/2, so the lattice maps
+    # onto itself, bit for bit, under x -> -x and under y -> -y
+    grid = aps_grid(Region(half_width, WAVELENGTH))
+    points = set(map(tuple, grid.tolist()))
+    for flip in ([-1.0, 1.0], [1.0, -1.0]):
+        assert set(map(tuple, (grid * flip).tolist())) == points
+
+
+@pytest.mark.parametrize("half_width", [1.0, 2.5])
+def test_central_grid_layout_is_the_innermost_cluster(half_width):
+    # the centre, then its four neighbours in (x, y) order: the radius ties
+    # are exact, so no rounding picks among them
+    s = WAVELENGTH / 2
+    layout = central_grid_layout(aps_grid(Region(half_width, WAVELENGTH)), 4, s)
+    assert np.array_equal(layout, [[0.0, 0.0], [-s, 0.0], [0.0, -s], [0.0, s]])
 
 
 def test_aps_grid_single_layout_equals_fixed_solve():
     # a grid with exactly M points leaves one candidate: the fixed-layout solve
     real = small_channel(6)
     cfg = fast_config(region=Region(half_width=0.25, wavelength=WAVELENGTH))
-    grid = aps_grid(cfg.region, WAVELENGTH / 2)
+    grid = aps_grid(cfg.region)
     assert grid.shape[0] == 4
     # choose M = 4 to consume the full grid
     model4 = synthesize_sar_matrix(4, budget=1.6)
@@ -220,7 +240,7 @@ def test_aps_antennas_sit_on_lattice_points(half_width):
     # the lattice row nearest the x-axis and the innermost cluster, the
     # combinations from lattice subsets
     cfg = fast_config(region=Region(half_width, WAVELENGTH))
-    on = set(map(tuple, aps_grid(cfg.region, WAVELENGTH / 2).tolist()))
+    on = set(map(tuple, aps_grid(cfg.region).tolist()))
     real = sample_channel(3, 4, 4, 5, NOISE_W)
     targets = SinrTargets.uniform(4, 1.0 / NOISE_W)
     bal = BalanceConfig(accuracy=1e13, bracket=(0.0, 1e15))
@@ -237,7 +257,7 @@ def test_aps_starts_from_the_cluster_alone_when_no_row_holds_the_array():
     res = solve_aps(sample_channel(3, 4, 4, 5, NOISE_W), paper_sar_matrix(), "sar-min",
                     BaselineConfig(), cfg, targets=SinrTargets.uniform(4, 1.0 / NOISE_W))
     assert res.evaluated == 1
-    on = set(map(tuple, aps_grid(cfg.region, cfg.distance).tolist()))
+    on = set(map(tuple, aps_grid(cfg.region).tolist()))
     assert set(map(tuple, res.layout.tolist())) <= on
 
 

@@ -53,20 +53,20 @@ def test_plan_validation():
     with pytest.raises(ConfigurationError):
         tiny_plan(beta0=None)
     # solver keys are checked when the plan is built, not in the first bundle
-    # min_distance is no setting: the spacing is always half a wavelength
+    # min_distance is no setting: the spacing is always half a wavelength;
+    # nor is lattice: only APS searches the lattice
     for solver in ({"bogus": 1}, {"polish": False}, {"region": None},
-                   {"min_distance": 0.006}):
+                   {"min_distance": 0.006}, {"lattice": True}, {"position_grid": None}):
         with pytest.raises(ConfigurationError, match=next(iter(solver))):
             tiny_plan(solver=solver)
     # and so are their values' types: an int setting takes no str, float or
     # bool, a float setting takes an int, a bool setting takes only a bool
     for solver in ({"max_outer": "ten"}, {"max_outer": True}, {"max_inner": 6.0},
                    {"mu0": "1e-2"}, {"a": False}, {"optimize_positions": 1},
-                   {"position_grid": "5mm"}):
+                   {"optimize_positions": None}):
         with pytest.raises(ConfigurationError, match=next(iter(solver))):
             tiny_plan(solver=solver)
-    for solver in ({"mu0": 1}, {"position_grid": None}, {"position_grid": [[0.0, 0.0]]},
-                   {"optimize_positions": False}, {"max_outer": 10}):
+    for solver in ({"mu0": 1}, {"optimize_positions": False}, {"max_outer": 10}):
         tiny_plan(solver=solver)
     # every sweep point's channel, SAR model, region and configurations are
     # built with the plan, so a bad value fails before any trial runs

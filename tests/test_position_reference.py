@@ -2,7 +2,7 @@
 implementations they replaced, kept here verbatim except where marked.
 
 The solver's lattice search, continuous majorize-minimize steps and dual
-bisection were rewritten for speed (precomputed lattice masks, scalar
+bisection were rewritten for speed (a precomputed lattice table, scalar
 free-step tests, per-user bisection) with the promise that every solve
 follows the same trajectory bit for bit. These tests run random states through
 both versions and require equal bits: positions, the conj-channel matrix
@@ -137,21 +137,17 @@ def ref_select_positions_on_grid(positions, geo, P, Z, region, min_distance, con
                                  events):
     # changed: the lattice table is built here (as the reference's cache did),
     # and ``events`` records whether an improving move had tied candidates
-    grid = np.asarray(config.position_grid, dtype=float)
+    grid = aps_grid(region)
     grid_hbar = geo.conj_rows(grid)
-    in_region = np.all(np.abs(grid) <= region.half_width_m, axis=1)
     M = positions.shape[0]
     E = Hbar @ P - Z
     obj = float(np.vdot(E, E).real)
     pnorm2 = (np.abs(P) ** 2).sum(axis=1)
     for m in range(M):
         others = np.delete(positions, m, axis=0)
-        dist2 = ((grid[:, None, :] - others[None, :, :]) ** 2).sum(axis=-1)
-        ok = np.all(dist2 >= min_distance ** 2, axis=1) if others.size else \
-            np.ones(len(grid), dtype=bool)
-        ok &= in_region
-        if not ok.any():
-            continue
+        # changed: the candidates are the points no other antenna holds; on
+        # the lambda/2 lattice, any two distinct points keep the spacing
+        ok = ~np.any(np.all(grid[:, None, :] == others[None, :, :], axis=-1), axis=1)
         cand = np.vstack([positions[m][None, :], grid[ok]])
         hbar_c = np.vstack([geo.conj_rows(positions[m][None, :]), grid_hbar[ok]])
         delta = hbar_c - Hbar[:, m][None, :]
@@ -179,7 +175,7 @@ def ref_sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar
     # the majorizer tau, until the surrogate at tau_loc lies above the
     # objective at the step. ``counts`` gains the final status of every step
     # and one "backtrack" per doubling.
-    if config.position_grid is not None:
+    if config.lattice:
         return ref_select_positions_on_grid(positions, geo, P, Z, region, min_distance,
                                             config, Hbar, events)
     tau_loc_of = {} if tau_loc_of is None else tau_loc_of
@@ -339,27 +335,19 @@ def x_blind_channel(rng, paths=6):
         noise_variance=NOISE_W)
 
 
-def lattice_layout(rng, grid, dmin):
-    """M random lattice points that keep the spacing (greedy, random order)."""
-    chosen = []
-    for i in rng.permutation(len(grid)):
-        if all(np.sum((grid[i] - p) ** 2) >= dmin ** 2 for p in chosen):
-            chosen.append(grid[i])
-            if len(chosen) == M:
-                return np.array(chosen)
-    raise AssertionError("lattice too small")
+def lattice_layout(rng, grid):
+    """M distinct random lattice points: any two keep the spacing."""
+    return grid[rng.permutation(len(grid))[:M]]
 
 
 def random_state(rng, i):
     hw = REGIONS[i % 3]
     region = Region(hw, WAVELENGTH)
-    dmin = WAVELENGTH / 2
     real = x_blind_channel(rng) if i % 5 == 0 else \
         sample_channel(int(rng.integers(1 << 30)), M, K, int(rng.choice((5, 15))), NOISE_W)
-    grid = aps_grid(region, WAVELENGTH / 2)
     lattice = i % 2 == 1
     if lattice:
-        positions = lattice_layout(rng, grid, dmin)
+        positions = lattice_layout(rng, aps_grid(region))
     else:
         positions = uniform_line_layout(M, region) + rng.normal(0, 0.02 * WAVELENGTH, (M, 2))
         if i % 6 == 0:  # two antennas on one point: no QP can be set up
@@ -370,7 +358,7 @@ def random_state(rng, i):
     config = SolverConfig(
         region=region, max_sca_iter=int(rng.integers(1, 40)),
         eps_position=10.0 ** rng.uniform(-8, -3), eps_position_rel=rng.choice((0.0, 3e-5)),
-        position_grid=tuple(map(tuple, grid)) if lattice else None)
+        lattice=lattice)
     return real, config, positions, P, Z
 
 
@@ -398,7 +386,8 @@ def test_position_block_matches_reference_bit_for_bit():
         # two sweeps on one geometry cache, the second with a perturbed
         # precoder, so the second starts from the curvatures the first accepted
         pos_ref, H_ref, tau_loc_of = positions.copy(), Hbar.copy(), {}
-        pos_new, H_new, geo_new = positions.copy(), Hbar.copy(), _GeoCache(real, WAVELENGTH)
+        geo_new = _GeoCache(real, WAVELENGTH, config.region if config.lattice else None)
+        pos_new, H_new = positions.copy(), Hbar.copy()
         for sweep in range(2):
             if sweep:
                 carried += len(tau_loc_of)

@@ -572,9 +572,10 @@ def test_lattice_table_rows_match_direct_evaluation():
     # each row must equal evaluating its point alone, bit for bit, so that
     # gathering cannot change which candidate the search picks
     real = sample_channel(7, 4, 4, 15, NOISE_W)
-    geo = _GeoCache(real, WAVELENGTH)
-    grid = aps_grid(Region(2.5, WAVELENGTH), WAVELENGTH / 2)
-    lat = geo.lattice(tuple(map(tuple, grid)), 2.5 * WAVELENGTH, WAVELENGTH / 2)
+    region = Region(2.5, WAVELENGTH)
+    geo = _GeoCache(real, WAVELENGTH, region)
+    grid = aps_grid(region)
+    lat = geo.lattice
     table = lat.hbar
     assert np.array_equal(lat.grid, grid)
     rng = np.random.default_rng(5)
@@ -591,7 +592,7 @@ def test_lattice_tables_built_once_per_solve(monkeypatch):
     # one lattice solve builds the candidate table once, not once per inner loop
     real = sample_channel(3, 4, 4, 15, NOISE_W)
     region = Region(1.0, WAVELENGTH)
-    grid = aps_grid(region, WAVELENGTH / 2)
+    grid = aps_grid(region)
     tables = []
     conj_rows = _GeoCache.conj_rows
 
@@ -601,7 +602,7 @@ def test_lattice_tables_built_once_per_solve(monkeypatch):
         return conj_rows(self, points)
 
     monkeypatch.setattr(_GeoCache, "conj_rows", counting)
-    cfg = fast_config(region=region, position_grid=tuple(map(tuple, grid)))
+    cfg = fast_config(region=region, lattice=True)
     rep = solve_sar_min(real, SinrTargets.uniform(4, 1.0 / NOISE_W), paper_sar_matrix(), cfg,
                         initial_layout=central_grid_layout(grid, 4, WAVELENGTH / 2))
     assert rep.outer_iterations > 1 and rep.inner_sweeps_total > rep.outer_iterations
@@ -614,8 +615,8 @@ def test_lattice_solve_rejects_a_start_off_its_lattice():
     # +-3 lambda/4) is refused, with or without an explicit layout
     real = sample_channel(3, 4, 4, 15, NOISE_W)
     region = Region(1.0, WAVELENGTH)
-    grid = aps_grid(region, WAVELENGTH / 2)
-    cfg = fast_config(region=region, position_grid=tuple(map(tuple, grid)))
+    grid = aps_grid(region)
+    cfg = fast_config(region=region, lattice=True)
     targets = SinrTargets.uniform(4, 1.0 / NOISE_W)
     start = grid[[0, 2, 4, 12]]  # (-1, -1), (-1, 0), (-1, 1) and (0, 0) wavelengths
     start[3, 0] += 1e-9
@@ -624,24 +625,26 @@ def test_lattice_solve_rejects_a_start_off_its_lattice():
             solve_sar_min(real, targets, paper_sar_matrix(), cfg, initial_layout=layout)
 
 
-@pytest.mark.parametrize("half_width,box,spacing", [
-    (1.0, 1.0, 0.5), (2.5, 2.5, 0.5), (3.0, 3.0, 0.5), (3.0, 2.5, 0.5), (2.5, 2.5, 0.7)])
-def test_lattice_masks_match_direct_evaluation(half_width, box, spacing):
-    # the precomputed masks stand in for a per-pair test the search used to
-    # make: every entry must equal that test
-    real = sample_channel(5, 4, 4, 15, NOISE_W)
-    grid = aps_grid(Region(half_width, WAVELENGTH), WAVELENGTH / 2)
-    d = spacing * WAVELENGTH
-    region = Region(box, WAVELENGTH)
-    lat = _GeoCache(real, WAVELENGTH).lattice(tuple(map(tuple, grid)), region.half_width_m, d)
-    n = len(grid)
-    assert lat.spaced.shape == (n, n)
-    for i in range(n):
-        assert lat.in_region[i] == region.contains(grid[i])
-        assert lat.index[tuple(grid[i].tolist())] == i
-        for j in range(n):
-            assert lat.spaced[i, j] == (((grid[i] - grid[j]) ** 2).sum() >= d ** 2)
-    assert lat.in_region.all() == (box >= half_width)
+@pytest.mark.parametrize("half_width,adjacent", [(1.0, 40), (2.5, 220), (3.0, 312)])
+def test_lattice_search_offers_every_free_point_next_to_an_antenna(half_width, adjacent):
+    # any two distinct lattice points keep the spacing, so a free point next
+    # to another antenna is a candidate like any other: for every
+    # lambda/2-adjacent pair (p, q), on either side of the origin, with
+    # antenna 1 on p and a residual that moving antenna 0 to q cancels, the
+    # search moves antenna 0 to q
+    real = sample_channel(9, 4, 4, 15, NOISE_W)
+    lat = _GeoCache(real, WAVELENGTH, Region(half_width, WAVELENGTH)).lattice
+    steps = np.rint(lat.grid / (WAVELENGTH / 2))
+    pairs = np.argwhere(np.abs(steps[:, None, :] - steps[None, :, :]).sum(axis=2) == 1)
+    assert len(pairs) == 2 * adjacent
+    P = random_complex(np.random.default_rng(3), (4, 4))
+    for p, q in pairs.tolist():
+        rest = [i for i in range(len(lat.grid)) if i not in (p, q)]
+        at = [rest[0], p, rest[1], rest[2]]
+        positions, Hbar = lat.grid[at].copy(), lat.hbar[at].T.copy()
+        Z = Hbar @ P + np.outer(lat.hbar[q] - lat.hbar[at[0]], P[0])
+        solver._select_positions_on_grid(positions, lat, P, Z, Hbar)
+        assert np.array_equal(positions[0], lat.grid[q]), (p, q)
 
 
 def nearest_row_distance(lat, i):
@@ -658,19 +661,12 @@ def test_lattice_search_leaves_a_settled_layout_unchanged(half_width):
     # delta the step to the nearest row of the tightest antenna, ties the bound
     real = sample_channel(8, 4, 4, 15, NOISE_W)
     region = Region(half_width, WAVELENGTH)
-    grid = aps_grid(region, WAVELENGTH / 2)
-    cfg = fast_config(region=region, position_grid=tuple(map(tuple, grid)))
-    geo = _GeoCache(real, WAVELENGTH)
-    lat = geo.lattice(cfg.position_grid, region.half_width_m, cfg.distance)
+    lat = _GeoCache(real, WAVELENGTH, region).lattice
+    grid = lat.grid
     rng = np.random.default_rng(17)
     moved_beyond_bound = 0
     for i in range(60):
-        at = []
-        for j in rng.permutation(len(grid)).tolist():
-            if all(lat.spaced[j, k] for k in at):
-                at.append(j)
-            if len(at) == 4:
-                break
+        at = rng.permutation(len(grid))[:4].tolist()
         positions = lat.grid[at].copy()
         Hbar = lat.hbar[at].T.copy()
         P = random_complex(rng, (4, 4), scale=rng.uniform(0.1, 10.0))
@@ -691,7 +687,7 @@ def test_lattice_search_leaves_a_settled_layout_unchanged(half_width):
             settled = solver._lattice_settled(lat, positions, P, xi)
             assert settled == (scale < 1.0), (i, scale)
             pos, H = positions.copy(), Hbar.copy()
-            solver._select_positions_on_grid(pos, geo, P, Z, region, cfg.distance, cfg, H)
+            solver._select_positions_on_grid(pos, lat, P, Z, H)
             if settled:
                 assert np.array_equal(pos, positions) and np.array_equal(H, Hbar), (i, scale)
             else:
@@ -706,8 +702,8 @@ def test_settled_lattice_solve_stops_on_the_exact_solve():
     from fluidsar.fixed import optimal_precoder
     real = sample_channel(0, 4, 4, 15, NOISE_W)
     region = Region(1.0, WAVELENGTH)
-    grid = aps_grid(region, WAVELENGTH / 2)
-    cfg = fast_config(region=region, position_grid=tuple(map(tuple, grid)))
+    grid = aps_grid(region)
+    cfg = fast_config(region=region, lattice=True)
     model, targets = paper_sar_matrix(), SinrTargets.uniform(4, 1.0 / NOISE_W)
     rep = solve_sar_min(real, targets, model, cfg,
                         initial_layout=central_grid_layout(grid, 4, cfg.distance))
