@@ -50,12 +50,12 @@ class BalanceConfig:
     warm_start: bool = True
 
     def __post_init__(self):
-        if self.accuracy <= 0:
-            raise ConfigurationError("bisection accuracy must be positive")
+        if not 0.0 < self.accuracy < np.inf:  # false for NaN too
+            raise ConfigurationError("bisection accuracy must be a finite positive number")
         if self.bracket is not None:
             lo, hi = self.bracket
-            if not (0 <= lo < hi):
-                raise ConfigurationError("bracket must satisfy 0 <= lo < hi")
+            if not (0 <= lo < hi < np.inf):
+                raise ConfigurationError("bracket must satisfy 0 <= lo < hi < inf")
 
 
 @dataclass

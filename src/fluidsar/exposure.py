@@ -29,9 +29,9 @@ class SarModel(_JsonDoc):
 
     ``synthetic`` marks matrices that were generated rather than measured, so
     reports can flag them. The model is the one place that checks R: it keeps
-    R's smallest eigenvalue ``min_eig`` and its lower Cholesky factor
-    ``factor`` (R = C C^H), each computed once, and refuses a matrix whose
-    smallest eigenvalue is not above ``PD_RTOL`` times its largest.
+    R's smallest eigenvalue ``min_eig``, its Cholesky factor ``factor`` (R =
+    C C^H) and ``hermitian_sum`` R + R^H, and refuses a matrix whose smallest
+    eigenvalue is not above ``PD_RTOL`` times its largest.
     """
 
     matrix: np.ndarray
@@ -55,6 +55,7 @@ class SarModel(_JsonDoc):
         object.__setattr__(self, "matrix", R)
         object.__setattr__(self, "min_eig", float(eigs[0]))
         object.__setattr__(self, "factor", np.linalg.cholesky(R))
+        object.__setattr__(self, "hermitian_sum", R + R.conj().T)
 
     @property
     def n_antennas(self) -> int:

@@ -32,21 +32,25 @@ layout (``optimize_positions=False``) runs no penalty iteration: the exact
 solve is the whole answer.
 
 Cache lifetimes: ``solve_sar_min`` builds one geometry cache (``_GeoCache``:
-direction cosines and conjugated path gains of the channel, and the local
-curvature each antenna last accepted) and hands it to every inner loop of the
-solve; a lattice solve builds the lattice's table with it (``_Lattice``: the
-points, their channel rows and an index of points). Nothing outlives the
-solve. The single-step public helpers
+the channel's direction cosines and conjugated path gains, the continuous
+kernel's matrices, each antenna's last accepted local curvature, and its row
+and gradient weights at the exact point it last stood on) and hands it to
+every inner loop of the solve; a lattice solve builds the lattice's table
+with it (``_Lattice``: points, channel rows, index). A continuous sweep forms
+U = E P^H and the Gram matrix P P^H at its start and updates U by rank one as
+antennas move. Nothing outlives the solve. The single-step public helpers
 (``position_gradient``, ``update_position``, ...) build a cache per call.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .channel import (
     ChannelRealization,
@@ -117,10 +121,10 @@ class SinrTargets:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or np.any(w <= 0):
-            raise ConfigurationError("SINR weights must be positive")
-        if self.beta0 < 0:
-            raise ConfigurationError("beta0 must be non-negative")
+        if w.ndim != 1 or not np.all((w > 0) & (w < np.inf)):  # false for NaN too
+            raise ConfigurationError("SINR weights must be finite and positive")
+        if not 0.0 <= self.beta0 < np.inf:
+            raise ConfigurationError("beta0 must be a finite non-negative number")
         object.__setattr__(self, "weights", w)
 
     @classmethod
@@ -206,14 +210,31 @@ class _GeoCache:
         self.ax, self.ay, gains = realization._stacked  # (K, L) each
         self.fbar = gains.conj()
         self.abs_gain_sum = np.abs(self.fbar).sum(axis=1)  # (K,)
+        # the continuous kernel: F's columns sum a user's path terms with weights
+        # 1, kappa a and kappa b; at theta = _phase @ (x, y), [cos; sin] @ _mix
+        # is (hbar, conj w_x, conj w_y), real and imaginary parts interleaved
+        K, L = self.fbar.shape
+        self._phase = phase = self.kappa * np.stack([self.ax.ravel(), self.ay.ravel()], axis=1)
+        self._cos_sin = np.empty(2 * K * L)
+        W = np.c_[np.ones(K * L), phase][:, :, None] * np.repeat(np.eye(K), L, axis=0)[:, None]
+        F = self.fbar.reshape(-1, 1) * W.reshape(K * L, 3 * K)
+        im = np.vstack([F.imag, F.real]) * np.repeat([1.0, -1.0, -1.0], K)
+        self._mix = np.stack([np.vstack([F.real, -F.imag]), im], axis=2).reshape(2 * K * L, -1)
         # antenna -> the local curvature its last accepted SCA step used
         self.tau_accepted: dict[int, float] = {}
+        # antenna -> (t, hbar, wbar): ``point`` at the point it last stood on
+        self.terms: dict[int, tuple] = {}
         # the lattice search's table of that region's lattice, if one is given
         self.lattice = None if lattice is None else _Lattice(self, lattice)
 
-    def phase_terms(self, t) -> np.ndarray:
-        """Per-path terms of conj(h_k) for one antenna at t, shape (K, L)."""
-        return self.fbar * np.exp(1j * self.kappa * (t[0] * self.ax + t[1] * self.ay))
+    def point(self, t):
+        """One antenna at t: its conj-channel row hbar (K,) and the conjugated
+        gradient weights wbar (2, K), with d hbar_k / dt = i (w_x, w_y)_k."""
+        theta, cs = self._phase @ t, self._cos_sin
+        np.cos(theta, out=cs[:theta.size])
+        np.sin(theta, out=cs[theta.size:])
+        r = (cs @ self._mix).view(complex).reshape(3, -1)
+        return r[0], r[1:]
 
     def conj_rows(self, points: np.ndarray) -> np.ndarray:
         """conj(h_k) values for antennas at each of n points, shape (n, K)."""
@@ -250,20 +271,17 @@ def solve_precoder(H: np.ndarray, Z: np.ndarray, model: SarModel, mu: float) -> 
     """Minimizer of the penalized objective over the precoder columns.
 
     Solves (R + R^H + 2 mu sum_i h_i h_i^H) p_k = 2 mu sum_i z_{i,k} h_i for
-    every k at once; with R positive definite the system is too. A solve that
-    fails or leaves a residual above 1e-8 of the right-hand side raises
-    ``SolverError``.
+    every k at once (LAPACK's solve, as ``np.linalg.solve`` calls it); with R
+    positive definite the system is too. A residual above 1e-8 of the
+    right-hand side, or one that is not finite, raises ``SolverError``.
     """
     if mu <= 0:
         raise SolverError("precoder step requires a positive penalty factor")
-    R = model.matrix
-    A = R + R.conj().T + 2.0 * mu * (H.T @ H.conj())
+    A = model.hermitian_sum + 2.0 * mu * (H.T @ H.conj())
     B = 2.0 * mu * (H.T @ Z)
-    try:
-        P = np.linalg.solve(A, B)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("singular precoder system") from exc
-    if np.linalg.norm(A @ P - B) > 1e-8 * max(1.0, float(np.linalg.norm(B))):
+    P = _umath_linalg.solve(A, B, signature="DD->D")
+    res = A @ P - B
+    if not np.vdot(res, res).real <= 1e-16 * max(1.0, np.vdot(B, B).real):
         raise SolverError("precoder stationarity residual too large")
     return P
 
@@ -385,13 +403,17 @@ def coupling_residual(positions: np.ndarray, realization: ChannelRealization,
 position_objective = coupling_residual
 
 
-def _gradient_from_terms(q: np.ndarray, geo: _GeoCache, P: np.ndarray,
-                         E: np.ndarray, m: int) -> tuple[float, float]:
-    s = E.conj() @ P[m, :]
-    sq = s[:, None] * q
-    gx = -2.0 * geo.kappa * (geo.ax * sq).sum().imag
-    gy = -2.0 * geo.kappa * (geo.ay * sq).sum().imag
-    return float(gx), float(gy)
+def _gradient(wbar: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+    """Gradient of the coupling residual in t_m, -2 Im sum_k conj(u_k) (w_x,
+    w_y)_k, from ``point``'s wbar at t_m and u = E P[m, :]^H."""
+    gx, gy = (wbar @ u).imag.tolist()
+    return 2.0 * gx, 2.0 * gy
+
+
+def _moved_residual(xi: float, delta: np.ndarray, u: np.ndarray, pnorm2: float) -> float:
+    """||E + delta P[m, :]||^2, the residual once antenna m's row moves by
+    delta, from xi = ||E||^2, u = E P[m, :]^H and pnorm2 = ||P[m, :]||^2."""
+    return xi + 2.0 * float(np.vdot(delta, u).real) + float(np.vdot(delta, delta).real) * pnorm2
 
 
 def position_gradient(m: int, positions: np.ndarray, realization: ChannelRealization,
@@ -399,8 +421,8 @@ def position_gradient(m: int, positions: np.ndarray, realization: ChannelRealiza
     """Exact gradient of the coupling residual with respect to t_m."""
     geo = _geo(realization, wavelength)
     H = channel_matrix(positions, realization, wavelength)
-    E = H.conj() @ P - Z
-    return np.array(_gradient_from_terms(geo.phase_terms(positions[m]), geo, P, E, m))
+    u = (H.conj() @ P - Z) @ P[m, :].conj()
+    return np.array(_gradient(geo.point(positions[m])[1], u))
 
 
 def _majorizers(geo: _GeoCache, P: np.ndarray, Z: np.ndarray, wavelength: float) -> np.ndarray:
@@ -424,6 +446,21 @@ def position_majorizer(m: int, positions: np.ndarray, realization: ChannelRealiz
     return float(_majorizers(geo, P, Z, wavelength)[m])
 
 
+@functools.lru_cache(maxsize=16)  # _project_step's four box rows, once per half-width
+def _box_rows(a_m: float) -> tuple:
+    return tuple((ax, ay, b, b - 1e-11 * max(1.0, abs(b)))
+                 for ax, ay, b in ((1.0, 0.0, -a_m), (-1.0, 0.0, -a_m),
+                                   (0.0, 1.0, -a_m), (0.0, -1.0, -a_m)))
+
+
+def _meets(rows, x: float, y: float) -> bool:
+    """Whether (x, y) meets every row (a NaN meets none)."""
+    for ax, ay, _, lo in rows:
+        if not ax * x + ay * y >= lo:
+            return False
+    return True
+
+
 def _project_step(free, t_old, region: Region, others, min_distance: float):
     """Projection of the free step ``free`` onto the box and the spacing rows
     linearized at ``t_old``, on (x, y) pairs of Python floats; ``others``
@@ -438,7 +475,7 @@ def _project_step(free, t_old, region: Region, others, min_distance: float):
     free step (lowest (x, y) on ties).
     """
     a_m = region.half_width_m
-    rows = [(1.0, 0.0, -a_m), (-1.0, 0.0, -a_m), (0.0, 1.0, -a_m), (0.0, -1.0, -a_m)]
+    rows = list(_box_rows(a_m))
     tx, ty = t_old
     for ox, oy in others:
         dx = tx - ox
@@ -448,17 +485,14 @@ def _project_step(free, t_old, region: Region, others, min_distance: float):
             return None
         nx = dx / nrm
         ny = dy / nrm
-        rows.append((nx, ny, min_distance + (nx * ox + ny * oy)))
-    rows = [(ax, ay, b, b - 1e-11 * max(1.0, abs(b))) for ax, ay, b in rows]
-
-    def feasible(x, y):
-        return all(ax * x + ay * y >= lo for ax, ay, _, lo in rows)
+        b = min_distance + (nx * ox + ny * oy)
+        rows.append((nx, ny, b, b - 1e-11 * max(1.0, abs(b))))
 
     def clip(x, y):
         return min(max(x, -a_m), a_m), min(max(y, -a_m), a_m)
 
     fx, fy = free
-    if feasible(fx, fy):
+    if _meets(rows, fx, fy):
         return clip(fx, fy)
     for ax, ay, b, lo in rows:
         if ax * fx + ay * fy < lo:
@@ -466,7 +500,7 @@ def _project_step(free, t_old, region: Region, others, min_distance: float):
             s = ax * fy - ay * fx
             x = b * ax - s * ay
             y = b * ay + s * ax
-            if feasible(x, y):
+            if _meets(rows, x, y):
                 return clip(x, y)
     vertices = []
     for i, (ax, ay, bi, _) in enumerate(rows):
@@ -476,7 +510,7 @@ def _project_step(free, t_old, region: Region, others, min_distance: float):
                 continue
             x = (bi * cy - bj * ay) / det
             y = (ax * bj - cx * bi) / det
-            if feasible(x, y):
+            if _meets(rows, x, y):
                 dx = x - fx
                 dy = y - fy
                 vertices.append((dx * dx + dy * dy, x, y))
@@ -541,13 +575,11 @@ def update_position(m: int, positions: np.ndarray, realization: ChannelRealizati
     Returns (t_new, status) with status in {"free", "qp", "stuck", "skipped"}.
     """
     geo = _geo(realization, wavelength)
-    H = channel_matrix(positions, realization, wavelength)
-    E = H.conj() @ P - Z
     tau = float(_majorizers(geo, P, Z, wavelength)[m])
     if tau <= 0.0:
         return positions[m], "skipped"
     points = np.asarray(positions, dtype=float).tolist()
-    grad = _gradient_from_terms(geo.phase_terms(positions[m]), geo, P, E, m)
+    grad = position_gradient(m, positions, realization, P, Z, wavelength)
     t_new, status = _step_from_gradient(points[m], grad, tau, region, min_distance,
                                         points[:m] + points[m + 1:])
     return np.array(t_new), status
@@ -601,7 +633,8 @@ def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar,
     """Sequential per-antenna SCA descents; mutates positions/Hbar, returns
     (E, obj, stuck). ``counts``, when given, gains one per free, QP and stuck
     step under those status names, and one per curvature doubling under
-    "backtrack"."""
+    "backtrack". A candidate is scored through u = U[:, m] of U = E P^H
+    (``_moved_residual``), which follows each move by rank one."""
     if config.lattice:
         return _select_positions_on_grid(positions, geo.lattice, P, Z, Hbar)
     M = positions.shape[0]
@@ -609,18 +642,23 @@ def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar,
     accepted = geo.tau_accepted
     any_stuck = False
     step_tol = 1e-8 * region.wavelength  # moves below this cannot matter
+    E = Hbar @ P - Z
+    obj = float(np.vdot(E, E).real)
+    Ph = P.conj().T
+    U, gram = E @ Ph, P @ Ph
+    pnorm2 = gram.diagonal().real.tolist()
+    layout = positions.tolist()
     for m in range(M):
         tau = taus[m]
         if tau <= 0.0:
             continue
-        # refresh exactly per antenna so rank-1 update drift cannot accumulate
-        E = Hbar @ P - Z
-        obj = float(np.vdot(E, E).real)
-        points = positions.tolist()
-        t_old = points.pop(m)
-        q = geo.phase_terms(t_old)
+        points = layout[:m] + layout[m + 1:]
+        t_old = tuple(layout[m])
+        kept = geo.terms.get(m)  # reused while the antenna stays on t_old exactly
+        h, wbar = kept[1:] if kept is not None and kept[0] == t_old else geo.point(t_old)
+        u, pm2, moved = U[:, m], pnorm2[m], False
         for _ in range(config.max_sca_iter):
-            grad = _gradient_from_terms(q, geo, P, E, m)
+            grad = _gradient(wbar, u)
             # max|g| / tau < tol, tested per coordinate: division by tau > 0
             # is monotone, so the verdict is the same
             if abs(grad[0]) / tau < step_tol and abs(grad[1]) / tau < step_tol:
@@ -634,11 +672,9 @@ def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar,
                                                     min_distance, points)
                 if status == "stuck":
                     break
-                q_new = geo.phase_terms(t_new)
-                hbar_new = q_new.sum(axis=1)
-                delta = hbar_new - Hbar[:, m]
-                E_new = E + delta[:, None] * P[m, :][None, :]
-                obj_new = float(np.vdot(E_new, E_new).real)
+                h_new, wbar_new = geo.point(t_new)
+                delta = h_new - h
+                obj_new = _moved_residual(obj, delta, u, pm2)
                 if tau_loc >= tau:
                     break
                 dx = t_new[0] - t_old[0]
@@ -661,13 +697,18 @@ def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar,
                 break  # numerically flat; keep the current point
             accepted[m] = tau_loc
             positions[m] = t_old = t_new
-            Hbar[:, m] = hbar_new
-            E = E_new
-            q = q_new
+            u = u + delta * pm2
+            h, wbar = h_new, wbar_new
+            moved = True
             decrease = obj - obj_new
             obj = obj_new
             if decrease < max(config.eps_position, config.eps_position_rel * abs(obj)):
                 break
+        geo.terms[m] = (t_old, h, wbar)
+        if moved:
+            layout[m] = t_old
+            U += (h - Hbar[:, m])[:, None] * gram[m]
+            Hbar[:, m] = h
     E = Hbar @ P - Z
     return E, float(np.vdot(E, E).real), any_stuck
 
@@ -725,20 +766,21 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
 
     for _ in range(config.max_inner):
         sweeps += 1
-        P = solve_precoder(Hbar.conj(), Z, model, mu)
+        H = Hbar.conj()  # the position block moves Hbar in place
+        P = solve_precoder(H, Z, model, mu)
         # only this block and degenerate-user recovery change P
         sar = sar_value(P, model)
         E = Hbar @ P - Z
         record("precoder", _penalized_objective(sar, E, mu))
 
         try:
-            Z, _, gap = solve_auxiliary(Hbar.conj(), P, targets, noise)
+            Z, _, gap = solve_auxiliary(H, P, targets, noise)
         except DegenerateUserError as err:
             if recovered:
                 raise
             recovered = True
-            _reset_users(P, Hbar.conj(), err.users)
-            Z, _, gap = solve_auxiliary(Hbar.conj(), P, targets, noise)
+            _reset_users(P, H, err.users)
+            Z, _, gap = solve_auxiliary(H, P, targets, noise)
             sar = sar_value(P, model)
             prev = None  # objective baseline is void after re-initialization
             if trace is not None:

@@ -16,6 +16,7 @@ from fluidsar.balance import (
 )
 from fluidsar.channel import (
     ChannelRealization,
+    ConfigurationError,
     Region,
     channel_matrix,
     sample_channel,
@@ -101,6 +102,16 @@ def test_balance_solution_within_budget_and_attains_target():
     from fluidsar.channel import sinr_all
     sinrs = sinr_all(res.precoder, H, NOISE_W)
     assert np.min(sinrs) >= res.beta_star * (1 - 1e-5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_balance_config_refuses_settings_that_are_not_finite(bad):
+    # accuracy=nan used to build and return beta* = 2.5e14 on channel seed 1
+    with pytest.raises(ConfigurationError, match="accuracy must be a finite"):
+        BalanceConfig(accuracy=bad)
+    for bracket in ((0.0, bad), (bad, 1e15)):
+        with pytest.raises(ConfigurationError, match="bracket"):
+            BalanceConfig(accuracy=1e13, bracket=bracket)
 
 
 def test_zero_budget_returns_zero():

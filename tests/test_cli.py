@@ -118,6 +118,24 @@ def test_cli_refuses_a_nan_budget_before_solving(monkeypatch, problem):
              + extra + FAST)
 
 
+@pytest.mark.parametrize("argv,match", [
+    (["solve", "sar-min", "--beta0", "nan"], "beta0"),
+    (["solve", "sinr-balance", "--eps1", "nan"], "accuracy"),
+    (["baseline", "backoff", "--eps1", "nan"], "accuracy"),
+])
+def test_cli_refuses_a_nan_target_or_accuracy_before_solving(monkeypatch, argv, match):
+    from fluidsar import cli
+    from fluidsar.channel import ConfigurationError
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran with a NaN setting")
+    for name in ("solve_sar_min", "solve_sinr_balance", "solve_without_sar",
+                 "adaptive_backoff"):
+        monkeypatch.setattr(cli, name, no_solve)
+    with pytest.raises(ConfigurationError, match=match):
+        main(argv + ["--channel", "5", "--paths", "3"] + FAST)
+
+
 def test_cli_baselines(tmp_path):
     for scheme, extra in [
         ("no-sar", []),

@@ -83,6 +83,25 @@ def test_plan_validation():
     assert set(vars(tiny_plan())) == {f.name for f in fields(ExperimentPlan)}
 
 
+def test_plan_refuses_targets_and_balance_settings_that_are_not_finite():
+    # the plan builds every point, so these fail before any trial runs,
+    # from code and from JSON alike
+    nan, inf = float("nan"), float("inf")
+    bad = [(dict(sweep="q0", values=(1.6,), beta0=nan), "beta0"),
+           (dict(sweep="q0", values=(1.6,), beta0=inf), "beta0"),
+           (dict(values=(1e13, nan)), "beta0"),
+           (dict(objective="balance", sweep="q0", values=(1.6,), beta0=None, accuracy=nan),
+            "accuracy"),
+           (dict(objective="balance", sweep="q0", values=(1.6,), beta0=None, beta_bracket=inf),
+            "bracket")]
+    for overrides, match in bad:
+        with pytest.raises(ConfigurationError, match=match):
+            tiny_plan(**overrides)
+        doc = {**tiny_plan().to_json_dict(), **overrides}
+        with pytest.raises(ConfigurationError, match=match):
+            ExperimentPlan.from_json(json.dumps(doc))
+
+
 def test_plan_json_rejects_unknown_keys():
     doc = tiny_plan().to_json_dict()
     doc["polish"] = False

@@ -151,6 +151,16 @@ def test_solve_rejects_infeasible_initial_layout(paper_channel):
                       fast_config(), initial_layout=bad)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_targets_refuse_values_that_are_not_finite(bad):
+    # a NaN floor used to build and give a "converged" solve with SAR 0
+    from fluidsar.channel import ConfigurationError
+    with pytest.raises(ConfigurationError, match="beta0 must be a finite"):
+        SinrTargets.uniform(4, bad)
+    with pytest.raises(ConfigurationError, match="weights must be finite"):
+        SinrTargets(np.array([1.0, bad, 1.0, 1.0]), 1.0)
+
+
 def test_solve_nonconvergence_is_flagged_not_raised(paper_channel):
     # an impossibly low outer cap cannot converge; expect a flagged report
     model = paper_sar_matrix()

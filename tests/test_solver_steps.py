@@ -17,6 +17,7 @@ from fluidsar.solver import (
     SinrTargets,
     _GeoCache,
     _majorizers,
+    coupling_residual,
     position_gradient,
     position_majorizer,
     position_objective,
@@ -565,6 +566,43 @@ def test_backtracking_stops_at_the_majorizer(monkeypatch):
     assert {m for m, _ in tried} == set(range(len(caps)))
     assert all(tau <= caps[m] for m, tau in tried)
     assert {m for m, tau in tried if tau == caps[m]} == set(range(len(caps)))
+
+
+def test_point_rows_match_the_channel():
+    # the continuous kernel's conj-channel row for an antenna at t is the
+    # column of channel_matrix(...).conj() there, to 1e-13 of its norm
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for i in range(50):
+        real = sample_channel(1000 + i, 4, 4, (5, 15)[i % 2], NOISE_W)
+        geo = _GeoCache(real, WAVELENGTH)
+        pts = rng.uniform(-3.0, 3.0, (4, 2)) * WAVELENGTH
+        Hc = channel_matrix(pts, real, WAVELENGTH).conj()
+        for m, t in enumerate(pts.tolist()):
+            h, _ = geo.point(tuple(t))
+            worst = max(worst, np.abs(h - Hc[:, m]).max() / np.linalg.norm(Hc[:, m]))
+    assert worst <= 1e-13, worst
+
+
+def test_moved_residual_matches_a_fresh_residual():
+    # a continuous step scores its candidate by the expansion
+    # xi + 2 Re(delta^H u) + ||delta||^2 ||P[m, :]||^2, which must equal the
+    # residual recomputed directly at the moved layout, to 1e-13 xi
+    from test_position_reference import random_state
+
+    rng = np.random.default_rng(43)
+    for i in range(0, 200, 2):  # the continuous states
+        real, config, pos, P, Z = random_state(rng, i)
+        geo = _GeoCache(real, WAVELENGTH)
+        E = channel_matrix(pos, real, WAVELENGTH).conj() @ P - Z
+        xi = float(np.vdot(E, E).real)
+        m = i % 4
+        moved = pos.copy()
+        moved[m] += rng.normal(0.0, (1e-4, 1e-2, 0.3)[i % 3] * WAVELENGTH, 2)
+        delta = geo.point(tuple(moved[m]))[0] - geo.point(tuple(pos[m]))[0]
+        got = solver._moved_residual(xi, delta, E @ P[m].conj(), float(np.vdot(P[m], P[m]).real))
+        want = coupling_residual(moved, real, P, Z, WAVELENGTH)
+        assert abs(got - want) <= 1e-13 * xi, (i, got, want)
 
 
 def test_lattice_table_rows_match_direct_evaluation():
