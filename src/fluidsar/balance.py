@@ -56,6 +56,8 @@ class BalanceConfig:
             lo, hi = self.bracket
             if not (0 <= lo < hi < np.inf):
                 raise ConfigurationError("bracket must satisfy 0 <= lo < hi < inf")
+        if self.weights is not None:  # the targets' rule: 1-D, finite and positive
+            SinrTargets(self.weights, 0.0)
 
 
 @dataclass

@@ -2,8 +2,6 @@
 from __future__ import annotations
 
 import contextlib
-import itertools
-import math
 import time
 from dataclasses import dataclass, replace
 
@@ -36,15 +34,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BaselineConfig:
+    """The power-only design's total power budget, in watts."""
+
     power_budget: float = 2.0
-    aps_cap: int = 20000
-    aps_seed: int = 0
+    aps_cap: int = 20000  # unread; goes once bench/workloads.py stops passing it
+    aps_seed: int = 0  # unread; goes once bench/workloads.py stops passing it
 
     def __post_init__(self):
         if self.power_budget <= 0:
             raise ConfigurationError("power budget must be positive")
-        if self.aps_cap < 1:
-            raise ConfigurationError("aps_cap must be at least 1")
 
 
 def solve_without_sar(realization: ChannelRealization, num_antennas: int,
@@ -111,21 +109,6 @@ def central_grid_layout(grid: np.ndarray, m: int, spacing: float) -> np.ndarray:
     return grid[np.lexsort((grid[:, 1], grid[:, 0], (half_steps ** 2).sum(axis=1)))[:m]]
 
 
-def _sample_combinations(n_points: int, m: int, cap: int, seed: int):
-    """Deterministic uniform subsample of m-subsets when enumeration is too big."""
-    rng = np.random.default_rng(seed)
-    seen = set()
-    out = []
-    # rejection sampling over sorted index tuples; cap << C(n, m) keeps this fast
-    while len(out) < cap:
-        combo = tuple(sorted(rng.choice(n_points, size=m, replace=False).tolist()))
-        if combo in seen:
-            continue
-        seen.add(combo)
-        out.append(combo)
-    return out
-
-
 @dataclass
 class ApsResult(_JsonDoc):
     JSON_SKIP = ("precoder", "best")
@@ -137,9 +120,6 @@ class ApsResult(_JsonDoc):
     sar: float
     beta: float
     evaluated: int
-    total_combinations: int
-    coverage: float
-    subsampled: bool
     best: SolveReport | BalanceResult | None
     wall_time_s: float
 
@@ -149,57 +129,37 @@ def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
               solver_config: SolverConfig | None = None,
               balance_config: BalanceConfig | None = None,
               targets: SinrTargets | None = None,
+              # checked, else unread; goes once bench/workloads.py stops passing it
               method: str = "alternating") -> ApsResult:
     """Antenna placement restricted to a half-wavelength lattice.
 
     objective "sar-min" minimizes exposure at fixed targets; "balance"
     maximizes the worst weighted SINR under the budget.
 
-    method "alternating" runs one solve from each of two lattice starts, whose
-    position block moves each antenna to its best lattice point; each solve
-    stops, on the exact solve at its layout, once no lattice move can lower
-    its coupling residual (the solver's settled-layout exit); method
-    "combinations" enumerates M-subsets of the lattice (seeded uniform
-    subsample above ``aps_cap``) and solves each at its fixed layout.
+    It runs one solve from each of two lattice starts, whose position block
+    moves each antenna to its best lattice point; each solve stops, on the
+    exact solve at its layout, once no lattice move can lower its coupling
+    residual (the solver's settled-layout exit). The best of them wins.
+    ``config`` is not read.
     """
     t0 = time.perf_counter()
     if objective not in ("sar-min", "balance"):
         raise ConfigurationError("objective must be 'sar-min' or 'balance'")
-    if method not in ("combinations", "alternating"):
-        raise ConfigurationError("method must be 'combinations' or 'alternating'")
-    config = config or BaselineConfig()
-    solver_config = solver_config or SolverConfig()
-    fixed = replace(solver_config, optimize_positions=False)
+    if method != "alternating":
+        raise ConfigurationError("method must be 'alternating'")
+    cfg = replace(solver_config or SolverConfig(), optimize_positions=True, lattice=True)
     M = model.n_antennas
-    grid = aps_grid(solver_config.region)
-    n_points = grid.shape[0]
-    if n_points < M:
-        raise ConfigurationError("grid too coarse: fewer candidate points than antennas")
-
-    if method == "alternating":
-        cfg = replace(solver_config, optimize_positions=True, lattice=True)
-        # lattice starts: the line array moved onto the lattice row nearest the
-        # x-axis, where that row can hold it, and the innermost cluster; the
-        # per-antenna lattice descent refines each, keep the best
-        layouts = [central_grid_layout(grid, M, cfg.distance)]
-        row = grid[grid[:, 1] == grid[np.abs(grid[:, 1]).argmin(), 1]]
-        with contextlib.suppress(ConfigurationError):
-            layouts.insert(0, central_grid_layout(row, M, cfg.distance))
-        # cold probes: the discrete reconfiguration happens in the low-penalty
-        # phase, which warm-started probes skip
-        bal = replace(balance_config or BalanceConfig(), warm_start=False)
-        total = evaluated = len(layouts)
-        subsampled = False
-    else:
-        total = math.comb(n_points, M)
-        subsampled = total > config.aps_cap
-        if subsampled:
-            combos = _sample_combinations(n_points, M, config.aps_cap, config.aps_seed)
-        else:
-            combos = list(itertools.combinations(range(n_points), M))
-        cfg, bal = fixed, balance_config
-        evaluated = len(combos)
-        layouts = (grid[list(combo)] for combo in combos)
+    grid = aps_grid(cfg.region)
+    # lattice starts: the line array moved onto the lattice row nearest the
+    # x-axis, where that row can hold it, and the innermost cluster; the
+    # per-antenna lattice descent refines each, keep the best
+    layouts = [central_grid_layout(grid, M, cfg.distance)]
+    row = grid[grid[:, 1] == grid[np.abs(grid[:, 1]).argmin(), 1]]
+    with contextlib.suppress(ConfigurationError):
+        layouts.insert(0, central_grid_layout(row, M, cfg.distance))
+    # cold probes: the discrete reconfiguration happens in the low-penalty
+    # phase, which warm-started probes skip
+    bal = replace(balance_config or BalanceConfig(), warm_start=False)
 
     # distinct lattice points are at least lambda/2 apart: every layout is spaced
     best = best_key = None
@@ -222,11 +182,8 @@ def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
     else:
         value = beta = best.beta_star
     return ApsResult(value=value, objective=objective, precoder=best.precoder,
-                     layout=best.layout, sar=best.sar, beta=beta, evaluated=evaluated,
-                     total_combinations=total,
-                     coverage=evaluated / total if total else 1.0,
-                     subsampled=subsampled, best=best,
-                     wall_time_s=time.perf_counter() - t0)
+                     layout=best.layout, sar=best.sar, beta=beta, evaluated=len(layouts),
+                     best=best, wall_time_s=time.perf_counter() - t0)
 
 
 def solve_fpa(realization: ChannelRealization, model: SarModel, objective: str,

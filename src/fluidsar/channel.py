@@ -160,7 +160,7 @@ class PathSet:
 
 @dataclass(frozen=True)
 class ChannelRealization(_JsonDoc):
-    """Per-user path sets plus the receiver noise variance (watts)."""
+    """Per-user path sets, all of one length, plus the receiver noise variance (watts)."""
 
     paths: tuple[PathSet, ...]
     noise_variance: float = DEFAULT_NOISE_W
@@ -170,13 +170,12 @@ class ChannelRealization(_JsonDoc):
         if self.noise_variance <= 0:
             raise ConfigurationError("noise variance must be positive")
         object.__setattr__(self, "paths", tuple(self.paths))
+        if len({ps.count for ps in self.paths}) != 1:
+            raise ConfigurationError("need at least one user, all with the same path count")
         # the users' direction cosines and path gains stacked, each (K, L), for
-        # the batched channel_matrix; None when the users' path counts differ
-        stacked = None
-        if len({ps.count for ps in self.paths}) == 1:
-            stacked = tuple(np.stack(rows) for rows in zip(
-                *((*ps.direction_cosines, ps.path_gains) for ps in self.paths)))
-        object.__setattr__(self, "_stacked", stacked)
+        # the batched channel_matrix and the solver's geometry cache
+        object.__setattr__(self, "_stacked", tuple(np.stack(rows) for rows in zip(
+            *((*ps.direction_cosines, ps.path_gains) for ps in self.paths))))
 
     @property
     def num_users(self) -> int:
@@ -239,12 +238,10 @@ def channel_matrix(positions: np.ndarray, realization: ChannelRealization,
                    wavelength: float = DEFAULT_WAVELENGTH) -> np.ndarray:
     """Stack per-user channel vectors into H of shape (K, M).
 
-    All users at once when their path counts match: the operations of
-    ``channel_vector`` on a (K, M, L) phase array, and one matrix-vector
-    product per user, so every row has the bits of its ``channel_vector``.
+    All users at once: the operations of ``channel_vector`` on a (K, M, L)
+    phase array, and one matrix-vector product per user, so every row has the
+    bits of its ``channel_vector``.
     """
-    if realization._stacked is None:
-        return np.stack([channel_vector(positions, ps, wavelength) for ps in realization.paths])
     ax, ay, gains = realization._stacked
     pts = np.atleast_2d(np.asarray(positions, dtype=float))
     rho = pts[None, :, 0, None] * ax[:, None, :] + pts[None, :, 1, None] * ay[:, None, :]

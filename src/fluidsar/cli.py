@@ -130,10 +130,6 @@ def main(argv=None) -> int:
         if name in ("aps", "fpa"):
             p.add_argument("--objective", choices=("balance", "sar-min"), default="balance")
             p.add_argument("--beta0", type=float, default=None)
-        if name == "aps":
-            p.add_argument("--aps-cap", type=int, default=20000)
-            p.add_argument("--method", choices=("alternating", "combinations"),
-                           default="alternating")
 
     p_sweep = sub.add_parser("sweep", help="run a Monte Carlo sweep plan")
     p_sweep.add_argument("--plan", required=True, help="plan JSON path")
@@ -198,8 +194,7 @@ def main(argv=None) -> int:
 
     if args.command == "baseline":
         bal = BalanceConfig(accuracy=args.eps1, weights=weights)
-        bcfg = BaselineConfig(power_budget=args.power_budget,
-                              aps_cap=getattr(args, "aps_cap", 20000))
+        bcfg = BaselineConfig(power_budget=args.power_budget)
         if args.scheme == "no-sar":
             res = solve_without_sar(realization, args.m, bcfg, cfg, bal)
             _write_report(args, {"kind": "baseline-no-sar", **res.to_json_dict()})
@@ -214,8 +209,7 @@ def main(argv=None) -> int:
         if objective == "sar-min" and targets is None:
             raise SystemExit("--beta0 is required for the sar-min objective")
         if args.scheme == "aps":
-            res = solve_aps(realization, model, objective, bcfg, cfg, bal, targets,
-                            method=getattr(args, "method", "alternating"))
+            res = solve_aps(realization, model, objective, bcfg, cfg, bal, targets)
             _write_report(args, {"kind": "baseline-aps", **res.to_json_dict()})
             return 0
         if args.scheme == "fpa":

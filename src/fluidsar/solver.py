@@ -256,13 +256,6 @@ class _Lattice:
         self.index = {p: i for i, p in enumerate(map(tuple, self.grid.tolist()))}
 
 
-def _geo(realization: ChannelRealization, wavelength: float,
-         lattice: Region | None = None) -> _GeoCache:
-    if realization._stacked is None:
-        raise ConfigurationError("per-user path counts must match")
-    return _GeoCache(realization, wavelength, lattice)
-
-
 # ---------------------------------------------------------------------------
 # block 1: precoder update
 # ---------------------------------------------------------------------------
@@ -419,7 +412,7 @@ def _moved_residual(xi: float, delta: np.ndarray, u: np.ndarray, pnorm2: float) 
 def position_gradient(m: int, positions: np.ndarray, realization: ChannelRealization,
                       P: np.ndarray, Z: np.ndarray, wavelength: float) -> np.ndarray:
     """Exact gradient of the coupling residual with respect to t_m."""
-    geo = _geo(realization, wavelength)
+    geo = _GeoCache(realization, wavelength)
     H = channel_matrix(positions, realization, wavelength)
     u = (H.conj() @ P - Z) @ P[m, :].conj()
     return np.array(_gradient(geo.point(positions[m])[1], u))
@@ -442,7 +435,7 @@ def _majorizers(geo: _GeoCache, P: np.ndarray, Z: np.ndarray, wavelength: float)
 def position_majorizer(m: int, positions: np.ndarray, realization: ChannelRealization,
                        P: np.ndarray, Z: np.ndarray, wavelength: float) -> float:
     """Scalar tau_m with tau_m * I >= Hessian of the per-antenna objective."""
-    geo = _geo(realization, wavelength)
+    geo = _GeoCache(realization, wavelength)
     return float(_majorizers(geo, P, Z, wavelength)[m])
 
 
@@ -574,7 +567,7 @@ def update_position(m: int, positions: np.ndarray, realization: ChannelRealizati
 
     Returns (t_new, status) with status in {"free", "qp", "stuck", "skipped"}.
     """
-    geo = _geo(realization, wavelength)
+    geo = _GeoCache(realization, wavelength)
     tau = float(_majorizers(geo, P, Z, wavelength)[m])
     if tau <= 0.0:
         return positions[m], "skipped"
@@ -746,7 +739,7 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
     ``geo`` is the solve's geometry cache; without one, the loop builds its own.
     """
     if geo is None:
-        geo = _geo(realization, config.wavelength, config.region if config.lattice else None)
+        geo = _GeoCache(realization, config.wavelength, config.region if config.lattice else None)
     noise = realization.noise_variance
     positions = np.array(positions, dtype=float)
     Hbar = channel_matrix(positions, realization, config.wavelength).conj()
@@ -909,7 +902,7 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
     if not layout_is_feasible(positions, region, dmin):
         raise ConfigurationError("initial antenna layout violates region or spacing")
     if config.optimize_positions:
-        geo = _geo(realization, config.wavelength, region if config.lattice else None)
+        geo = _GeoCache(realization, config.wavelength, region if config.lattice else None)
         if config.lattice and not all(p in geo.lattice.index
                                       for p in map(tuple, positions.tolist())):
             raise ConfigurationError("initial antenna layout is off the position lattice")

@@ -112,6 +112,11 @@ def test_balance_config_refuses_settings_that_are_not_finite(bad):
     for bracket in ((0.0, bad), (bad, 1e15)):
         with pytest.raises(ConfigurationError, match="bracket"):
             BalanceConfig(accuracy=1e13, bracket=bracket)
+    # weights take the targets' rule, 1-D, finite and positive; a NaN weight
+    # used to build and fail only at the first probe's targets
+    for weights in ([1, bad, 1, 1], [1, 1, 1, 0], [[1, 1], [1, 1]]):
+        with pytest.raises(ConfigurationError, match="weights"):
+            BalanceConfig(accuracy=1e13, weights=weights)
 
 
 def test_zero_budget_returns_zero():

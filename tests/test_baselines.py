@@ -175,40 +175,24 @@ def test_aps_grid_single_layout_equals_fixed_solve():
     # choose M = 4 to consume the full grid
     model4 = synthesize_sar_matrix(4, budget=1.6)
     real4 = sample_channel(6, 4, 2, 4, NOISE_W)
+    # the full lattice is the only start (no row holds the array), and no
+    # antenna has a free lattice point to move to
     targets = SinrTargets.uniform(2, 1.0 / NOISE_W)
-    res = solve_aps(real4, model4, "sar-min", BaselineConfig(), cfg, targets=targets,
-                    method="combinations")
-    assert res.total_combinations == 1
-    assert res.evaluated == 1 and not res.subsampled
+    res = solve_aps(real4, model4, "sar-min", BaselineConfig(), cfg, targets=targets)
+    assert res.evaluated == 1
     from dataclasses import replace
     direct = solve_sar_min(real4, targets, model4,
                            replace(cfg, optimize_positions=False),
                            initial_layout=grid)
-    assert res.sar == pytest.approx(direct.sar, rel=1e-12)
-
-
-def test_aps_subsampling_flagged_and_deterministic():
-    real = small_channel(8)
-    cfg = fast_config()
-    targets = SinrTargets.uniform(2, 0.5 / NOISE_W)
-    bcfg = BaselineConfig(aps_cap=6, aps_seed=5)
-    a = solve_aps(real, SMALL_MODEL, "sar-min", bcfg, cfg, targets=targets,
-                  method="combinations")
-    b = solve_aps(real, SMALL_MODEL, "sar-min", bcfg, cfg, targets=targets,
-                  method="combinations")
-    assert a.subsampled and a.evaluated <= 6
-    assert a.coverage == pytest.approx(a.evaluated / a.total_combinations)
-    assert a.value == b.value and np.array_equal(a.layout, b.layout)
-    c = solve_aps(real, SMALL_MODEL, "sar-min", BaselineConfig(aps_cap=6, aps_seed=9),
-                  cfg, targets=targets, method="combinations")
-    assert c.evaluated <= 6  # different seed may pick different combos
+    assert np.array_equal(res.layout, grid)
+    assert res.sar == direct.sar
 
 
 def test_aps_layouts_respect_spacing():
     real = small_channel(9)
     cfg = fast_config()
-    res = solve_aps(real, SMALL_MODEL, "sar-min", BaselineConfig(aps_cap=10, aps_seed=1),
-                    cfg, targets=SinrTargets.uniform(2, 0.5 / NOISE_W), method="combinations")
+    res = solve_aps(real, SMALL_MODEL, "sar-min", BaselineConfig(), cfg,
+                    targets=SinrTargets.uniform(2, 0.5 / NOISE_W))
     assert min_pairwise_distance(res.layout) >= WAVELENGTH / 2 - 1e-12
 
 
@@ -216,16 +200,13 @@ def test_fas_seeded_from_aps_winner_not_worse():
     # continuous refinement from the winning lattice placement can only reduce:
     # seed the full state (layout, exact precoder, penalty level) so the
     # descent continues from the winner instead of restarting the penalty
-    # ramp. A lattice layout is solved exactly, with no penalty, so the level
-    # is the one a cold FAS solve of the same channel ends at
+    # ramp. The winner ends on the exact solve at its layout, so the level is
+    # the one a cold FAS solve of the same channel ends at
     from dataclasses import replace
     real = small_channel(10)
     cfg = fast_config()
     targets = SinrTargets.uniform(2, 1.0 / NOISE_W)
-    aps = solve_aps(real, SMALL_MODEL, "sar-min",
-                    BaselineConfig(aps_cap=10, aps_seed=2), cfg, targets=targets,
-                    method="combinations")
-    assert aps.best.final_mu == 0.0 and aps.best.outer_iterations == 0
+    aps = solve_aps(real, SMALL_MODEL, "sar-min", BaselineConfig(), cfg, targets=targets)
     cold = solve_sar_min(real, targets, SMALL_MODEL, cfg)
     seeded_cfg = replace(cfg, mu0=cold.final_mu * cfg.a ** 12)
     fas = solve_sar_min(real, targets, SMALL_MODEL, seeded_cfg,
@@ -236,19 +217,16 @@ def test_fas_seeded_from_aps_winner_not_worse():
 
 @pytest.mark.parametrize("half_width", [1.0, 2.5, 3.0])
 def test_aps_antennas_sit_on_lattice_points(half_width):
-    # both methods start and stay on the lattice: the alternating search from
-    # the lattice row nearest the x-axis and the innermost cluster, the
-    # combinations from lattice subsets
+    # the search starts and stays on the lattice, from the lattice row nearest
+    # the x-axis and from the innermost cluster
     cfg = fast_config(region=Region(half_width, WAVELENGTH))
     on = set(map(tuple, aps_grid(cfg.region).tolist()))
     real = sample_channel(3, 4, 4, 5, NOISE_W)
     targets = SinrTargets.uniform(4, 1.0 / NOISE_W)
     bal = BalanceConfig(accuracy=1e13, bracket=(0.0, 1e15))
-    for method in ("alternating", "combinations"):
-        for objective in ("sar-min", "balance"):
-            res = solve_aps(real, paper_sar_matrix(), objective, BaselineConfig(aps_cap=3),
-                            cfg, bal, targets, method=method)
-            assert set(map(tuple, res.layout.tolist())) <= on, (method, objective)
+    for objective in ("sar-min", "balance"):
+        res = solve_aps(real, paper_sar_matrix(), objective, BaselineConfig(), cfg, bal, targets)
+        assert set(map(tuple, res.layout.tolist())) <= on, objective
 
 
 def test_aps_starts_from_the_cluster_alone_when_no_row_holds_the_array():
@@ -261,17 +239,14 @@ def test_aps_starts_from_the_cluster_alone_when_no_row_holds_the_array():
     assert set(map(tuple, res.layout.tolist())) <= on
 
 
-def test_aps_rejects_nonpositive_cap():
-    # a cap below one would leave no subset to solve
-    for cap in (0, -3):
-        with pytest.raises(ConfigurationError, match="aps_cap"):
-            BaselineConfig(aps_cap=cap)
-
-
 def test_aps_rejects_bad_objective():
     real = small_channel(1)
     with pytest.raises(ConfigurationError):
         solve_aps(real, SMALL_MODEL, "capacity", BaselineConfig(), fast_config())
+    # the lattice search is the only method
+    with pytest.raises(ConfigurationError, match="method"):
+        solve_aps(real, SMALL_MODEL, "sar-min", BaselineConfig(), fast_config(),
+                  targets=SinrTargets.uniform(2, 0.5 / NOISE_W), method="combinations")
 
 
 def test_aps_settled_lattice_exit_keeps_every_result(monkeypatch):

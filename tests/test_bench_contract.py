@@ -3,7 +3,8 @@
 ``ExperimentPlan(aps_cap=)`` and the functions its tracer wraps. These tests
 run one operation of each workload through that workload's own checks, so a
 change of those names or of what they return fails here, not first in a
-benchmark run. They only read bench/.
+benchmark run. They only read bench/. The three APS names there (``method``,
+``aps_cap`` and ``aps_seed``) are inert: the program accepts them and acts on none.
 """
 import importlib
 import sys

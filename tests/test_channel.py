@@ -116,14 +116,18 @@ def test_channel_matrix_is_stacked_channel_vectors_bit_for_bit(rng, M, K, L):
         assert channel_matrix(pos, real, WAVELENGTH).tobytes() == want.tobytes()
 
 
-def test_channel_matrix_of_ragged_path_counts(rng):
-    # users with different path counts take the per-user path
-    real = ChannelRealization(paths=(make_paths(rng, 3), make_paths(rng, 7), make_paths(rng, 1)))
-    pos = rng.uniform(-WAVELENGTH, WAVELENGTH, (4, 2))
-    H = channel_matrix(pos, real, WAVELENGTH)
-    assert H.shape == (3, 4)
-    for k, ps in enumerate(real.paths):
-        assert H[k].tobytes() == channel_vector(pos, ps, WAVELENGTH).tobytes()
+def test_channel_refuses_ragged_path_counts(rng):
+    # every moving solve stacks the users' paths: users with different path
+    # counts, or no users, are refused when the channel is built
+    ragged = (make_paths(rng, 3), make_paths(rng, 7), make_paths(rng, 1))
+    with pytest.raises(ConfigurationError, match="path count"):
+        ChannelRealization(paths=ragged)
+    with pytest.raises(ConfigurationError, match="path count"):
+        ChannelRealization(paths=())
+    doc = ChannelRealization(paths=ragged[:1]).to_json_dict()
+    doc["users"].append(ChannelRealization(paths=ragged[1:2]).to_json_dict()["users"][0])
+    with pytest.raises(ConfigurationError, match="path count"):
+        ChannelRealization.from_json(json.dumps(doc))
 
 
 def test_channel_translation_covariance(rng):

@@ -29,7 +29,7 @@ REPORT_KEYS = {
     "baseline-backoff": ["beta", "precoder", "layout", "sar", "alpha", "unconstrained_beta"],
     "baseline-fpa": ["orientation"] + BALANCE_KEYS,  # at the balance objective
     "baseline-aps": ["value", "objective", "layout", "sar", "beta", "evaluated",
-                     "total_combinations", "coverage", "subsampled", "wall_time_s"],
+                     "wall_time_s"],
 }
 
 
@@ -122,6 +122,7 @@ def test_cli_refuses_a_nan_budget_before_solving(monkeypatch, problem):
     (["solve", "sar-min", "--beta0", "nan"], "beta0"),
     (["solve", "sinr-balance", "--eps1", "nan"], "accuracy"),
     (["baseline", "backoff", "--eps1", "nan"], "accuracy"),
+    (["solve", "sinr-balance", "--weights", "nan,1,1,1"], "weights"),
 ])
 def test_cli_refuses_a_nan_target_or_accuracy_before_solving(monkeypatch, argv, match):
     from fluidsar import cli
@@ -141,7 +142,7 @@ def test_cli_baselines(tmp_path):
         ("no-sar", []),
         ("backoff", []),
         ("fpa", ["--objective", "balance"]),
-        ("aps", ["--objective", "balance", "--aps-cap", "3"]),
+        ("aps", ["--objective", "balance"]),
     ]:
         out = tmp_path / f"{scheme}.json"
         rc = main(["baseline", scheme, "--channel", "4", "--m", "2", "--k", "2",
@@ -151,6 +152,20 @@ def test_cli_baselines(tmp_path):
         doc = json.loads(out.read_text())
         assert doc["kind"] == f"baseline-{scheme}"
         assert_report_keys(doc)
+
+
+@pytest.mark.parametrize("extra", [["--method", "combinations"], ["--aps-cap", "3"]])
+def test_cli_aps_takes_no_method_or_cap(monkeypatch, capsys, extra):
+    from fluidsar import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran on a removed flag")
+    monkeypatch.setattr(cli, "solve_aps", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        main(["baseline", "aps", "--channel", "4", "--m", "2", "--k", "2", "--paths", "3",
+              "--sar", "synth:2"] + FAST + extra)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_sweep_and_stdout(tmp_path, capsys):

@@ -90,6 +90,10 @@ def test_plan_refuses_targets_and_balance_settings_that_are_not_finite():
     bad = [(dict(sweep="q0", values=(1.6,), beta0=nan), "beta0"),
            (dict(sweep="q0", values=(1.6,), beta0=inf), "beta0"),
            (dict(values=(1e13, nan)), "beta0"),
+           # a beta0 sweep reads its points, not the plan's beta0, and a
+           # balance plan reads no beta0: one that is given is still checked
+           (dict(beta0=nan), "beta0"), (dict(beta0=-1.0), "beta0"),
+           (dict(objective="balance", sweep="q0", values=(1.6,), beta0=nan), "beta0"),
            (dict(objective="balance", sweep="q0", values=(1.6,), beta0=None, accuracy=nan),
             "accuracy"),
            (dict(objective="balance", sweep="q0", values=(1.6,), beta0=None, beta_bracket=inf),
@@ -293,6 +297,8 @@ def test_sar_min_rows_carry_warnings():
     rec = run_sweep(tiny_plan(values=(1.0 / NOISE_W,), trials=1, schemes=("fas", "fpa", "aps")))
     assert all(isinstance(r["warnings"], list) for r in rec.rows)
     assert all("probes" not in r for r in rec.rows)
+    # the lattice search evaluates its starts, not a share of lattice subsets
+    assert all("aps_coverage" not in r and "aps_subsampled" not in r for r in rec.rows)
 
 
 def test_balance_objective_sweep_runs():
