@@ -31,16 +31,13 @@ from .solver import (
     SolveReport,
     SolverConfig,
     SolverError,
-    coupling_residual,
     inner_loop,
     position_gradient,
     position_majorizer,
     position_objective,
-    position_qp,
     solve_auxiliary,
     solve_precoder,
     solve_sar_min,
-    update_position,
 )
 from .balance import BalanceConfig, BalanceResult, default_upper_bracket, solve_sinr_balance
 from .baselines import (

@@ -47,7 +47,6 @@ class BalanceConfig:
     accuracy: float = 1e-4
     bracket: tuple[float, float] | None = None
     weights: np.ndarray | None = None
-    warm_start: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.accuracy < np.inf:  # false for NaN too
@@ -181,6 +180,10 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
         if initial_layout is None else np.array(initial_layout, dtype=float)
 
     ladder: list[tuple] = []
+    # a probe starts from the last converged one only on a continuously moving
+    # layout: lattice moves happen in the low-penalty phase that a warm start
+    # skips, and a fixed layout's exact solve has nothing to resume
+    warm_probes = solver_config.optimize_positions and not solver_config.lattice
     warm: SolveReport | None = None
     warm_beta = 0.0
 
@@ -188,7 +191,7 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
         nonlocal warm, warm_beta
         cfg = solver_config
         kwargs: dict = {"initial_layout": layout0}
-        if config.warm_start and warm is not None and warm_beta > 0 and beta0 > 0:
+        if warm is not None and warm_beta > 0 and beta0 > 0:
             # power-match the warm precoder to the new target scale, otherwise a
             # large restart penalty pins the probe at the previous power level;
             # mu resumes at the warm probe's final value, which the stopping
@@ -202,7 +205,7 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
         rep = solve_sar_min(realization, SinrTargets(weights, beta0), model, cfg, **kwargs)
         ok = rep.converged and rep.feasible and rep.sar <= budget
         ladder.append((phase, beta0, rep.sar, bool(ok), bool(rep.converged)))
-        if config.warm_start:
+        if warm_probes:
             warm = rep if rep.converged else None
             warm_beta = beta0
         return rep, ok

@@ -157,9 +157,6 @@ def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
     row = grid[grid[:, 1] == grid[np.abs(grid[:, 1]).argmin(), 1]]
     with contextlib.suppress(ConfigurationError):
         layouts.insert(0, central_grid_layout(row, M, cfg.distance))
-    # cold probes: the discrete reconfiguration happens in the low-penalty
-    # phase, which warm-started probes skip
-    bal = replace(balance_config or BalanceConfig(), warm_start=False)
 
     # distinct lattice points are at least lambda/2 apart: every layout is spaced
     best = best_key = None
@@ -170,7 +167,8 @@ def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
                 continue
             key = (rep.sar, rep.layout.tolist())
         else:
-            rep = solve_sinr_balance(realization, model, bal, cfg, initial_layout=layout)
+            rep = solve_sinr_balance(realization, model, balance_config, cfg,
+                                     initial_layout=layout)
             key = (-rep.beta_star, rep.layout.tolist())
         if best_key is None or key < best_key:
             best, best_key = rep, key

@@ -80,19 +80,9 @@ def sar_value(precoder: np.ndarray, model: SarModel) -> float:
     return float(val.real)
 
 
-_PAPER_R4 = np.array(
-    [
-        [1.6, -1.2j, -0.42, 0.0],
-        [1.2j, 1.6, -1.2j, -0.42],
-        [-0.42, 1.2j, 1.6, -1.2j],
-        [0.0, -0.42, 1.2j, 1.6],
-    ]
-)
-
-
 def paper_sar_matrix(budget: float = 1.6) -> SarModel:
-    """The measured 4-antenna SAR matrix (banded: 1.6 diagonal, +/-1.2j, -0.42)."""
-    return SarModel(matrix=_PAPER_R4.copy(), budget=budget, synthetic=False)
+    """The measured 4-antenna SAR matrix, ``_banded_pattern(4)``."""
+    return SarModel(matrix=_banded_pattern(4), budget=budget, synthetic=False)
 
 
 def _banded_pattern(M: int) -> np.ndarray:

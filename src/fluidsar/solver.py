@@ -39,7 +39,7 @@ every inner loop of the solve; a lattice solve builds the lattice's table
 with it (``_Lattice``: points, channel rows, index). A continuous sweep forms
 U = E P^H and the Gram matrix P P^H at its start and updates U by rank one as
 antennas move. Nothing outlives the solve. The single-step public helpers
-(``position_gradient``, ``update_position``, ...) build a cache per call.
+(``position_gradient``, ``position_majorizer``) build a cache per call.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ import functools
 import math
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -79,11 +79,8 @@ __all__ = [
     "position_objective",
     "position_gradient",
     "position_majorizer",
-    "position_qp",
-    "update_position",
     "inner_loop",
     "solve_sar_min",
-    "coupling_residual",
 ]
 
 
@@ -166,8 +163,14 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.a < 1.0):
             raise ConfigurationError("penalty scaling a must lie in (0, 1)")
-        if self.mu0 <= 0:
-            raise ConfigurationError("initial penalty factor must be positive")
+        if not 0.0 < self.mu0 < np.inf:  # false for NaN too
+            raise ConfigurationError("initial penalty factor mu0 must be finite and positive")
+        for f in fields(self):  # every eps_* threshold and max_* cap
+            value = getattr(self, f.name)
+            if f.name.startswith("eps_") and not 0.0 <= value < np.inf:
+                raise ConfigurationError(f"{f.name} must be a finite non-negative number")
+            if f.name.startswith("max_") and not value >= 1:
+                raise ConfigurationError(f"{f.name} must be at least 1")
 
     @property
     def wavelength(self) -> float:
@@ -384,16 +387,13 @@ def _dual_bisection(user, lo: float, hi: float, y_hi: float, k: int, k_min: int,
 # block 3: antenna position step
 # ---------------------------------------------------------------------------
 
-def coupling_residual(positions: np.ndarray, realization: ChannelRealization,
-                      P: np.ndarray, Z: np.ndarray, wavelength: float) -> float:
-    """Total squared coupling residual sum |h_k^H p_j - z_{k,j}|^2 (the xi indicator)."""
+def position_objective(positions: np.ndarray, realization: ChannelRealization,
+                       P: np.ndarray, Z: np.ndarray, wavelength: float) -> float:
+    """Total squared coupling residual sum |h_k^H p_j - z_{k,j}|^2 (the xi
+    indicator), which the position block lowers one antenna at a time."""
     H = channel_matrix(positions, realization, wavelength)
     E = H.conj() @ P - Z
     return float(np.vdot(E, E).real)
-
-
-# the position objective is the same residual, read as a function of one antenna
-position_objective = coupling_residual
 
 
 def _gradient(wbar: np.ndarray, u: np.ndarray) -> tuple[float, float]:
@@ -460,6 +460,10 @@ def _project_step(free, t_old, region: Region, others, min_distance: float):
     lists the other antennas. None when a neighbour sits on the antenna (no
     row can be set up) or when no point meets every row.
 
+    This is the minimizer of the position block's quadratic surrogate
+    0.5 tau ||t||^2 + (grad - tau t_old).t under those rows: the surrogate
+    equals 0.5 tau ||t - free||^2 up to a constant, free = t_old - grad / tau.
+
     Each row a.t >= b is unit-norm and is met within 1e-11 max(1, |b|). The
     free step is returned when it meets every row. Otherwise the projection
     onto a violated row that meets every row is the optimum: the polygon lies
@@ -513,23 +517,6 @@ def _project_step(free, t_old, region: Region, others, min_distance: float):
     return clip(x, y)
 
 
-def position_qp(tau: float, grad: np.ndarray, t_old: np.ndarray, region: Region,
-                others: np.ndarray, min_distance: float) -> np.ndarray | None:
-    """Minimize the quadratic surrogate under box and linearized spacing constraints.
-
-    The surrogate 0.5 tau ||t||^2 + (grad - tau t_old).t equals
-    0.5 tau ||t - t_free||^2 up to a constant, with t_free = t_old - grad / tau,
-    so its minimizer is the projection of the free step onto the constraint
-    polygon, found exactly by ``_project_step``. Returns None if nothing is
-    feasible.
-    """
-    tx, ty = np.asarray(t_old, dtype=float).tolist()
-    gx, gy = np.asarray(grad, dtype=float).tolist()
-    t = _project_step((tx - gx / tau, ty - gy / tau), (tx, ty), region,
-                      np.asarray(others, dtype=float).reshape(-1, 2).tolist(), min_distance)
-    return None if t is None else np.array(t)
-
-
 def _step_from_gradient(t_old, grad, tau: float, region: Region, min_distance: float,
                         others: list):
     """Free majorize-minimize step with QP fallback, on (x, y) pairs of Python
@@ -558,24 +545,6 @@ def _step_from_gradient(t_old, grad, tau: float, region: Region, min_distance: f
     if t_new is None:
         return t_old, "stuck"
     return t_new, "qp"
-
-
-def update_position(m: int, positions: np.ndarray, realization: ChannelRealization,
-                    P: np.ndarray, Z: np.ndarray, region: Region, min_distance: float,
-                    wavelength: float):
-    """Single position update for antenna m (free step, QP fallback).
-
-    Returns (t_new, status) with status in {"free", "qp", "stuck", "skipped"}.
-    """
-    geo = _GeoCache(realization, wavelength)
-    tau = float(_majorizers(geo, P, Z, wavelength)[m])
-    if tau <= 0.0:
-        return positions[m], "skipped"
-    points = np.asarray(positions, dtype=float).tolist()
-    grad = position_gradient(m, positions, realization, P, Z, wavelength)
-    t_new, status = _step_from_gradient(points[m], grad, tau, region, min_distance,
-                                        points[:m] + points[m + 1:])
-    return np.array(t_new), status
 
 
 def _select_positions_on_grid(positions, lat: _Lattice, P, Z, Hbar):

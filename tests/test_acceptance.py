@@ -215,7 +215,7 @@ def test_criterion_6_lemma_roundtrip():
             eps1 = 5e-4 * beta0
             back = solve_sinr_balance(
                 real, synthesize_sar_matrix(2, budget=fwd.sar),
-                BalanceConfig(accuracy=eps1, warm_start=False), cfg)
+                BalanceConfig(accuracy=eps1), cfg)
             assert abs(back.beta_star - beta0) <= 2 * eps1, \
                 f"trial {trial}: {back.beta_star:.6e} vs {beta0:.6e}"
 

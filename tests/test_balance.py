@@ -22,7 +22,7 @@ from fluidsar.channel import (
     sample_channel,
     uniform_line_layout,
 )
-from fluidsar.exposure import SarModel, synthesize_sar_matrix
+from fluidsar.exposure import SarModel, paper_sar_matrix, synthesize_sar_matrix
 from fluidsar.solver import SinrTargets, SolveReport, SolverConfig, solve_sar_min
 
 from conftest import NOISE_W, WAVELENGTH, fast_config
@@ -176,25 +176,32 @@ def test_lemma_roundtrip_desk_scale():
         q = fwd.sar
         eps1 = 5e-4 * beta0
         model_q = synthesize_sar_matrix(2, budget=q)
-        back = solve_sinr_balance(real, model_q,
-                                  BalanceConfig(accuracy=eps1, warm_start=False), cfg)
+        back = solve_sinr_balance(real, model_q, BalanceConfig(accuracy=eps1), cfg)
         if abs(back.beta_star - beta0) > 2 * eps1:
             failures += 1
     assert failures == 0
 
 
-def test_warm_start_stays_valid():
-    # warm starts may land on different local optima; both runs must stay
-    # budget-feasible and in the same ballpark
-    real = desk_channel(12)
-    cfg = fast_config()
-    warm = solve_sinr_balance(real, DESK_MODEL, BalanceConfig(accuracy=1e11), cfg)
-    cold = solve_sinr_balance(real, DESK_MODEL,
-                              BalanceConfig(accuracy=1e11, warm_start=False), cfg)
-    for res in (warm, cold):
-        assert res.sar <= DESK_MODEL.budget + 1e-9
-    assert warm.beta_star >= 0.5 * cold.beta_star
-    assert cold.beta_star >= 0.5 * warm.beta_star
+def test_silent_user_balances_to_zero():
+    # no probe can serve a user whose path gains are zero: the search falls
+    # to target 0
+    from test_solver import channel_with_a_silent_user
+    res = solve_sinr_balance(channel_with_a_silent_user(), paper_sar_matrix(),
+                             BalanceConfig(accuracy=1e13, bracket=(0.0, 1e15)))
+    assert res.beta_star == 0.0
+    assert res.warnings == ["no_feasible_probe"]
+
+
+def test_fixed_layout_balance_exhausts_a_low_bracket():
+    # every doubling of a bracket end far below the answer fits the budget:
+    # after MAX_EXPANSIONS doublings the last end is returned, flagged
+    res = solve_sinr_balance(sample_channel(1, 4, 4, 15, NOISE_W), paper_sar_matrix(),
+                             BalanceConfig(accuracy=1e9, bracket=(0.0, 1e10)),
+                             SolverConfig(optimize_positions=False))
+    assert res.beta_star == 1e10 * 2 ** MAX_EXPANSIONS == 8e10
+    assert res.warnings == ["bracket_exhausted"]
+    assert res.probes == {"bracket": MAX_EXPANSIONS + 1, "bisect": 0, "descend": 0}
+    assert res.iterations == 0 and res.sar <= res.budget
 
 
 def test_balance_is_deterministic():
@@ -352,9 +359,9 @@ def test_fixed_layout_cold_ladder_matches_bisection():
     # cold probes at a fixed layout are a deterministic map of the target, so
     # the ladder must end on the probe bisection ends on, to the last bit
     cfg = fast_config(optimize_positions=False)
-    cases = ((3, BalanceConfig(accuracy=1e11, warm_start=False)),
-             (7, BalanceConfig(accuracy=1e13, bracket=(4e14, 6e15), warm_start=False)),
-             (9, BalanceConfig(accuracy=2e15, warm_start=False)))
+    cases = ((3, BalanceConfig(accuracy=1e11)),
+             (7, BalanceConfig(accuracy=1e13, bracket=(4e14, 6e15))),
+             (9, BalanceConfig(accuracy=2e15)))
     phases = set()
     for seed, bal in cases:
         real = desk_channel(seed)
@@ -451,6 +458,8 @@ def parent_solve_sinr_balance(realization: ChannelRealization, model: SarModel,
     ladder: list[tuple] = []
     best: SolveReport | None = None
     best_beta = 0.0
+    # changed: probes warm-start by the solver config, as solve_sinr_balance's do
+    warm_probes = solver_config.optimize_positions and not solver_config.lattice
     warm: SolveReport | None = None
     warm_beta = 0.0
 
@@ -458,7 +467,7 @@ def parent_solve_sinr_balance(realization: ChannelRealization, model: SarModel,
         nonlocal warm, warm_beta
         cfg = solver_config
         kwargs: dict = {"initial_layout": layout0}
-        if config.warm_start and warm is not None and warm_beta > 0 and beta0 > 0:
+        if warm is not None and warm_beta > 0 and beta0 > 0:
             # power-match the warm precoder to the new target scale, otherwise a
             # large restart penalty pins the probe at the previous power level
             kwargs = {
@@ -470,7 +479,7 @@ def parent_solve_sinr_balance(realization: ChannelRealization, model: SarModel,
         rep = solve_sar_min(realization, SinrTargets(weights, beta0), model, cfg, **kwargs)
         ok = rep.converged and rep.feasible and rep.sar <= budget
         ladder.append((phase, beta0, rep.sar, bool(ok), bool(rep.converged)))
-        if config.warm_start:
+        if warm_probes:
             warm = rep if rep.converged else None
             warm_beta = beta0
         return rep, ok

@@ -137,6 +137,21 @@ def test_cli_refuses_a_nan_target_or_accuracy_before_solving(monkeypatch, argv, 
         main(argv + ["--channel", "5", "--paths", "3"] + FAST)
 
 
+@pytest.mark.parametrize("flag,value,match", [("--mu0", "nan", "mu0"),
+                                              ("--max-inner", "0", "max_inner")])
+def test_cli_refuses_solver_settings_before_solving(monkeypatch, flag, value, match):
+    from fluidsar import cli
+    from fluidsar.channel import ConfigurationError
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran with a setting no solve can use")
+    monkeypatch.setattr(cli, "solve_sar_min", no_solve)
+    with pytest.raises(ConfigurationError, match=match):
+        # the flag follows FAST, so its value is the one parsed
+        main(["solve", "sar-min", "--channel", "5", "--paths", "3",
+              "--beta0", str(0.5 / NOISE_W)] + FAST + [flag, value])
+
+
 def test_cli_baselines(tmp_path):
     for scheme, extra in [
         ("no-sar", []),

@@ -83,6 +83,19 @@ def test_plan_validation():
     assert set(vars(tiny_plan())) == {f.name for f in fields(ExperimentPlan)}
 
 
+@pytest.mark.parametrize("setting,value", [("mu0", float("nan")), ("eps_outer", float("nan")),
+                                           ("max_inner", 0), ("max_outer", -3)])
+def test_plan_refuses_solver_settings_no_solve_can_use(setting, value):
+    # the plan builds every point's SolverConfig, so these fail before any
+    # trial runs, from code and from JSON alike
+    solver = {**tiny_plan().solver, setting: value}
+    with pytest.raises(ConfigurationError, match=setting):
+        tiny_plan(solver=solver)
+    doc = {**tiny_plan().to_json_dict(), "solver": solver}
+    with pytest.raises(ConfigurationError, match=setting):
+        ExperimentPlan.from_json(json.dumps(doc))
+
+
 def test_plan_refuses_targets_and_balance_settings_that_are_not_finite():
     # the plan builds every point, so these fail before any trial runs,
     # from code and from JSON alike

@@ -131,6 +131,14 @@ def ref_position_qp(tau, grad, t_old, region, others, min_distance):
     return region.clip(best)
 
 
+def solver_qp_step(tau, grad, t_old, region, others, min_distance):
+    """The solver's QP step on arrays: ``_project_step`` of the free step
+    t_old - grad / tau; None where it finds no point."""
+    t = solver._project_step((t_old - grad / tau).tolist(), t_old.tolist(), region,
+                             np.reshape(others, (-1, 2)).tolist(), min_distance)
+    return None if t is None else np.array(t)
+
+
 def ref_step_from_gradient(t_old, grad, tau, region, min_distance, others,
                            qp=ref_position_qp):
     cand = t_old - grad / tau
@@ -380,7 +388,7 @@ def test_position_block_matches_reference_decision_for_decision():
     def solver_qp(*args):
         # the solver's QP, recording copies of its inputs (the sweep mutates
         # the position rows they view) and its result
-        t = solver.position_qp(*args)
+        t = solver_qp_step(*args)
         qp_calls.append(([np.array(a, copy=True) if isinstance(a, np.ndarray) else a
                           for a in args], t))
         return t
@@ -470,7 +478,7 @@ def test_single_steps_match_reference():
         else:
             assert np.array_equal(np.array(got), want), i
         if s_want != "free":
-            qp = solver.position_qp(tau, grad, t_old, region, others, d)
+            qp = solver_qp_step(tau, grad, t_old, region, others, d)
             assert_qp_agrees((tau, grad, t_old, region, others, d), qp, i)
     assert statuses == {"free", "qp", "stuck"}
 

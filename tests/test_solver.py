@@ -161,6 +161,57 @@ def test_targets_refuse_values_that_are_not_finite(bad):
         SinrTargets(np.array([1.0, bad, 1.0, 1.0]), 1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("overrides,match", [
+    (dict(mu0=NAN), "mu0"), (dict(mu0=INF), "mu0"), (dict(mu0=0.0), "mu0"),
+    (dict(eps_outer=NAN), "eps_outer"), (dict(eps_inner=-1e-4), "eps_inner"),
+    (dict(eps_position=INF), "eps_position"), (dict(eps_inner_rel=NAN), "eps_inner_rel"),
+    (dict(eps_position_rel=-1.0), "eps_position_rel"),
+    (dict(max_outer=-3), "max_outer"), (dict(max_inner=0), "max_inner"),
+    (dict(max_sca_iter=-1), "max_sca_iter"),
+])
+def test_solver_config_refuses_settings_no_solve_can_use(overrides, match):
+    # mu0 = NaN used to fail deep inside the precoder step, eps_outer = NaN to
+    # run silently to max_outer, and max_inner = 0 to end on a plateau with
+    # no inner sweep
+    from fluidsar.channel import ConfigurationError
+    with pytest.raises(ConfigurationError, match=match):
+        SolverConfig(**overrides)
+
+
+def test_solver_config_takes_zero_thresholds_and_single_iterations():
+    SolverConfig(eps_inner=0.0, eps_outer=0.0, eps_position=0.0, eps_inner_rel=0.0,
+                 eps_position_rel=0.0, max_outer=1, max_inner=1, max_sca_iter=1)
+
+
+def channel_with_a_silent_user():
+    """``sample_channel(1, 4, 4, 15)`` with user 0's path gains set to zero:
+    no precoder reaches that user."""
+    from fluidsar.channel import ChannelRealization, PathSet
+    ch = sample_channel(1, 4, 4, 15, NOISE_W)
+    p0 = ch.paths[0]
+    silent = PathSet(p0.elevation_aods, p0.azimuth_aods, np.zeros(15))
+    return ChannelRealization((silent,) + ch.paths[1:], ch.noise_variance, ch.seed)
+
+
+@pytest.mark.parametrize("move", [True, False])
+def test_silent_user_is_reported_not_solved(move):
+    # a moving solve cannot project the couplings even after the recovery
+    # step and stops before any outer iteration; a fixed layout's exact
+    # solve finds the targets infeasible
+    rep = solve_sar_min(channel_with_a_silent_user(), SinrTargets.uniform(4, 1.0 / NOISE_W),
+                        paper_sar_matrix(), SolverConfig(optimize_positions=move))
+    if move:
+        assert rep.status == "degenerate"
+        assert rep.warnings == ["degenerate_user", "infeasible_targets"]
+    else:
+        assert rep.status == "infeasible"
+        assert rep.warnings == ["infeasible_targets"]
+    assert rep.outer_iterations == 0 and not rep.converged and not rep.feasible
+
+
 def test_solve_nonconvergence_is_flagged_not_raised(paper_channel):
     # an impossibly low outer cap cannot converge; expect a flagged report
     model = paper_sar_matrix()

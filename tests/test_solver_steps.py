@@ -17,18 +17,16 @@ from fluidsar.solver import (
     SinrTargets,
     _GeoCache,
     _majorizers,
-    coupling_residual,
     position_gradient,
     position_majorizer,
     position_objective,
-    position_qp,
     solve_auxiliary,
     solve_precoder,
     solve_sar_min,
-    update_position,
 )
 
 from conftest import NOISE_W, WAVELENGTH, fast_config, random_complex
+from test_position_reference import solver_qp_step
 
 
 # ----------------------------------------------------------- precoder step
@@ -351,7 +349,7 @@ def test_qp_box_clip_without_neighbors(rng, region):
     grad = np.array([-1.0, 0.2]) * tau * region.half_width_m
     free = t_old - grad / tau
     assert not region.contains(free)
-    sol = position_qp(tau, grad, t_old, region, np.empty((0, 2)), WAVELENGTH / 2)
+    sol = solver_qp_step(tau, grad, t_old, region, np.empty((0, 2)), WAVELENGTH / 2)
     assert np.allclose(sol, region.clip(free), atol=1e-12)
 
 
@@ -365,7 +363,7 @@ def test_qp_matches_grid_oracle(rng, region):
         # keep t_old strictly feasible for the linearization
         others = others[np.linalg.norm(others - t_old, axis=1) >= WAVELENGTH / 2]
         grad = rng.uniform(-1, 1, 2) * tau * lam * 20
-        sol = position_qp(tau, grad, t_old, region, others, WAVELENGTH / 2)
+        sol = solver_qp_step(tau, grad, t_old, region, others, WAVELENGTH / 2)
         if sol is None:
             continue
         # linearized constraints at t_old
@@ -455,7 +453,7 @@ def test_qp_is_the_projection_of_the_free_step():
             free = b[j] * A[j] + along - (far if kind == 5 else 0.0) * A[j]
         tau = 10.0 ** rng.uniform(-2, 3)
         grad = (t_old - free) * tau
-        t = position_qp(tau, grad, t_old, region, others, d)
+        t = solver_qp_step(tau, grad, t_old, region, others, d)
         if t is None:
             branches["none"] = branches.get("none", 0) + 1
             continue
@@ -467,30 +465,39 @@ def test_qp_is_the_projection_of_the_free_step():
     assert min(branches.get(k, 0) for k in ("free", "single", "vertex")) >= 50, branches
 
 
-def test_update_position_fixed_point(rng, region):
-    # zero gradient at a feasible point: position unchanged
+def sweep(pos, real, P, Z, region):
+    """One position sweep of the solver on a copy of ``pos``: the layout after
+    it, the stuck flag and the step counts."""
+    config = fast_config(region=region)
+    moved = np.array(pos, dtype=float)
+    Hbar = channel_matrix(moved, real, WAVELENGTH).conj()
+    counts = {}
+    _, _, stuck = solver._sweep_positions(moved, _GeoCache(real, WAVELENGTH), P, Z, region,
+                                          config.distance, config, Hbar, counts)
+    return moved, stuck, counts
+
+
+def test_position_sweep_fixed_point(rng, region):
+    # zero residual at a feasible point: no antenna moves
     real, _, pos, P, Z = setup_position_instance(rng, M=2, K=2, L=3)
     pos = uniform_line_layout(2, region)
     H = channel_matrix(pos, real, WAVELENGTH)
     exact = H.conj() @ P
-    t_new, status = update_position(0, pos, real, P, exact, region,
-                                    WAVELENGTH / 2, WAVELENGTH)
-    assert np.allclose(t_new, pos[0], atol=1e-12)
+    moved, stuck, counts = sweep(pos, real, P, exact, region)
+    assert np.array_equal(moved, pos) and not stuck and counts == {}
 
 
-def test_update_position_respects_constraints(rng, region):
+def test_position_sweep_respects_constraints(rng, region):
+    steps = {}
     for _ in range(20):
         real, _, pos, P, Z = setup_position_instance(rng, M=4, K=3, L=5, scale=2.0)
         pos = uniform_line_layout(4, region)
-        m = int(rng.integers(4))
-        t_new, status = update_position(m, pos, real, P, Z, region,
-                                        WAVELENGTH / 2, WAVELENGTH)
-        assert status in ("free", "qp", "stuck", "skipped")
-        moved = pos.copy()
-        moved[m] = t_new
+        moved, _, counts = sweep(pos, real, P, Z, region)
+        for status, n in counts.items():
+            steps[status] = steps.get(status, 0) + n
         assert region.contains(moved, tol=1e-12)
-        others = np.delete(pos, m, axis=0)
-        assert np.all(np.linalg.norm(others - t_new, axis=1) >= WAVELENGTH / 2 - 1e-9)
+        assert min_pairwise_distance(moved) >= WAVELENGTH / 2 - 1e-9
+    assert steps.get("free", 0) > 0 and steps.get("qp", 0) > 0, steps
 
 
 def test_accepted_steps_meet_the_surrogate_at_their_curvature(monkeypatch):
@@ -601,7 +608,7 @@ def test_moved_residual_matches_a_fresh_residual():
         moved[m] += rng.normal(0.0, (1e-4, 1e-2, 0.3)[i % 3] * WAVELENGTH, 2)
         delta = geo.point(tuple(moved[m]))[0] - geo.point(tuple(pos[m]))[0]
         got = solver._moved_residual(xi, delta, E @ P[m].conj(), float(np.vdot(P[m], P[m]).real))
-        want = coupling_residual(moved, real, P, Z, WAVELENGTH)
+        want = position_objective(moved, real, P, Z, WAVELENGTH)
         assert abs(got - want) <= 1e-13 * xi, (i, got, want)
 
 
