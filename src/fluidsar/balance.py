@@ -10,7 +10,8 @@ The probes stay on the grid of bisection down to the absolute accuracy, but
 Illinois regula falsi on (log beta0, log SAR), which is nearly linear, picks
 where on it to probe. If no probe fits, the same search runs on the halvings
 of the lowest infeasible probe; if none fits either, the result is the
-trivial solution at target 0 with the warning ``no_feasible_probe``.
+trivial solution at target 0 with the warning ``no_feasible_probe``, which a
+channel with a user whose path gains are all zero gets without a probe.
 """
 from __future__ import annotations
 
@@ -178,6 +179,12 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
 
     layout0 = uniform_line_layout(model.n_antennas, solver_config.region) \
         if initial_layout is None else np.array(initial_layout, dtype=float)
+    if not all(np.any(ps.path_gains) for ps in realization.paths):
+        # a user with no path gain has h_k(t) = 0 at every layout: no probe fits
+        best = solve_sar_min(realization, SinrTargets(weights, 0.0), model,
+                             solver_config, initial_layout=layout0)
+        return BalanceResult(0.0, best.precoder, best.layout, best.sar, budget, best, [], 0,
+                             ["no_feasible_probe"], time.perf_counter() - t0)
 
     ladder: list[tuple] = []
     # a probe starts from the last converged one only on a continuously moving

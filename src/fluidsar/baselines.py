@@ -41,8 +41,8 @@ class BaselineConfig:
     aps_seed: int = 0  # unread; goes once bench/workloads.py stops passing it
 
     def __post_init__(self):
-        if self.power_budget <= 0:
-            raise ConfigurationError("power budget must be positive")
+        if not 0.0 < self.power_budget < np.inf:  # false for NaN too
+            raise ConfigurationError("power budget must be finite and positive")
 
 
 def solve_without_sar(realization: ChannelRealization, num_antennas: int,

@@ -108,10 +108,10 @@ class Region:
     wavelength: float = DEFAULT_WAVELENGTH
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ConfigurationError("region half_width must be positive")
-        if self.wavelength <= 0:
-            raise ConfigurationError("wavelength must be positive")
+        if not 0.0 < self.half_width < np.inf:  # false for NaN too
+            raise ConfigurationError("region half_width must be finite and positive")
+        if not 0.0 < self.wavelength < np.inf:
+            raise ConfigurationError("wavelength must be finite and positive")
 
     @property
     def half_width_m(self) -> float:
@@ -167,8 +167,8 @@ class ChannelRealization(_JsonDoc):
     seed: int | None = None
 
     def __post_init__(self):
-        if self.noise_variance <= 0:
-            raise ConfigurationError("noise variance must be positive")
+        if not 0.0 < self.noise_variance < np.inf:  # false for NaN too
+            raise ConfigurationError("noise variance must be finite and positive")
         object.__setattr__(self, "paths", tuple(self.paths))
         if len({ps.count for ps in self.paths}) != 1:
             raise ConfigurationError("need at least one user, all with the same path count")

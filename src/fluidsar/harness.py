@@ -172,7 +172,10 @@ def _point_setup(plan: ExperimentPlan, value, seed: int):
     elif plan.sweep == "half_width":
         half_width = float(value)
     elif plan.sweep == "paths":
-        paths = int(value)
+        paths = value
+    if not float(paths).is_integer():  # false for NaN and inf too
+        raise ConfigurationError(f"paths value {paths!r} is not a whole number")
+    paths = int(paths)
     realization = sample_channel(seed, plan.m, plan.k, paths, plan.noise_variance)
     solver_config = SolverConfig(region=Region(half_width=half_width,
                                                wavelength=plan.wavelength), **plan.solver)

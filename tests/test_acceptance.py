@@ -1,33 +1,22 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
 one PASS/FAIL line. The Monte Carlo ordering/shape criteria share one set of
 session-scoped sweep records; trials use common random numbers across schemes
-and along the sweep axis. Records cache to tests/.acceptance_cache so a rerun
-of the suite reuses finished sweeps (delete the directory for a cold run).
+and along the sweep axis.
 
-A cache key hashes the plan together with a digest of the package sources
-(src/fluidsar/*.py), so a record written by older code is never read back:
-after any change to the package the first run is cold. Each record stores
-that digest, and writing a cold record deletes the records of every other
-digest, so the directory holds only what the current sources can read. A
-cold sweep runs its trials on min(2, cpu count) worker processes unless
-FAS_THREADS says otherwise; results do not depend on the worker count
-(criterion 10). Each
-record stores the core-seconds of the cold sweep that wrote it (wall time
-times the cores it could use), and a cache hit reports that figure, so the
-time bound of criterion 7 holds on warm runs too and is no looser in
-parallel than serial.
+Every run sweeps the code as it stands: the five sweeps run once per session
+and nothing is read back from an earlier run. A sweep runs its trials on
+min(2, cpu count) worker processes unless FAS_THREADS says otherwise; results
+do not depend on the worker count (criterion 10). Each sweep reports its
+core-seconds (wall time times the cores it could use), so the time bound of
+criterion 7 is no looser in parallel than serial.
 """
 import contextlib
-import hashlib
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import fluidsar
 from fluidsar.balance import BalanceConfig, solve_sinr_balance
 from fluidsar.channel import (
     Region,
@@ -37,7 +26,7 @@ from fluidsar.channel import (
     sinr_all,
 )
 from fluidsar.exposure import paper_sar_matrix, synthesize_sar_matrix
-from fluidsar.harness import ExperimentPlan, RunRecord, run_sweep, worker_count
+from fluidsar.harness import ExperimentPlan, run_sweep, worker_count
 from fluidsar.solver import (
     SinrTargets,
     SolverConfig,
@@ -222,47 +211,24 @@ def test_criterion_6_lemma_roundtrip():
 
 # ------------------------------------------------------------------ sweeps
 
-CACHE_DIR = Path(__file__).parent / ".acceptance_cache"
-
-
-def source_digest(root: Path = Path(fluidsar.__file__).parent) -> str:
-    """Digest of the package sources: file names and bytes, sorted by name."""
-    h = hashlib.sha1()
-    for path in sorted(root.glob("*.py")):
-        h.update(path.name.encode())
-        h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def sweep_workers() -> int:
-    """Worker processes for a cold sweep: FAS_THREADS if set, else up to 2."""
+    """Worker processes for a sweep: FAS_THREADS if set, else up to 2."""
     if os.environ.get("FAS_THREADS", "").strip():
         return worker_count()
     return min(2, os.cpu_count() or 1)
 
 
 def _run_plan(name="", **kwargs):
-    """Run one sweep plan, or replay the record that the current sources wrote.
+    """Run one sweep plan on ``sweep_workers()`` processes.
 
-    Returns the record and the core-seconds of the cold sweep behind it: its
-    wall time times the cores its workers could use.
+    Returns the record and the core-seconds of the sweep: its wall time times
+    the cores its workers could use.
     """
     defaults = dict(trials=20, master_seed=909, m=4, k=4, paths=15,
                     noise_variance=NOISE_W, accuracy=1e13, beta_bracket=1e15,
-                    aps_cap=8, solver=dict(EXPERIMENT_SOLVER))
+                    solver=dict(EXPERIMENT_SOLVER))
     defaults.update(kwargs)
     plan = ExperimentPlan(**defaults)
-    source = source_digest()
-    key = json.dumps({"plan": plan.to_json_dict(), "source": source}, sort_keys=True)
-    digest = hashlib.sha1(key.encode()).hexdigest()[:16]
-    cache = CACHE_DIR / f"{digest}.json"
-    if cache.exists():
-        doc = json.loads(cache.read_text())
-        elapsed, workers, cores = doc.pop("elapsed_s"), doc.pop("workers"), doc.pop("cores")
-        doc.pop("source", None)
-        print(f"  [{name}] cached ({digest}): swept in {elapsed:.0f}s "
-              f"with {workers} worker(s) on {cores} core(s)")
-        return RunRecord.from_json_dict(doc), elapsed * cores
     workers = sweep_workers()
     t0 = time.perf_counter()
     with pytest.MonkeyPatch.context() as mp:
@@ -270,48 +236,9 @@ def _run_plan(name="", **kwargs):
         rec = run_sweep(plan)
     elapsed = time.perf_counter() - t0
     cores = min(workers, os.cpu_count() or 1)
-    CACHE_DIR.mkdir(exist_ok=True)
-    for old in CACHE_DIR.glob("*.json"):  # other sources' records: no key reaches them
-        with contextlib.suppress(ValueError):
-            if json.loads(old.read_text()).get("source") == source:
-                continue
-        old.unlink()
-    doc = rec.to_json_dict()
-    doc.update(elapsed_s=elapsed, workers=workers, cores=cores, source=source)
-    cache.write_text(json.dumps(doc, indent=2))
     print(f"  [{name}] swept in {elapsed:.0f}s with {workers} worker(s) "
           f"on {cores} core(s)")
     return rec, elapsed * cores
-
-
-def test_cache_key_follows_every_source_file(tmp_path):
-    src = Path(fluidsar.__file__).parent
-    for path in src.glob("*.py"):
-        (tmp_path / path.name).write_bytes(path.read_bytes())
-    base = source_digest(tmp_path)
-    assert base == source_digest(src)
-    for path in sorted(tmp_path.glob("*.py")):
-        original = path.read_bytes()
-        path.write_bytes(original + b"\n")
-        assert source_digest(tmp_path) != base, path.name
-        path.write_bytes(original)
-    assert source_digest(tmp_path) == base
-
-
-def test_cold_record_deletes_records_of_other_sources(tmp_path, monkeypatch):
-    monkeypatch.setitem(globals(), "CACHE_DIR", tmp_path)
-    (tmp_path / "old.json").write_text(json.dumps({"source": "0" * 40}))
-    (tmp_path / "legacy.json").write_text("{}")
-    (tmp_path / "torn.json").write_text('{"rows": [')
-    (tmp_path / "kept.json").write_text(json.dumps({"source": source_digest()}))
-    plan = dict(name="tiny", objective="sar-min", sweep="beta0", values=(BETA_REF,),
-                schemes=("fpa",), beta0=BETA_REF, trials=1, m=2, k=2, paths=3)
-    rec, _ = _run_plan(**plan)
-    written = sorted(p.name for p in tmp_path.glob("*.json"))
-    assert len(written) == 2 and "kept.json" in written
-    written.remove("kept.json")
-    assert json.loads((tmp_path / written[0]).read_text())["source"] == source_digest()
-    assert _run_plan(**plan)[0].rows == rec.rows  # read back from the record
 
 
 @pytest.fixture(scope="session")

@@ -183,13 +183,14 @@ def test_lemma_roundtrip_desk_scale():
 
 
 def test_silent_user_balances_to_zero():
-    # no probe can serve a user whose path gains are zero: the search falls
-    # to target 0
+    # no probe can serve a user whose path gains are zero: the balance is
+    # target 0, found without probing
     from test_solver import channel_with_a_silent_user
     res = solve_sinr_balance(channel_with_a_silent_user(), paper_sar_matrix(),
                              BalanceConfig(accuracy=1e13, bracket=(0.0, 1e15)))
     assert res.beta_star == 0.0
     assert res.warnings == ["no_feasible_probe"]
+    assert res.ladder == [] and res.iterations == 0
 
 
 def test_fixed_layout_balance_exhausts_a_low_bracket():

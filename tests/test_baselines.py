@@ -53,6 +53,12 @@ def test_without_sar_single_user_matched_filter():
     assert np.linalg.norm(res.precoder) ** 2 <= 2.0 + 1e-9
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_power_budget_must_be_finite_and_positive(bad):
+    with pytest.raises(ConfigurationError, match="power budget"):
+        BaselineConfig(power_budget=bad)
+
+
 def test_without_sar_trivial_budget():
     real = small_channel(7)
     res = solve_without_sar(real, 2, BaselineConfig(power_budget=1e-12),

@@ -231,6 +231,18 @@ def test_sample_channel_rejects_bad_dimensions():
         sample_channel(1, 2, 2, 0, NOISE_W)
     with pytest.raises(ConfigurationError):
         ChannelRealization(paths=(), noise_variance=0.0)
+    # noise must be finite as well: NaN would pass a "<= 0" test
+    for noise in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="noise variance"):
+            sample_channel(1, 4, 4, 15, noise)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_region_refuses_sizes_that_are_not_finite_and_positive(bad):
+    with pytest.raises(ConfigurationError, match="half_width"):
+        Region(half_width=bad)
+    with pytest.raises(ConfigurationError, match="wavelength"):
+        Region(wavelength=bad)
 
 
 # ---------------------------------------------------------------- layout and region

@@ -123,6 +123,9 @@ def test_cli_refuses_a_nan_budget_before_solving(monkeypatch, problem):
     (["solve", "sinr-balance", "--eps1", "nan"], "accuracy"),
     (["baseline", "backoff", "--eps1", "nan"], "accuracy"),
     (["solve", "sinr-balance", "--weights", "nan,1,1,1"], "weights"),
+    (["solve", "sar-min", "--beta0", str(0.5 / NOISE_W), "--half-width", "inf"], "half_width"),
+    (["solve", "sinr-balance", "--noise-dbm", "nan"], "noise variance"),
+    (["baseline", "no-sar", "--power-budget", "nan"], "power budget"),
 ])
 def test_cli_refuses_a_nan_target_or_accuracy_before_solving(monkeypatch, argv, match):
     from fluidsar import cli

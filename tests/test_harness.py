@@ -110,7 +110,19 @@ def test_plan_refuses_targets_and_balance_settings_that_are_not_finite():
            (dict(objective="balance", sweep="q0", values=(1.6,), beta0=None, accuracy=nan),
             "accuracy"),
            (dict(objective="balance", sweep="q0", values=(1.6,), beta0=None, beta_bracket=inf),
-            "bracket")]
+            "bracket"),
+           # nor may the region, noise or power budget be NaN or infinite,
+           # which a "<= 0" test lets through
+           (dict(half_width=nan), "half_width"), (dict(wavelength=inf), "wavelength"),
+           (dict(sweep="half_width", values=(inf,), schemes=("fas", "aps")), "half_width"),
+           (dict(noise_variance=nan), "noise variance"),
+           (dict(noise_variance=inf), "noise variance"),
+           (dict(objective="balance", sweep="q0", values=(1.6,), beta0=None,
+                 schemes=("no-sar",), power_budget=inf), "power budget"),
+           (dict(power_budget=nan), "power budget"),
+           # a path count is a whole number: 2.5 would run 2 paths
+           (dict(sweep="paths", values=(2.5,)), "paths"),
+           (dict(sweep="paths", values=(3, nan)), "paths")]
     for overrides, match in bad:
         with pytest.raises(ConfigurationError, match=match):
             tiny_plan(**overrides)
@@ -275,8 +287,8 @@ def test_run_record_json_roundtrip(tmp_path):
 
 
 def test_run_record_json_rejects_unknown_keys():
-    with pytest.raises(ConfigurationError, match=r"unknown record keys \['elapsed_s'\]"):
-        RunRecord.from_json_dict({"plan": {}, "rows": [], "aggregates": [], "elapsed_s": 1})
+    with pytest.raises(ConfigurationError, match=r"unknown record keys \['bogus'\]"):
+        RunRecord.from_json_dict({"plan": {}, "rows": [], "aggregates": [], "bogus": 1})
     assert RunRecord.from_json_dict({"plan": {}, "rows": [], "aggregates": []}).rows == []
 
 
