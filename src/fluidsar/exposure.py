@@ -2,6 +2,7 @@
 the exposure of a precoder."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +76,10 @@ def sar_value(precoder: np.ndarray, model: SarModel) -> float:
     if P.shape[0] != model.n_antennas:
         raise ConfigurationError("precoder row count must match the SAR matrix size")
     val = np.einsum("mk,mn,nk->", P.conj(), model.matrix, P)
-    scale = max(1.0, abs(val.real))
-    assert abs(val.imag) < 1e-10 * scale, "quadratic form of a Hermitian matrix must be real"
-    return float(val.real)
+    re, im = float(val.real), float(val.imag)  # a Hermitian form is real
+    if not (math.isfinite(re) and abs(im) < 1e-10 * max(1.0, abs(re))):
+        raise ConfigurationError(f"precoder gives a non-finite or non-real exposure {complex(val)}")
+    return re
 
 
 def paper_sar_matrix(budget: float = 1.6) -> SarModel:

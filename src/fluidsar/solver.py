@@ -7,7 +7,7 @@ layer alternates three block updates on the penalized objective
 
   1. precoder columns p_k from the closed-form stationarity system,
   2. auxiliary variables z_{k,j} from K independent dual problems, each a
-     single-multiplier bisection,
+     single multiplier found by safeguarded Newton steps,
   3. antenna positions t_m one at a time by majorize-minimize steps; when the
      free step leaves the box or breaks the spacing, the step is its exact
      projection onto the box and the spacing rows linearized at t_m. Each
@@ -36,10 +36,12 @@ the channel's direction cosines and conjugated path gains, the continuous
 kernel's matrices, each antenna's last accepted local curvature, and its row
 and gradient weights at the exact point it last stood on) and hands it to
 every inner loop of the solve; a lattice solve builds the lattice's table
-with it (``_Lattice``: points, channel rows, index). A continuous sweep forms
-U = E P^H and the Gram matrix P P^H at its start and updates U by rank one as
-antennas move. Nothing outlives the solve. The single-step public helpers
-(``position_gradient``, ``position_majorizer``) build a cache per call.
+with it (``_Lattice``: points, channel rows, index). Each sweep forms C =
+Hbar P once, for all three blocks, and E = C - Z again only once an antenna
+moved. A continuous sweep forms U = E P^H and the Gram matrix P P^H at its
+start and updates U by rank one as antennas move. Nothing outlives the solve.
+The single-step public helpers (``position_gradient``, ``position_majorizer``)
+build a cache per call.
 """
 from __future__ import annotations
 
@@ -213,6 +215,7 @@ class _GeoCache:
         self.ax, self.ay, gains = realization._stacked  # (K, L) each
         self.fbar = gains.conj()
         self.abs_gain_sum = np.abs(self.fbar).sum(axis=1)  # (K,)
+        self.s2 = float((self.abs_gain_sum ** 2).sum())    # the majorizers' constant
         # the continuous kernel: F's columns sum a user's path terms with weights
         # 1, kappa a and kappa b; at theta = _phase @ (x, y), [cos; sin] @ _mix
         # is (hbar, conj w_x, conj w_y), real and imaginary parts interleaved
@@ -287,100 +290,132 @@ def solve_precoder(H: np.ndarray, Z: np.ndarray, model: SarModel, mu: float) -> 
 # ---------------------------------------------------------------------------
 
 def solve_auxiliary(H: np.ndarray, P: np.ndarray, targets: SinrTargets,
-                    noise_variance: float):
+                    noise_variance: float, couplings: np.ndarray | None = None,
+                    counts: dict | None = None):
     """Project the couplings h_k^H p_j onto the SINR-feasible set, per user.
 
     Returns (Z, zeta, gap): for users already satisfying their constraint
     zeta_k = 0 and the row of Z equals the raw couplings; otherwise zeta_k in
-    (0, 1) is the multiplier that puts the constraint on its boundary, found
-    by bisection on the monotone root function. The returned multiplier is the
-    feasible end of the final bracket, so Z always satisfies the constraints;
-    ``gap`` certifies how far the projection value can sit above the true
-    minimum (the objective difference across the final bracket).
+    (0, 1) is the multiplier that puts the constraint on its boundary
+    (``_dual_root``), the feasible end of its final bracket, so Z always
+    satisfies the constraints; ``gap`` certifies how far the projection value
+    can sit above the true minimum (the objective difference across the
+    brackets). ``couplings`` is H^* P if the caller formed it; ``counts``
+    gains the root searches' evaluations under "dual_evaluations".
     """
-    C = H.conj() @ P  # (K, K), row k holds h_k^H p_j
-    K = C.shape[0]
+    C = H.conj() @ P if couplings is None else couplings  # row k holds h_k^H p_j
     sig, interf = _signal_interference(C)
-    # |C|^2 and its row sums stay in numpy (its complex modulus is not
-    # Python's abs); the rest runs on Python floats: at most K users, where
-    # per-call array overhead would dominate. Each expression repeats the
-    # operations of its array form in the same order, so the bits match.
-    beta0 = targets.beta0
-    users, need = [], []
-    for k, (sk, ik, wk) in enumerate(zip(sig.tolist(), interf.tolist(),
-                                         targets.weights.tolist())):
-        gk = beta0 * wk
+    # on Python floats: at most K users, where array overhead would dominate
+    g = targets.thresholds
+    need, users = [], []
+    for k, (sk, ik, gk) in enumerate(zip(sig.tolist(), interf.tolist(), g.tolist())):
         if sk - gk * (ik + noise_variance) < 0:
-            need.append((k, ik))
+            need.append(k)
             users.append((sk, ik * gk, gk, gk * noise_variance))
+    K = C.shape[0]
     if not need:
         return C.copy(), np.zeros(K), 0.0
-
-    # the bisection: the root function
-    #     s / (1 - z)^2 - w / (1 + z g)^2 - g sigma^2
-    # is written out inline with the operations of its array form. All users
-    # take the same number of steps: the bisection stops once every user's
-    # stopping test is met, or after 60 steps. Each rounded operation is
-    # monotone in z, so y_hi = f(hi) never grows as hi falls, and hi - lo
-    # never grows: a test once met stays met. The users' brackets are
-    # independent, so each user runs until its own test is met, and then all
-    # continue to the largest of those step counts.
-    hi0 = 1.0 - 1e-9
-    brackets = []
-    for su, wu, gu, gnu in users:
-        a = 1.0 - hi0
-        b = 1.0 + hi0 * gu
-        brackets.append((0.0, hi0, su / (a * a) - wu / (b * b) - gnu, 0))
-    degenerate = [k for (k, _), (_, _, y, _) in zip(need, brackets) if y <= 0.0]
+    # a root function not positive at the bracket's end has no root in it
+    ends = [_dual_value(u, _ZETA_HI)[0] for u in users]
+    degenerate = [k for k, y in zip(need, ends) if y <= 0.0]
     if degenerate:
         raise DegenerateUserError(degenerate)
-
-    brackets = [_dual_bisection(u, *br, 0, 60) for u, br in zip(users, brackets)]
-    steps = max(k for _, _, _, k in brackets)
-    brackets = [_dual_bisection(u, *br, steps, 0) for u, br in zip(users, brackets)]
-
-    def value(su, iu, gu, z):
-        # squared projection distance along the dual path at multiplier z
-        r = z / (1.0 - z)
-        q = z * gu / (1.0 + z * gu)
-        return su * (r * r) + iu * (q * q)
-
-    def scaled(c, d):
-        # numpy's complex / real: (re + im * 0) * (1 / d), (im - re * 0) * (1 / d)
-        f = 1.0 / d
-        return complex((c.real + c.imag * 0.0) * f, (c.imag - c.real * 0.0) * f)
-
-    rows = C.tolist()
-    zeta = [0.0] * K
-    gaps = []
-    for (k, iu), (su, _, gu, _), (lo, hi, _, _) in zip(need, users, brackets):
-        gaps.append(value(su, iu, gu, hi) - value(su, iu, gu, lo))
-        zeta[k] = hi  # feasible side of the bracket
-        row = [scaled(c, 1.0 + hi * gu) for c in rows[k]]
-        row[k] = scaled(rows[k][k], 1.0 - hi)
-        rows[k] = row
-    return np.array(rows, dtype=complex), np.array(zeta), float(np.add.reduce(gaps))
+    zeta, gap, evaluations = [0.0] * K, 0.0, 0
+    for k, (su, wu, gu, gnu), y in zip(need, users, ends):
+        lo, hi, n = _dual_root((su, wu, gu, gnu), y)
+        zeta[k], evaluations = hi, evaluations + n  # hi: the bracket's feasible end
+        # the squared projection distance along the dual path, s r^2 + w g q^2
+        r, r0 = hi / (1.0 - hi), lo / (1.0 - lo)
+        q, q0 = hi / (1.0 + hi * gu), lo / (1.0 + lo * gu)
+        gap += su * (r * r - r0 * r0) + wu * gu * (q * q - q0 * q0)
+    if counts is not None:
+        counts["dual_evaluations"] = counts.get("dual_evaluations", 0) + evaluations
+    zeta = np.array(zeta)
+    Z = C / (1.0 + zeta * g)[:, None]
+    Z.flat[::K + 1] = C.diagonal() / (1.0 - zeta)
+    return Z, zeta, gap
 
 
-def _dual_bisection(user, lo: float, hi: float, y_hi: float, k: int, k_min: int, k_max: int):
-    """Bisection steps on one user's dual root function, on Python floats:
-    at least until step ``k_min``, and on up to step ``k_max`` while the
-    stopping test is open (root value at ``hi`` within 1e-10 g sigma^2 of
-    zero, or a bracket narrower than 1e-14). Returns (lo, hi, y_hi, k)."""
+# the upper end of every dual bracket, and the most evaluations one root takes
+_ZETA_HI = 1.0 - 1e-9
+DUAL_MAX_EVALUATIONS = 60
+
+
+def _dual_value(user, z: float):
+    """f(z) = s / (1 - z)^2 - w / (1 + z g)^2 - g sigma^2, rising on (0, 1), of
+    ``user`` (s, w, g, g sigma^2), and the terms ``_dual_newton`` reads."""
+    su, wu, gu, gnu = user
+    a = 1.0 - z
+    b = 1.0 + z * gu
+    sa = su / (a * a)
+    wb = wu / (b * b)
+    return sa - wb - gnu, (z, a, b, sa, wb)
+
+
+def _dual_newton(user, point, target: float, up: bool, least: float) -> float:
+    """The Newton step from ``_dual_value``'s ``point`` toward f = target, up
+    (``up``, from the sign of f) or down by at least ``least``: on phi =
+    ln(s / (1 - z)^2) / 2 - ln(g sigma^2 + target + w / (1 + z g)^2) / 2 in
+    v = ln(z / (1 - z)), where phi's slope stays in (0, 2) at both ends."""
+    z, a, b, sa, wb = point
+    r = user[3] + target + wb
+    slope = z * (1.0 + a * user[2] * wb / (b * r))  # d phi / dv
+    e = math.exp(max(min(-0.5 * math.log(sa / r) / slope, 700.0), -700.0))
+    new = z * e / (a + z * e)
+    if (new - z if up else z - new) < least:
+        new = z + least if up else z - least
+    return new
+
+
+def _dual_root(user, y_hi: float):
+    """A bracket [lo, hi] of the root of ``_dual_value`` on (0, ``_ZETA_HI``),
+    f(``_ZETA_HI``) = ``y_hi`` > 0, and its evaluations: (lo, hi, n). Newton
+    steps toward f = aim (``rtsafe`` of Press et al., Numerical Recipes: one
+    that leaves the bracket, or is not under half the step before last,
+    halves it) start on a bound of the root: the root with the interference
+    held at z = 1 (below), else (sqrt(w / (s - g sigma^2)) - 1) / g (above).
+    They stop once f(hi) <= tol or the bracket is under 1e-14; steps across
+    the root then close it to |f| <= 4 aim at both ends, for a tight gap.
+    Each moves two ulps or more, a floor doubled while closing steps fall short.
+    """
     su, wu, gu, gnu = user
     tol = 1e-10 * gnu
-    while k < k_min or (k < k_max and not (y_hi <= tol or hi - lo < 1e-14)):
-        mid = 0.5 * (lo + hi)
-        a = 1.0 - mid
-        b = 1.0 + mid * gu
-        ym = su / (a * a) - wu / (b * b) - gnu
-        if ym < 0.0:
-            lo = mid
+    aim = tol / 128.0
+    lo, hi = 0.0, _ZETA_HI
+    z = 1.0 - math.sqrt(su / (gnu + wu / ((1.0 + gu) * (1.0 + gu))))
+    if not z > 0.0 and su > gnu:
+        z = (math.sqrt(wu / (su - gnu)) - 1.0) / gu
+    if not lo < z < hi:
+        z = 0.5
+    n, step, before = 0, hi, hi
+    y, point, y_lo = y_hi, None, -math.inf
+    while not (y_hi <= tol or hi - lo < 1e-14) and n < DUAL_MAX_EVALUATIONS:
+        if point is not None:
+            z = _dual_newton(user, point, aim, y < aim, 2.0 * math.ulp(z))
+            if not (lo < z < hi and abs(z - point[0]) <= 0.5 * before):
+                z = 0.5 * (lo + hi)
+            before, step = step, abs(z - point[0])
+        y, point = _dual_value(user, z)
+        n += 1
+        if y < 0.0:
+            lo, y_lo = z, y
         else:
-            hi = mid
-            y_hi = ym
-        k += 1
-    return lo, hi, y_hi, k
+            hi, y_hi = z, y
+    least = 2.0 * math.ulp(z)
+    while point is not None and n < DUAL_MAX_EVALUATIONS \
+            and not (y_hi <= 4.0 * aim and y_lo >= -4.0 * aim):
+        below = y < 0.0
+        z = _dual_newton(user, point, aim if below else -aim, below, least)
+        if not lo < z < hi:
+            break
+        y, point = _dual_value(user, z)
+        n += 1
+        if y < 0.0:
+            lo, y_lo = z, y
+        else:
+            hi, y_hi = z, y
+        least = 2.0 * least if (y < 0.0) == below else 2.0 * math.ulp(z)
+    return lo, hi, n
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +426,7 @@ def position_objective(positions: np.ndarray, realization: ChannelRealization,
                        P: np.ndarray, Z: np.ndarray, wavelength: float) -> float:
     """Total squared coupling residual sum |h_k^H p_j - z_{k,j}|^2 (the xi
     indicator), which the position block lowers one antenna at a time."""
-    H = channel_matrix(positions, realization, wavelength)
-    E = H.conj() @ P - Z
-    return float(np.vdot(E, E).real)
+    return _residual(channel_matrix(positions, realization, wavelength).conj(), P, Z)[1]
 
 
 def _gradient(wbar: np.ndarray, u: np.ndarray) -> tuple[float, float]:
@@ -420,15 +453,12 @@ def position_gradient(m: int, positions: np.ndarray, realization: ChannelRealiza
 
 def _majorizers(geo: _GeoCache, P: np.ndarray, Z: np.ndarray, wavelength: float) -> np.ndarray:
     """Curvature bounds tau_m for all antennas (position-independent): the
-    cap of the position block's backtracked local curvature."""
-    absP = np.abs(P)              # (M, K)
-    colsum = absP.sum(axis=0)     # (K,)
-    s2 = float((geo.abs_gain_sum ** 2).sum())
-    u = geo.abs_gain_sum @ np.abs(Z)  # (K,): sum_k S_k |z_{k,j}|
-    per_antenna = (
-        s2 * (2.0 * absP * (colsum[None, :] - absP) + absP ** 2).sum(axis=1)
-        + 2.0 * (absP * u[None, :]).sum(axis=1)
-    )
+    cap of the position block's backtracked local curvature: s2 sum_j |P_mj|
+    (2 sum_n |P_nj| - |P_mj|) + 2 sum_j |P_mj| sum_k S_k |z_kj| for antenna m."""
+    absP = np.abs(P)                      # (M, K)
+    u = geo.abs_gain_sum @ np.abs(Z)      # (K,)
+    per_antenna = absP @ (2.0 * (geo.s2 * absP.sum(axis=0) + u)) \
+        - geo.s2 * (absP * absP).sum(axis=1)
     return (8.0 * np.pi ** 2 / wavelength ** 2) * per_antenna
 
 
@@ -547,18 +577,25 @@ def _step_from_gradient(t_old, grad, tau: float, region: Region, min_distance: f
     return t_new, "qp"
 
 
-def _select_positions_on_grid(positions, lat: _Lattice, P, Z, Hbar):
+def _residual(Hbar, P, Z):
+    """The coupling residual E = Hbar P - Z and xi = ||E||^2."""
+    E = Hbar @ P - Z
+    return E, float(np.vdot(E, E).real)
+
+
+def _select_positions_on_grid(positions, lat: _Lattice, P, Z, Hbar,
+                              residual: tuple | None = None):
     """Per-antenna exhaustive search over the lattice: each antenna moves to
     the candidate that minimizes the coupling residual exactly, if that is
     below the residual where it stands. The candidates are the points no
     other antenna holds, its own included, in (x, y) order, so ties go to the
     lower x, then the lower y. Every antenna must sit on a lattice point.
-    Mutates positions/Hbar.
+    Mutates positions/Hbar; ``residual`` as in ``_sweep_positions``.
     """
     at = [lat.index[p] for p in map(tuple, positions.tolist())]
     M = positions.shape[0]
-    E = Hbar @ P - Z
-    obj = float(np.vdot(E, E).real)
+    E, obj = residual = residual or _residual(Hbar, P, Z)
+    moved = False
     pnorm2 = (np.abs(P) ** 2).sum(axis=1)  # ||P[m, :]||^2 per antenna
     for m in range(M):
         # conj-channel steps to every point, (n, K)
@@ -574,8 +611,8 @@ def _select_positions_on_grid(positions, lat: _Lattice, P, Z, Hbar):
         Hbar[:, m] = lat.hbar[best]
         E = E + delta[best][:, None] * P[m, :][None, :]
         obj = float(np.vdot(E, E).real)
-    E = Hbar @ P - Z
-    return E, float(np.vdot(E, E).real), False
+        moved = True
+    return (_residual(Hbar, P, Z) if moved else residual) + (False,)
 
 
 def _lattice_settled(lat: _Lattice, positions, P, xi: float) -> bool:
@@ -591,21 +628,22 @@ def _lattice_settled(lat: _Lattice, positions, P, xi: float) -> bool:
 
 
 def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar,
-                     counts: dict | None = None):
+                     counts: dict | None = None, residual: tuple | None = None):
     """Sequential per-antenna SCA descents; mutates positions/Hbar, returns
-    (E, obj, stuck). ``counts``, when given, gains one per free, QP and stuck
-    step under those status names, and one per curvature doubling under
-    "backtrack". A candidate is scored through u = U[:, m] of U = E P^H
-    (``_moved_residual``), which follows each move by rank one."""
+    (E, xi, stuck) after the sweep, and takes (E, xi) at its start as
+    ``residual`` (``_residual`` when not given). ``counts``, when given,
+    gains one per free, QP and stuck step under those status names, and one
+    per curvature doubling under "backtrack". A candidate is scored through
+    u = U[:, m] of U = E P^H (``_moved_residual``), which follows each move
+    by rank one."""
     if config.lattice:
-        return _select_positions_on_grid(positions, geo.lattice, P, Z, Hbar)
+        return _select_positions_on_grid(positions, geo.lattice, P, Z, Hbar, residual)
     M = positions.shape[0]
     taus = _majorizers(geo, P, Z, region.wavelength).tolist()
     accepted = geo.tau_accepted
-    any_stuck = False
+    any_stuck = any_moved = False
     step_tol = 1e-8 * region.wavelength  # moves below this cannot matter
-    E = Hbar @ P - Z
-    obj = float(np.vdot(E, E).real)
+    E, obj = residual = residual or _residual(Hbar, P, Z)
     Ph = P.conj().T
     U, gram = E @ Ph, P @ Ph
     pnorm2 = gram.diagonal().real.tolist()
@@ -668,11 +706,11 @@ def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar,
                 break
         geo.terms[m] = (t_old, h, wbar)
         if moved:
+            any_moved = True
             layout[m] = t_old
             U += (h - Hbar[:, m])[:, None] * gram[m]
             Hbar[:, m] = h
-    E = Hbar @ P - Z
-    return E, float(np.vdot(E, E).real), any_stuck
+    return (_residual(Hbar, P, Z) if any_moved else residual) + (any_stuck,)
 
 
 # ---------------------------------------------------------------------------
@@ -691,20 +729,19 @@ def _reset_users(P: np.ndarray, H: np.ndarray, users) -> None:
         P[:, k] = H[k] / max(np.linalg.norm(H[k]), 1e-300)
 
 
-def _penalized_objective(sar, E, mu):
-    return sar + mu * float(np.vdot(E, E).real)
-
-
 def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.ndarray,
                Z: np.ndarray, model: SarModel, targets: SinrTargets, mu: float,
                config: SolverConfig, trace: list | None = None, outer_index: int = 0,
-               counts: dict | None = None, geo: _GeoCache | None = None):
+               counts: dict | None = None, geo: _GeoCache | None = None,
+               cost: dict | None = None):
     """Alternate precoder / auxiliary / position blocks until the penalized
-    objective decrease falls below eps_inner. Returns (P, Z, positions, Hbar, sweeps).
+    objective decrease falls below eps_inner. Returns (P, Z, positions, Hbar,
+    sweeps, xi, sar), the last two after the last sweep.
 
     ``counts``, when given, gains the number of continuous position steps by
     status ("free", "qp", "stuck") and of their curvature doublings
-    ("backtrack"), as ``trace`` gains the objective trace.
+    ("backtrack"), as ``trace`` gains the objective trace, and ``cost`` each
+    block's seconds by name and "dual_evaluations" (``solve_auxiliary``).
     ``geo`` is the solve's geometry cache; without one, the loop builds its own.
     """
     if geo is None:
@@ -717,8 +754,15 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
     recovered = False
     sweeps = 0
 
+    cost = {} if cost is None else cost
+    clock = time.perf_counter
+
     def record(label, value, extra_slack=0.0):
-        nonlocal prev
+        # the block ``label`` ended here: it takes the seconds since ``mark``
+        nonlocal prev, mark
+        now = clock()
+        cost[label] = cost.get(label, 0.0) + (now - mark)
+        mark = now
         if trace is not None:
             trace.append((outer_index, label, value))
         if prev is not None and value > prev + 1e-9 * max(1.0, abs(prev)) + extra_slack:
@@ -728,39 +772,43 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
 
     for _ in range(config.max_inner):
         sweeps += 1
+        mark = clock()
         H = Hbar.conj()  # the position block moves Hbar in place
         P = solve_precoder(H, Z, model, mu)
         # only this block and degenerate-user recovery change P
         sar = sar_value(P, model)
-        E = Hbar @ P - Z
-        record("precoder", _penalized_objective(sar, E, mu))
+        C = Hbar @ P  # the couplings h_k^H p_j, which every block of the sweep reads
+        E = C - Z
+        record("precoder", sar + mu * float(np.vdot(E, E).real))
 
         try:
-            Z, _, gap = solve_auxiliary(H, P, targets, noise)
+            Z, _, gap = solve_auxiliary(H, P, targets, noise, C, cost)
         except DegenerateUserError as err:
             if recovered:
                 raise
             recovered = True
             _reset_users(P, H, err.users)
-            Z, _, gap = solve_auxiliary(H, P, targets, noise)
+            C = Hbar @ P
+            Z, _, gap = solve_auxiliary(H, P, targets, noise, C, cost)
             sar = sar_value(P, model)
             prev = None  # objective baseline is void after re-initialization
             if trace is not None:
                 trace.append((outer_index, "recovered", None))
-        E = Hbar @ P - Z
+        E = C - Z
+        xi = float(np.vdot(E, E).real)
         # the projection is certified optimal only to within mu * gap
-        record("auxiliary", _penalized_objective(sar, E, mu), extra_slack=mu * gap)
+        record("auxiliary", sar + mu * xi, extra_slack=mu * gap)
 
-        E, _, _ = _sweep_positions(positions, geo, P, Z, config.region,
-                                   config.distance, config, Hbar, counts)
-        record("positions", _penalized_objective(sar, E, mu))
+        E, xi, _ = _sweep_positions(positions, geo, P, Z, config.region,
+                                    config.distance, config, Hbar, counts, (E, xi))
+        record("positions", sar + mu * xi)
 
         value = prev
         threshold = max(config.eps_inner, config.eps_inner_rel * abs(value))
         if last_value is not None and last_value - value < threshold:
             break
         last_value = value
-    return P, Z, positions, Hbar, sweeps
+    return P, Z, positions, Hbar, sweeps, xi, sar
 
 
 class _Rows:
@@ -841,6 +889,8 @@ class SolveReport(_JsonDoc):
     # continuous position steps taken, by status: "free", "qp", "stuck"; and
     # "backtrack", the doublings of their local curvature
     position_steps: dict = field(default_factory=dict)
+    dual_evaluations: int = 0  # of the dual root function, by all root searches
+    block_seconds: dict = field(default_factory=dict)  # "precoder", "auxiliary", "positions"
 
 
 def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: SarModel,
@@ -887,15 +937,16 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
     sweeps_total = 0
     outer_done = 0
     steps = {"free": 0, "qp": 0, "stuck": 0, "backtrack": 0}
+    cost = {"precoder": 0.0, "auxiliary": 0.0, "positions": 0.0, "dual_evaluations": 0}
 
     if config.optimize_positions:
         status, xi, mu = "max_outer", np.inf, config.mu0
         try:
-            Z, _, _ = solve_auxiliary(H, P, targets, noise)
+            Z, _, _ = solve_auxiliary(H, P, targets, noise, counts=cost)
         except DegenerateUserError as err:
             _reset_users(P, H, err.users)
             try:
-                Z, _, _ = solve_auxiliary(H, P, targets, noise)
+                Z, _, _ = solve_auxiliary(H, P, targets, noise, counts=cost)
             except DegenerateUserError:
                 warnings.append("degenerate_user")
                 Z = np.zeros((K, K), dtype=complex)
@@ -905,19 +956,16 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
         for outer in range(config.max_outer):
             start = positions
             try:
-                P, Z, positions, Hbar, sweeps = inner_loop(
+                P, Z, positions, _, sweeps, xi, sar = inner_loop(
                     realization, positions, P, Z, model, targets, mu, config,
-                    trace=inner_trace, outer_index=outer, counts=steps, geo=geo)
+                    trace=inner_trace, outer_index=outer, counts=steps, geo=geo, cost=cost)
             except DegenerateUserError:
                 warnings.append("degenerate_user")
                 status = "degenerate"
                 break
             sweeps_total += sweeps
             outer_done = outer + 1
-            E = Hbar @ P - Z
-            xi = float(np.vdot(E, E).real)
-            obj = sar_value(P, model) + mu * xi
-            outer_trace.append((outer, mu, xi, obj, sweeps))
+            outer_trace.append((outer, mu, xi, sar + mu * xi, sweeps))
 
             # the paper's stopping rule, or a lattice layout that stood still
             # and that no lattice move can improve, at a layout the exact
@@ -984,4 +1032,6 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
         aux=Z,
         final_mu=mu,
         position_steps=steps,
+        dual_evaluations=cost.pop("dual_evaluations"),
+        block_seconds=cost,
     )

@@ -53,3 +53,24 @@ def test_pooled_sweep_passes_its_workload_checks(monkeypatch):
     # FPA over the region) through run_sweep's process pool
     monkeypatch.setenv("FAS_THREADS", "2")
     run_and_check("acceptance-mix", "fig5")
+
+
+def test_traced_operation_reaches_every_solver_layer():
+    # the per-layer figures time the blocks through the module attributes the
+    # tracer wraps: a solve that stops calling one of them by that name
+    # reads 0 there
+    wl = workloads.WORKLOADS["sarmin-ref"](MASTER_SEED)
+    tr = tracer.Tracer()
+    tr.op = 0
+    tr.install()
+    try:
+        wl.run(TASKS["sarmin-ref"])
+    finally:
+        tr.restore()
+    calls = tr.summary()["calls"]
+    for name in ("solver.solve_auxiliary", "solver.solve_precoder", "solver.inner_loop",
+                 "exposure.sar_value"):
+        assert calls.get(name, 0) > 0, name
+    # every inner sweep runs each block once, by its traced name
+    sweeps = calls["solver.solve_precoder"]
+    assert calls["solver.solve_auxiliary"] >= sweeps and calls["exposure.sar_value"] >= sweeps

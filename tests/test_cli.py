@@ -19,7 +19,8 @@ SOLVE_KEYS = ["precoder", "layout", "sar", "sinr", "sinr_slack", "beta_achieved"
               "min_distance", "in_region", "feasible", "converged", "status", "xi",
               "outer_iterations", "inner_sweeps_total", "outer_trace",
               "inner_objective_trace", "wall_time_s", "warnings",
-              "config", "final_mu", "position_steps"]
+              "config", "final_mu", "position_steps", "dual_evaluations",
+              "block_seconds"]
 BALANCE_KEYS = ["beta_star", "precoder", "layout", "sar", "budget", "ladder", "iterations",
                 "warnings", "wall_time_s", "solution"]
 REPORT_KEYS = {
@@ -63,10 +64,11 @@ def test_cli_sar_min_channel_file_replay(tmp_path):
             "--sar", "paper4"] + FAST
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0
-    # replay reproduces everything except the wall clock
+    # replay reproduces everything except the clocks
     a = json.loads(out1.read_text())
     b = json.loads(out2.read_text())
-    a.pop("wall_time_s"), b.pop("wall_time_s")
+    for doc in (a, b):
+        doc.pop("wall_time_s"), doc.pop("block_seconds")
     assert a == b
 
 

@@ -79,6 +79,15 @@ def test_sar_nonnegative_and_phase_invariant(rng):
         assert sar_value(P2, model) == pytest.approx(v, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sar_refuses_a_precoder_that_is_not_finite(bad):
+    # an explicit check, not an assert: it holds under python -O too
+    P = np.ones((4, 2), dtype=complex)
+    P[1, 0] = bad
+    with pytest.raises(ConfigurationError, match="non-finite or non-real"):
+        sar_value(P, paper_sar_matrix())
+
+
 def test_synthesize_scalar_degenerate():
     model = synthesize_sar_matrix(1)
     assert model.matrix.shape == (1, 1)

@@ -1,12 +1,20 @@
 """The position and auxiliary blocks against frozen references: the
 implementations they replaced, kept here verbatim except where marked.
 
-The solver's lattice search and dual bisection were rewritten for speed (a
-precomputed lattice table, per-user bisection) with the promise that every
-solve follows the same trajectory bit for bit. These tests run random states
-through both versions and require equal bits: positions, the conj-channel
-matrix Hbar, the residual E and the stuck flag; the auxiliary variables, the
-multipliers and the gap certificate.
+The solver's lattice search was rewritten for speed (a precomputed lattice
+table) with the promise that every solve follows the same trajectory bit for
+bit. These tests run random states through both versions and require equal
+bits: positions, the conj-channel matrix Hbar, the residual E and the stuck
+flag.
+
+The auxiliary block finds each user's multiplier by safeguarded Newton steps
+on its dual root function, where the reference halves the bracket up to 60
+times. Both stop on the same test, f(hi) <= 1e-10 g sigma^2 or a bracket
+narrower than 1e-14, so the block is pinned to a tolerance: the multipliers
+within 1e-9 of the reference's, each on the feasible side and meeting that
+test, and a gap certificate no wider than the reference's, in at most 5
+evaluations of the root function per root on average. The position block's
+curvature bounds are pinned to the formula they replaced (``ref_majorizers``).
 
 The continuous steps changed their rule on purpose: each step is now
 backtracked on a local curvature instead of always taking the majorizer's
@@ -37,6 +45,7 @@ from fluidsar.channel import (
     ChannelRealization,
     PathSet,
     Region,
+    _signal_interference,
     channel_matrix,
     sample_channel,
     uniform_line_layout,
@@ -319,6 +328,18 @@ def ref_solve_auxiliary(H, P, targets, noise_variance):
     return Z, zeta, gap
 
 
+def ref_majorizers(geo, P, Z, wavelength):
+    absP = np.abs(P)              # (M, K)
+    colsum = absP.sum(axis=0)     # (K,)
+    s2 = float((geo.abs_gain_sum ** 2).sum())
+    u = geo.abs_gain_sum @ np.abs(Z)  # (K,): sum_k S_k |z_{k,j}|
+    per_antenna = (
+        s2 * (2.0 * absP * (colsum[None, :] - absP) + absP ** 2).sum(axis=1)
+        + 2.0 * (absP * u[None, :]).sum(axis=1)
+    )
+    return (8.0 * np.pi ** 2 / wavelength ** 2) * per_antenna
+
+
 def assert_qp_agrees(args, got, label):
     """``got`` solves the QP ``args`` as well as the reference does: the same
     None verdict, every row met within the reference's tolerance, a surrogate
@@ -483,11 +504,10 @@ def test_single_steps_match_reference():
     assert statuses == {"free", "qp", "stuck"}
 
 
-def test_auxiliary_matches_reference_bit_for_bit():
-    # weak and strong users side by side, so their brackets close after
-    # different step counts, at the solver's noise scale and at unit noise
+def auxiliary_states():
+    """Weak and strong users side by side, at the solver's noise scale and at
+    unit noise: (H, P, targets, noise) of each state that has multipliers."""
     rng = np.random.default_rng(99)
-    multi = 0
     for i in range(300):
         K = int(rng.integers(1, 6))
         noise = NOISE_W if i % 2 else 1.0
@@ -498,8 +518,66 @@ def test_auxiliary_matches_reference_bit_for_bit():
             want = ref_solve_auxiliary(H, P, targets, noise)
         except DegenerateUserError:
             continue
-        Z, zeta, gap = solver.solve_auxiliary(H, P, targets, noise)
-        assert np.array_equal(Z, want[0]) and np.array_equal(zeta, want[1]), i
-        assert gap == want[2], i
+        yield i, (H, P, targets, noise), want
+
+
+def test_auxiliary_matches_reference_bisection():
+    multi = 0
+    for i, args, (Z_ref, zeta_ref, gap_ref) in auxiliary_states():
+        H, P, targets, noise = args
+        Z, zeta, gap = solver.solve_auxiliary(*args)
+        active = zeta_ref > 0
+        assert np.array_equal(zeta > 0, active), i
+        assert np.all(np.abs(zeta - zeta_ref) <= 1e-9 * zeta_ref), i
+        scale = np.linalg.norm(Z_ref, axis=1)
+        assert np.all(np.abs(Z - Z_ref).max(axis=1) <= 1e-9 * scale), i
+        assert gap <= gap_ref, (i, gap, gap_ref)
+        # each multiplier meets the reference's stopping test from the
+        # feasible side: f(zeta) in [0, 1e-10 g sigma^2], or a point less
+        # than 1e-14 below it is infeasible; f as the solver rounds it
+        sig, interf = _signal_interference(H.conj() @ P)
+        for k in np.flatnonzero(active):
+            g = float(targets.thresholds[k])
+            s, w = float(sig[k]), float(interf[k]) * g
+
+            def f(z):
+                a, b = 1.0 - z, 1.0 + z * g
+                return s / (a * a) - w / (b * b) - g * noise
+            z = float(zeta[k])
+            assert f(z) >= 0.0, (i, k)
+            assert f(z) <= 1e-10 * g * noise or f(z - 1e-14) < 0.0, (i, k)
         multi += np.count_nonzero(zeta) > 1
     assert multi > 50
+
+
+def test_auxiliary_roots_take_few_evaluations(monkeypatch):
+    # no root search runs to the cap, and they average at most 5 evaluations
+    # of the root function on the states above
+    most = []
+    dual_root = solver._dual_root
+
+    def recording(*args):
+        out = dual_root(*args)
+        most.append(out[2])
+        return out
+    monkeypatch.setattr(solver, "_dual_root", recording)
+    counts, roots = {}, 0
+    for _, args, (_, zeta_ref, _) in auxiliary_states():
+        solver.solve_auxiliary(*args, counts=counts)
+        roots += np.count_nonzero(zeta_ref)
+    assert len(most) == roots > 600
+    assert max(most) < solver.DUAL_MAX_EVALUATIONS
+    assert counts["dual_evaluations"] == sum(most) <= 5 * roots
+
+
+def test_majorizers_match_reference():
+    rng = np.random.default_rng(31)
+    for i in range(200):
+        M_i, K_i = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        real = sample_channel(int(rng.integers(1 << 30)), M_i, K_i, int(rng.integers(1, 16)))
+        geo = _GeoCache(real, WAVELENGTH)
+        P = random_complex(rng, (M_i, K_i), scale=10.0 ** rng.uniform(-3, 3))
+        Z = random_complex(rng, (K_i, K_i), scale=10.0 ** rng.uniform(-3, 3))
+        want = ref_majorizers(geo, P, Z, WAVELENGTH)
+        got = _majorizers(geo, P, Z, WAVELENGTH)
+        assert np.all(np.abs(got - want) <= 1e-12 * want), i

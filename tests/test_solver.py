@@ -60,7 +60,7 @@ def test_inner_loop_converged_state_exits_quickly(paper_channel):
     rep = solve_sar_min(paper_channel, targets, model, cfg)
     # feeding the solution back in: single extra sweep, immediate exit
     trace = []
-    P, Z, pos, Hbar, sweeps = inner_loop(
+    P, Z, pos, Hbar, sweeps, xi, sar = inner_loop(
         paper_channel, rep.layout, rep.precoder, rep.aux, model, targets,
         rep.final_mu, cfg, trace=trace)
     assert sweeps <= 2
@@ -253,6 +253,22 @@ def test_solve_report_counts_position_steps(paper_channel):
     assert fixed.position_steps == {"free": 0, "qp": 0, "stuck": 0, "backtrack": 0}
 
 
+def test_solve_report_says_what_each_block_cost(paper_channel):
+    model = paper_sar_matrix()
+    targets = SinrTargets.uniform(4, 1.0 / NOISE_W)
+    rep = solve_sar_min(paper_channel, targets, model, fast_config())
+    assert rep.dual_evaluations > 0
+    assert set(rep.block_seconds) == {"precoder", "auxiliary", "positions"}
+    assert all(t > 0.0 for t in rep.block_seconds.values())
+    assert sum(rep.block_seconds.values()) <= rep.wall_time_s
+    doc = json.loads(json.dumps(rep.to_json_dict()))
+    assert doc["dual_evaluations"] == rep.dual_evaluations
+    assert doc["block_seconds"] == rep.block_seconds
+    fixed = solve_sar_min(paper_channel, targets, model, fast_config(optimize_positions=False))
+    assert fixed.dual_evaluations == 0
+    assert fixed.block_seconds == {"precoder": 0.0, "auxiliary": 0.0, "positions": 0.0}
+
+
 def test_positions_disabled_keeps_layout(paper_channel):
     model = paper_sar_matrix()
     cfg = fast_config(optimize_positions=False)
@@ -319,8 +335,8 @@ def test_inner_loop_scores_sar_once_per_sweep(paper_channel, monkeypatch, recove
     layout, P, Z, model, targets = inner_loop_start(paper_channel, recover)
     trace = []
     cfg = fast_config()
-    *_, sweeps = inner_loop(paper_channel, layout, P, Z, model, targets, cfg.mu0, cfg,
-                            trace=trace)
+    *_, sweeps, _, _ = inner_loop(paper_channel, layout, P, Z, model, targets, cfg.mu0, cfg,
+                                  trace=trace)
     recoveries = sum(label == "recovered" for _, label, _ in trace)
     assert sweeps > 1 and recoveries == recover
     assert len(calls) == sweeps + recoveries
