@@ -101,7 +101,7 @@ class Region:
 
     ``half_width`` is expressed in wavelengths; coordinates handed to the
     geometry functions are in meters, so the box edge in meters is
-    ``half_width * wavelength``.
+    ``half_width_m`` = ``half_width * wavelength``.
     """
 
     half_width: float = 1.0
@@ -112,10 +112,7 @@ class Region:
             raise ConfigurationError("region half_width must be finite and positive")
         if not 0.0 < self.wavelength < np.inf:
             raise ConfigurationError("wavelength must be finite and positive")
-
-    @property
-    def half_width_m(self) -> float:
-        return self.half_width * self.wavelength
+        object.__setattr__(self, "half_width_m", self.half_width * self.wavelength)
 
     def contains(self, positions: np.ndarray, tol: float = 0.0) -> bool:
         pts = np.atleast_2d(np.asarray(positions, dtype=float))

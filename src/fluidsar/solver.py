@@ -33,15 +33,15 @@ solve is the whole answer.
 
 Cache lifetimes: ``solve_sar_min`` builds one geometry cache (``_GeoCache``:
 the channel's direction cosines and conjugated path gains, the continuous
-kernel's matrices, each antenna's last accepted local curvature, and its row
-and gradient weights at the exact point it last stood on) and hands it to
-every inner loop of the solve; a lattice solve builds the lattice's table
-with it (``_Lattice``: points, channel rows, index). Each sweep forms C =
-Hbar P once, for all three blocks, and E = C - Z again only once an antenna
-moved. A continuous sweep forms U = E P^H and the Gram matrix P P^H at its
-start and updates U by rank one as antennas move. Nothing outlives the solve.
-The single-step public helpers (``position_gradient``, ``position_majorizer``)
-build a cache per call.
+kernel ``row``, which gives an antenna's channel row and gradient weights in
+one real product, each antenna's last accepted local curvature, and its row
+at the point it last stood on; a lattice solve's table, ``_Lattice``) and
+hands it to every inner loop of the solve, with the conj-channel matrix Hbar
+the previous loop returned: ``channel_matrix`` runs at the start and at the
+exact solve only. Each sweep forms C = Hbar P once, for all three blocks, and
+E = C - Z again only once an antenna moved. A continuous sweep forms U^T =
+(E P^H)^T and P P^H at its start and updates U^T by rank one as antennas
+move. Nothing outlives the solve; the single-step helpers build their own.
 """
 from __future__ import annotations
 
@@ -125,14 +125,11 @@ class SinrTargets:
         if not 0.0 <= self.beta0 < np.inf:
             raise ConfigurationError("beta0 must be a finite non-negative number")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "thresholds", self.beta0 * w)
 
     @classmethod
     def uniform(cls, num_users: int, beta0: float) -> "SinrTargets":
         return cls(weights=np.ones(num_users), beta0=float(beta0))
-
-    @property
-    def thresholds(self) -> np.ndarray:
-        return self.beta0 * self.weights
 
     @property
     def num_users(self) -> int:
@@ -218,29 +215,35 @@ class _GeoCache:
         self.s2 = float((self.abs_gain_sum ** 2).sum())    # the majorizers' constant
         # the continuous kernel: F's columns sum a user's path terms with weights
         # 1, kappa a and kappa b; at theta = _phase @ (x, y), [cos; sin] @ _mix
-        # is (hbar, conj w_x, conj w_y), real and imaginary parts interleaved
+        # is ``row``: hbar as (Re, Im) pairs, then conj (w_x, w_y) as (Im, Re)
         K, L = self.fbar.shape
         self._phase = phase = self.kappa * np.stack([self.ax.ravel(), self.ay.ravel()], axis=1)
-        self._cos_sin = np.empty(2 * K * L)
+        self._t, self._cos_sin = np.empty(2), np.empty(2 * K * L)
+        self._cos, self._sin = self._cos_sin[:K * L], self._cos_sin[K * L:]
         W = np.c_[np.ones(K * L), phase][:, :, None] * np.repeat(np.eye(K), L, axis=0)[:, None]
         F = self.fbar.reshape(-1, 1) * W.reshape(K * L, 3 * K)
         im = np.vstack([F.imag, F.real]) * np.repeat([1.0, -1.0, -1.0], K)
-        self._mix = np.stack([np.vstack([F.real, -F.imag]), im], axis=2).reshape(2 * K * L, -1)
+        pairs = np.stack([np.vstack([F.real, -F.imag]), im], axis=2)
+        pairs[:, K:] = pairs[:, K:, ::-1].copy()
+        self._mix = pairs.reshape(2 * K * L, -1)
         # antenna -> the local curvature its last accepted SCA step used
         self.tau_accepted: dict[int, float] = {}
-        # antenna -> (t, hbar, wbar): ``point`` at the point it last stood on
+        # antenna -> (t, hbar and weights of ``row`` at t): where it last stood
         self.terms: dict[int, tuple] = {}
         # the lattice search's table of that region's lattice, if one is given
         self.lattice = None if lattice is None else _Lattice(self, lattice)
 
-    def point(self, t):
-        """One antenna at t: its conj-channel row hbar (K,) and the conjugated
-        gradient weights wbar (2, K), with d hbar_k / dt = i (w_x, w_y)_k."""
-        theta, cs = self._phase @ t, self._cos_sin
-        np.cos(theta, out=cs[:theta.size])
-        np.sin(theta, out=cs[theta.size:])
-        r = (cs @ self._mix).view(complex).reshape(3, -1)
-        return r[0], r[1:]
+    def row(self, t):
+        """One antenna at t, 6K reals: its conj-channel row hbar as (Re, Im)
+        pairs, then the conjugated gradient weights wbar (2, K), d hbar_k / dt =
+        i (w_x, w_y)_k, as (Im, Re) pairs: ``row[2K:].reshape(2, 2K) @ u2`` is
+        the residual's gradient 2 Im(wbar @ u), u2 the (Re, Im) pairs of 2u."""
+        tv = self._t
+        tv[0], tv[1] = t
+        theta = self._phase.dot(tv)
+        np.cos(theta, out=self._cos)
+        np.sin(theta, out=self._sin)
+        return self._cos_sin.dot(self._mix)
 
     def conj_rows(self, points: np.ndarray) -> np.ndarray:
         """conj(h_k) values for antennas at each of n points, shape (n, K)."""
@@ -429,26 +432,12 @@ def position_objective(positions: np.ndarray, realization: ChannelRealization,
     return _residual(channel_matrix(positions, realization, wavelength).conj(), P, Z)[1]
 
 
-def _gradient(wbar: np.ndarray, u: np.ndarray) -> tuple[float, float]:
-    """Gradient of the coupling residual in t_m, -2 Im sum_k conj(u_k) (w_x,
-    w_y)_k, from ``point``'s wbar at t_m and u = E P[m, :]^H."""
-    gx, gy = (wbar @ u).imag.tolist()
-    return 2.0 * gx, 2.0 * gy
-
-
-def _moved_residual(xi: float, delta: np.ndarray, u: np.ndarray, pnorm2: float) -> float:
-    """||E + delta P[m, :]||^2, the residual once antenna m's row moves by
-    delta, from xi = ||E||^2, u = E P[m, :]^H and pnorm2 = ||P[m, :]||^2."""
-    return xi + 2.0 * float(np.vdot(delta, u).real) + float(np.vdot(delta, delta).real) * pnorm2
-
-
 def position_gradient(m: int, positions: np.ndarray, realization: ChannelRealization,
                       P: np.ndarray, Z: np.ndarray, wavelength: float) -> np.ndarray:
     """Exact gradient of the coupling residual with respect to t_m."""
-    geo = _GeoCache(realization, wavelength)
     H = channel_matrix(positions, realization, wavelength)
-    u = (H.conj() @ P - Z) @ P[m, :].conj()
-    return np.array(_gradient(geo.point(positions[m])[1], u))
+    u2 = (2.0 * ((H.conj() @ P - Z) @ P[m, :].conj())).view(float)  # (Re, Im) pairs of 2u
+    return _GeoCache(realization, wavelength).row(positions[m])[u2.size:].reshape(2, -1) @ u2
 
 
 def _majorizers(geo: _GeoCache, P: np.ndarray, Z: np.ndarray, wavelength: float) -> np.ndarray:
@@ -465,8 +454,7 @@ def _majorizers(geo: _GeoCache, P: np.ndarray, Z: np.ndarray, wavelength: float)
 def position_majorizer(m: int, positions: np.ndarray, realization: ChannelRealization,
                        P: np.ndarray, Z: np.ndarray, wavelength: float) -> float:
     """Scalar tau_m with tau_m * I >= Hessian of the per-antenna objective."""
-    geo = _GeoCache(realization, wavelength)
-    return float(_majorizers(geo, P, Z, wavelength)[m])
+    return float(_majorizers(_GeoCache(realization, wavelength), P, Z, wavelength)[m])
 
 
 @functools.lru_cache(maxsize=16)  # _project_step's four box rows, once per half-width
@@ -633,35 +621,41 @@ def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar,
     (E, xi, stuck) after the sweep, and takes (E, xi) at its start as
     ``residual`` (``_residual`` when not given). ``counts``, when given,
     gains one per free, QP and stuck step under those status names, and one
-    per curvature doubling under "backtrack". A candidate is scored through
-    u = U[:, m] of U = E P^H (``_moved_residual``), which follows each move
-    by rank one."""
+    per curvature doubling under "backtrack". A candidate whose row moves by
+    delta scores xi + 2 Re(delta^H u) + ||delta||^2 ||P[m, :]||^2 from u =
+    E P[m, :]^H, row m of (E P^H)^T, which follows each move by rank one."""
     if config.lattice:
         return _select_positions_on_grid(positions, geo.lattice, P, Z, Hbar, residual)
-    M = positions.shape[0]
     taus = _majorizers(geo, P, Z, region.wavelength).tolist()
-    accepted = geo.tau_accepted
+    accepted, terms, row_at = geo.tau_accepted, geo.terms, geo.row
+    counts = {} if counts is None else counts
     any_stuck = any_moved = False
     step_tol = 1e-8 * region.wavelength  # moves below this cannot matter
     E, obj = residual = residual or _residual(Hbar, P, Z)
-    Ph = P.conj().T
-    U, gram = E @ Ph, P @ Ph
-    pnorm2 = gram.diagonal().real.tolist()
+    Pc = P.conj()
+    Ut, gram = Pc @ E.T, P @ Pc.T
+    pnorm2, gram = gram.diagonal().real.tolist(), gram[:, :, None]  # gram[m]: a column
+    n2 = 2 * Hbar.shape[0]
+    # [u2; delta] @ delta = [2 Re(delta^H u), ||delta||^2], u2 the pairs of 2u
+    u2, delta = score = np.empty((2, n2))
     layout = positions.tolist()
-    for m in range(M):
-        tau = taus[m]
+    for m, tau in enumerate(taus):
         if tau <= 0.0:
             continue
         points = layout[:m] + layout[m + 1:]
         t_old = tuple(layout[m])
-        kept = geo.terms.get(m)  # reused while the antenna stays on t_old exactly
-        h, wbar = kept[1:] if kept is not None and kept[0] == t_old else geo.point(t_old)
-        u, pm2, moved = U[:, m], pnorm2[m], False
+        kept = terms.get(m)  # reused while the antenna stays on t_old exactly
+        if kept is None or kept[0] != t_old:
+            row = row_at(t_old)
+            kept = t_old, row[:n2], row[n2:].reshape(2, n2)
+        _, h, weights = kept
+        np.multiply(Ut[m].view(float), 2.0, u2)
+        pm2, moved = pnorm2[m], False
         for _ in range(config.max_sca_iter):
-            grad = _gradient(wbar, u)
+            grad = gx, gy = weights.dot(u2).tolist()
             # max|g| / tau < tol, tested per coordinate: division by tau > 0
             # is monotone, so the verdict is the same
-            if abs(grad[0]) / tau < step_tol and abs(grad[1]) / tau < step_tol:
+            if abs(gx) / tau < step_tol and abs(gy) / tau < step_tol:
                 break
             # backtracking: try half the curvature this antenna last
             # accepted, and double it until the surrogate at tau_loc lies
@@ -672,22 +666,20 @@ def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar,
                                                     min_distance, points)
                 if status == "stuck":
                     break
-                h_new, wbar_new = geo.point(t_new)
-                delta = h_new - h
-                obj_new = _moved_residual(obj, delta, u, pm2)
+                new = row_at(t_new)
+                np.subtract(new[:n2], h, delta)
+                a, b = score.dot(delta).tolist()
+                obj_new = obj + a + b * pm2
                 if tau_loc >= tau:
                     break
                 dx = t_new[0] - t_old[0]
                 dy = t_new[1] - t_old[1]
-                bound = obj + (grad[0] * dx + grad[1] * dy) \
-                    + 0.5 * tau_loc * (dx * dx + dy * dy)
+                bound = obj + (gx * dx + gy * dy) + 0.5 * tau_loc * (dx * dx + dy * dy)
                 if obj_new <= bound + 1e-12 * obj:
                     break
                 tau_loc = min(2.0 * tau_loc, tau)
-                if counts is not None:
-                    counts["backtrack"] = counts.get("backtrack", 0) + 1
-            if counts is not None:
-                counts[status] = counts.get(status, 0) + 1
+                counts["backtrack"] = counts.get("backtrack", 0) + 1
+            counts[status] = counts.get(status, 0) + 1
             if status == "stuck":
                 any_stuck = True
                 break
@@ -697,18 +689,19 @@ def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar,
                 break  # numerically flat; keep the current point
             accepted[m] = tau_loc
             positions[m] = t_old = t_new
-            u = u + delta * pm2
-            h, wbar = h_new, wbar_new
-            moved = True
+            np.add(u2, np.multiply(delta, 2.0 * pm2, delta), u2)
+            h, weights, moved = new[:n2], new[n2:].reshape(2, n2), True
             decrease = obj - obj_new
             obj = obj_new
             if decrease < max(config.eps_position, config.eps_position_rel * abs(obj)):
                 break
-        geo.terms[m] = (t_old, h, wbar)
+        terms[m] = (t_old, h, weights)
         if moved:
             any_moved = True
             layout[m] = t_old
-            U += (h - Hbar[:, m])[:, None] * gram[m]
+            h = h.view(complex)
+            if m + 1 < len(taus):  # only the antennas after m read U^T
+                Ut += gram[m] * (h - Hbar[:, m])
             Hbar[:, m] = h
     return (_residual(Hbar, P, Z) if any_moved else residual) + (any_stuck,)
 
@@ -733,28 +726,30 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
                Z: np.ndarray, model: SarModel, targets: SinrTargets, mu: float,
                config: SolverConfig, trace: list | None = None, outer_index: int = 0,
                counts: dict | None = None, geo: _GeoCache | None = None,
-               cost: dict | None = None):
+               cost: dict | None = None, calls: dict | None = None,
+               Hbar: np.ndarray | None = None):
     """Alternate precoder / auxiliary / position blocks until the penalized
     objective decrease falls below eps_inner. Returns (P, Z, positions, Hbar,
     sweeps, xi, sar), the last two after the last sweep.
 
     ``counts``, when given, gains the number of continuous position steps by
     status ("free", "qp", "stuck") and of their curvature doublings
-    ("backtrack"), as ``trace`` gains the objective trace, and ``cost`` each
-    block's seconds by name and "dual_evaluations" (``solve_auxiliary``).
-    ``geo`` is the solve's geometry cache; without one, the loop builds its own.
-    """
+    ("backtrack"), as ``trace`` gains the objective trace, ``cost`` each
+    block's seconds by name and "dual_evaluations" (``solve_auxiliary``), and
+    ``calls`` each block's calls. ``geo`` is the solve's geometry cache and
+    ``Hbar`` the conj-channel matrix at ``positions``; without them, the loop
+    builds its own."""
     if geo is None:
         geo = _GeoCache(realization, config.wavelength, config.region if config.lattice else None)
     noise = realization.noise_variance
     positions = np.array(positions, dtype=float)
-    Hbar = channel_matrix(positions, realization, config.wavelength).conj()
-    prev = None
-    last_value = None
-    recovered = False
-    sweeps = 0
+    Hbar = channel_matrix(positions, realization, config.wavelength).conj() if Hbar is None \
+        else np.array(Hbar, dtype=complex)
+    prev = last_value = None
+    recovered, sweeps = False, 0
 
     cost = {} if cost is None else cost
+    calls = {} if calls is None else calls
     clock = time.perf_counter
 
     def record(label, value, extra_slack=0.0):
@@ -762,6 +757,7 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
         nonlocal prev, mark
         now = clock()
         cost[label] = cost.get(label, 0.0) + (now - mark)
+        calls[label] = calls.get(label, 0) + 1
         mark = now
         if trace is not None:
             trace.append((outer_index, label, value))
@@ -787,6 +783,7 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
             if recovered:
                 raise
             recovered = True
+            calls["auxiliary"] = calls.get("auxiliary", 0) + 1  # the call that failed
             _reset_users(P, H, err.users)
             C = Hbar @ P
             Z, _, gap = solve_auxiliary(H, P, targets, noise, C, cost)
@@ -821,7 +818,7 @@ class _Rows:
         self._cols = tuple(array(c) for c in codes)
 
     def append(self, row):
-        for col, v in zip(self._cols, self._store(row)):
+        for col, v in zip(self._cols, row):
             col.append(v)
 
     def __len__(self):
@@ -833,28 +830,27 @@ class _Rows:
     def __iter__(self):
         return map(self._load, zip(*self._cols))
 
-    @staticmethod
-    def _store(row):
-        return row
-
-    _load = _store
+    _load = tuple  # a row as appended
 
 
 class _ObjectiveTrace(_Rows):
-    """The inner objective trace, rows (outer, label, value); the value of a
-    "recovered" row is None."""
+    """The inner objective trace, rows (outer, label, value), None the value of a
+    "recovered" row; outer and the label's code share one int: 4 outer + code < 2**31."""
 
     LABELS = ("precoder", "auxiliary", "positions", "recovered")
+    CODES = {label: code for code, label in enumerate(LABELS)}
 
     def __init__(self):
-        super().__init__("iBd")
+        super().__init__("id")
 
-    def _store(self, row):
+    def append(self, row):
         outer, label, value = row
-        return outer, self.LABELS.index(label), math.nan if value is None else value
+        self._cols[0].append(4 * outer + self.CODES[label])
+        self._cols[1].append(math.nan if value is None else value)
 
     def _load(self, row):
-        outer, code, value = row
+        key, value = row
+        outer, code = divmod(key, 4)
         label = self.LABELS[code]
         return outer, label, None if label == "recovered" else value
 
@@ -891,6 +887,7 @@ class SolveReport(_JsonDoc):
     position_steps: dict = field(default_factory=dict)
     dual_evaluations: int = 0  # of the dual root function, by all root searches
     block_seconds: dict = field(default_factory=dict)  # "precoder", "auxiliary", "positions"
+    block_calls: dict = field(default_factory=dict)    # calls of each of those blocks
 
 
 def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: SarModel,
@@ -938,13 +935,16 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
     outer_done = 0
     steps = {"free": 0, "qp": 0, "stuck": 0, "backtrack": 0}
     cost = {"precoder": 0.0, "auxiliary": 0.0, "positions": 0.0, "dual_evaluations": 0}
+    calls = dict.fromkeys(("precoder", "auxiliary", "positions"), 0)
 
     if config.optimize_positions:
-        status, xi, mu = "max_outer", np.inf, config.mu0
+        status, xi, mu, Hbar = "max_outer", np.inf, config.mu0, H.conj()
+        calls["auxiliary"] += 1
         try:
             Z, _, _ = solve_auxiliary(H, P, targets, noise, counts=cost)
         except DegenerateUserError as err:
             _reset_users(P, H, err.users)
+            calls["auxiliary"] += 1
             try:
                 Z, _, _ = solve_auxiliary(H, P, targets, noise, counts=cost)
             except DegenerateUserError:
@@ -956,9 +956,10 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
         for outer in range(config.max_outer):
             start = positions
             try:
-                P, Z, positions, _, sweeps, xi, sar = inner_loop(
+                P, Z, positions, Hbar, sweeps, xi, sar = inner_loop(
                     realization, positions, P, Z, model, targets, mu, config,
-                    trace=inner_trace, outer_index=outer, counts=steps, geo=geo, cost=cost)
+                    trace=inner_trace, outer_index=outer, counts=steps, geo=geo, cost=cost,
+                    calls=calls, Hbar=Hbar)
             except DegenerateUserError:
                 warnings.append("degenerate_user")
                 status = "degenerate"
@@ -1034,4 +1035,5 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
         position_steps=steps,
         dual_evaluations=cost.pop("dual_evaluations"),
         block_seconds=cost,
+        block_calls=calls,
     )

@@ -20,7 +20,7 @@ SOLVE_KEYS = ["precoder", "layout", "sar", "sinr", "sinr_slack", "beta_achieved"
               "outer_iterations", "inner_sweeps_total", "outer_trace",
               "inner_objective_trace", "wall_time_s", "warnings",
               "config", "final_mu", "position_steps", "dual_evaluations",
-              "block_seconds"]
+              "block_seconds", "block_calls"]
 BALANCE_KEYS = ["beta_star", "precoder", "layout", "sar", "budget", "ladder", "iterations",
                 "warnings", "wall_time_s", "solution"]
 REPORT_KEYS = {

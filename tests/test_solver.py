@@ -261,12 +261,25 @@ def test_solve_report_says_what_each_block_cost(paper_channel):
     assert set(rep.block_seconds) == {"precoder", "auxiliary", "positions"}
     assert all(t > 0.0 for t in rep.block_seconds.values())
     assert sum(rep.block_seconds.values()) <= rep.wall_time_s
+    # one precoder and one position block a sweep; the auxiliary block also
+    # runs once at the start
+    sweeps = rep.inner_sweeps_total
+    assert rep.block_calls == {"precoder": sweeps, "auxiliary": sweeps + 1, "positions": sweeps}
     doc = json.loads(json.dumps(rep.to_json_dict()))
     assert doc["dual_evaluations"] == rep.dual_evaluations
     assert doc["block_seconds"] == rep.block_seconds
+    assert doc["block_calls"] == rep.block_calls
     fixed = solve_sar_min(paper_channel, targets, model, fast_config(optimize_positions=False))
     assert fixed.dual_evaluations == 0
     assert fixed.block_seconds == {"precoder": 0.0, "auxiliary": 0.0, "positions": 0.0}
+    assert fixed.block_calls == {"precoder": 0, "auxiliary": 0, "positions": 0}
+    # a degenerate-user recovery calls the auxiliary block twice in its sweep
+    layout, P, Z, model, targets = inner_loop_start(paper_channel, True)
+    calls, trace = {}, []
+    *_, sweeps, _, _ = inner_loop(paper_channel, layout, P, Z, model, targets,
+                                  fast_config().mu0, fast_config(), trace=trace, calls=calls)
+    assert sum(label == "recovered" for _, label, _ in trace) == 1
+    assert calls == {"precoder": sweeps, "auxiliary": sweeps + 1, "positions": sweeps}
 
 
 def test_positions_disabled_keeps_layout(paper_channel):

@@ -576,8 +576,9 @@ def test_backtracking_stops_at_the_majorizer(monkeypatch):
 
 
 def test_point_rows_match_the_channel():
-    # the continuous kernel's conj-channel row for an antenna at t is the
-    # column of channel_matrix(...).conj() there, to 1e-13 of its norm
+    # the continuous kernel's conj-channel row for an antenna at t, the first
+    # 2K numbers of ``row`` as (Re, Im) pairs, is the column of
+    # channel_matrix(...).conj() there, to 1e-13 of its norm
     rng = np.random.default_rng(41)
     worst = 0.0
     for i in range(50):
@@ -586,14 +587,18 @@ def test_point_rows_match_the_channel():
         pts = rng.uniform(-3.0, 3.0, (4, 2)) * WAVELENGTH
         Hc = channel_matrix(pts, real, WAVELENGTH).conj()
         for m, t in enumerate(pts.tolist()):
-            h, _ = geo.point(tuple(t))
+            row = geo.row(tuple(t))
+            assert row.shape == (24,)
+            h = row[:8].view(complex)
             worst = max(worst, np.abs(h - Hc[:, m]).max() / np.linalg.norm(Hc[:, m]))
     assert worst <= 1e-13, worst
 
 
 def test_moved_residual_matches_a_fresh_residual():
-    # a continuous step scores its candidate by the expansion
-    # xi + 2 Re(delta^H u) + ||delta||^2 ||P[m, :]||^2, which must equal the
+    # a continuous step scores its candidate from the rows of its two points:
+    # with delta the step of the conj-channel row and u2 = 2 E P[m, :]^H, both
+    # as (Re, Im) pairs, [u2; delta] @ delta = [2 Re(delta^H u), ||delta||^2],
+    # and xi plus the first plus ||P[m, :]||^2 times the second must equal the
     # residual recomputed directly at the moved layout, to 1e-13 xi
     from test_position_reference import random_state
 
@@ -606,10 +611,49 @@ def test_moved_residual_matches_a_fresh_residual():
         m = i % 4
         moved = pos.copy()
         moved[m] += rng.normal(0.0, (1e-4, 1e-2, 0.3)[i % 3] * WAVELENGTH, 2)
-        delta = geo.point(tuple(moved[m]))[0] - geo.point(tuple(pos[m]))[0]
-        got = solver._moved_residual(xi, delta, E @ P[m].conj(), float(np.vdot(P[m], P[m]).real))
+        delta = geo.row(tuple(moved[m]))[:8] - geo.row(tuple(pos[m]))[:8]
+        u2 = (2.0 * (E @ P[m].conj())).view(float)
+        a, b = np.stack([u2, delta]) @ delta
+        got = xi + a + b * float(np.vdot(P[m], P[m]).real)
         want = position_objective(moved, real, P, Z, WAVELENGTH)
         assert abs(got - want) <= 1e-13 * xi, (i, got, want)
+
+
+def test_kernel_runs_once_per_candidate(monkeypatch):
+    # a moving solve computes one row per candidate point, which is every
+    # free, QP and rejected (doubled) step, plus one per antenna where it
+    # starts; an antenna's row is carried from one visit to the next
+    real = sample_channel(3, 4, 4, 15, NOISE_W)
+    rows = []
+    row = _GeoCache.row
+    monkeypatch.setattr(_GeoCache, "row", lambda self, t: rows.append(t) or row(self, t))
+    rep = solve_sar_min(real, SinrTargets.uniform(4, 1.0 / NOISE_W), paper_sar_matrix(),
+                        fast_config())
+    steps = rep.position_steps
+    assert rep.outer_iterations > 1 and steps["free"] > 0 and steps["stuck"] == 0
+    assert len(rows) == steps["free"] + steps["qp"] + steps["backtrack"] + 4
+
+
+def test_inner_loops_carry_the_channel(monkeypatch):
+    # each outer iteration starts from the conj-channel matrix the last one
+    # returned, which agrees with channel_matrix at its layout; channel_matrix
+    # itself runs at the start and at the exact solve only
+    real = sample_channel(3, 4, 4, 15, NOISE_W)
+    starts, matrices = [], []
+    inner_loop, channel = solver.inner_loop, solver.channel_matrix
+
+    def checking(realization, positions, *args, Hbar=None, **kwargs):
+        starts.append(np.abs(Hbar - channel(positions, real, WAVELENGTH).conj()).max()
+                      / np.linalg.norm(Hbar))
+        return inner_loop(realization, positions, *args, Hbar=Hbar, **kwargs)
+
+    monkeypatch.setattr(solver, "inner_loop", checking)
+    monkeypatch.setattr(solver, "channel_matrix", lambda *a: matrices.append(1) or channel(*a))
+    rep = solve_sar_min(real, SinrTargets.uniform(4, 1.0 / NOISE_W), paper_sar_matrix(),
+                        fast_config())
+    assert rep.converged and len(starts) == rep.outer_iterations > 1
+    assert max(starts) <= 1e-12, max(starts)
+    assert len(matrices) == 2
 
 
 def test_lattice_table_rows_match_direct_evaluation():

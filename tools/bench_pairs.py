@@ -15,7 +15,9 @@ per workload.
 
 For every end-to-end metric of the change's ``BENCHMARK.json``, the summary
 gives each side's median and quartiles over its runs, the pairs the change
-won (ties count for neither side), and three verdicts:
+won (ties count for neither side: a pair whose two values differ by less
+than ``TIE_RTOL`` of the parent's is a tie, so rounding is no win), and three
+verdicts:
 
 * ``gain``: the change won at least nine tenths of the pairs, and its median
   is better than the parent's by more than the parent's interquartile range;
@@ -39,6 +41,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TIE_RTOL = 1e-9
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -63,8 +66,8 @@ def summarise(runs: list, spec: dict) -> dict:
     name, sign = spec["name"], (1.0 if spec["better"] == "higher" else -1.0)
     vals = {side: [r[side][name] for r in runs] for side in SIDES}
     stats = {side: quartiles(vals[side]) for side in SIDES}
-    diffs = [sign * (c - p) for p, c in zip(vals["parent"], vals["change"])]
-    wins, losses = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
+    diffs = [(sign * (c - p), TIE_RTOL * abs(p)) for p, c in zip(vals["parent"], vals["change"])]
+    wins, losses = sum(d > tie for d, tie in diffs), sum(d < -tie for d, tie in diffs)
     p_med, c_med = stats["parent"]["median"], stats["change"]["median"]
     iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
     scale = abs(p_med) if p_med else 1.0
