@@ -192,20 +192,19 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
     # skips, and a fixed layout's exact solve has nothing to resume
     warm_probes = solver_config.optimize_positions and not solver_config.lattice
     warm: SolveReport | None = None
-    warm_beta = 0.0
 
     def probe(beta0: float, phase: str):
-        nonlocal warm, warm_beta
+        nonlocal warm
         cfg = solver_config
         kwargs: dict = {"initial_layout": layout0}
-        if warm is not None and warm_beta > 0 and beta0 > 0:
+        if warm is not None and warm.config["beta0"] > 0 and beta0 > 0:
             # power-match the warm precoder to the new target scale, otherwise a
             # large restart penalty pins the probe at the previous power level;
             # mu resumes at the warm probe's final value, which the stopping
             # rule on xi puts where that probe's layout stopped moving
             kwargs = {
                 "initial_layout": warm.layout,
-                "initial_precoder": warm.precoder * np.sqrt(beta0 / warm_beta),
+                "initial_precoder": warm.precoder * np.sqrt(beta0 / warm.config["beta0"]),
             }
             if warm.final_mu > solver_config.mu0:
                 cfg = replace(solver_config, mu0=warm.final_mu)
@@ -214,7 +213,6 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
         ladder.append((phase, beta0, rep.sar, bool(ok), bool(rep.converged)))
         if warm_probes:
             warm = rep if rep.converged else None
-            warm_beta = beta0
         return rep, ok
 
     if config.bracket is not None:

@@ -75,11 +75,10 @@ def adaptive_backoff(realization: ChannelRealization, model: SarModel,
                      solver_config: SolverConfig | None = None,
                      balance_config: BalanceConfig | None = None,
                      unconstrained: BalanceResult | None = None) -> BackoffResult:
-    """Scale the power-only design down until it meets the exposure budget.
-
-    alpha = min{1, Q0 / sum_k p_k^H R p_k} applied to the whole precoder; the
-    attained worst weighted SINR is then re-evaluated at the scaled precoder.
-    """
+    """Scale the power-only design's precoder amplitude by alpha = min{1, Q0 /
+    sum_k p_k^H R p_k}: the exposure is quadratic, so its SAR ends at alpha * Q0,
+    below the budget rather than on it. The attained worst weighted SINR is then
+    re-evaluated at the scaled precoder."""
     config = config or BaselineConfig()
     solver_config = solver_config or SolverConfig()
     if unconstrained is None:

@@ -142,9 +142,6 @@ class PathSet:
         object.__setattr__(self, "elevation_aods", theta)
         object.__setattr__(self, "azimuth_aods", phi)
         object.__setattr__(self, "path_gains", gains)
-        # direction cosines of the phase ramp, cached once per path set
-        object.__setattr__(self, "_dir_x", np.sin(theta) * np.cos(phi))
-        object.__setattr__(self, "_dir_y", np.cos(theta))
 
     @property
     def count(self) -> int:
@@ -152,7 +149,8 @@ class PathSet:
 
     @property
     def direction_cosines(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._dir_x, self._dir_y
+        theta, phi = self.elevation_aods, self.azimuth_aods
+        return np.sin(theta) * np.cos(phi), np.cos(theta)
 
 
 @dataclass(frozen=True)

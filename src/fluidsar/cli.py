@@ -158,7 +158,7 @@ def main(argv=None) -> int:
         cfg = SolverConfig(**_solver_kwargs(args))
         result = convergence_trace(args.seed, [float(x) for x in args.beta0.split(",")],
                                    m=args.m, k=args.k, paths=args.paths,
-                                   noise_variance=noise, solver_config=cfg, strict=False)
+                                   noise_variance=noise, solver_config=cfg)
         lines = ["beta0,iteration,xi"]
         for tr in result["traces"]:
             for it, _, xi in tr["trace"]:
@@ -209,7 +209,7 @@ def main(argv=None) -> int:
         if objective == "sar-min" and targets is None:
             raise SystemExit("--beta0 is required for the sar-min objective")
         if args.scheme == "aps":
-            res = solve_aps(realization, model, objective, bcfg, cfg, bal, targets)
+            res = solve_aps(realization, model, objective, None, cfg, bal, targets)
             _write_report(args, {"kind": "baseline-aps", **res.to_json_dict()})
             return 0
         if args.scheme == "fpa":

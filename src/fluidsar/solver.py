@@ -615,7 +615,7 @@ def _lattice_settled(lat: _Lattice, positions, P, xi: float) -> bool:
     return bool(np.all(np.linalg.norm(P, axis=1) * d.min(axis=1) >= 2.0 * math.sqrt(xi)))
 
 
-def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar,
+def _sweep_positions(positions, geo, P, Z, config, Hbar,
                      counts: dict | None = None, residual: tuple | None = None):
     """Sequential per-antenna SCA descents; mutates positions/Hbar, returns
     (E, xi, stuck) after the sweep, and takes (E, xi) at its start as
@@ -626,6 +626,7 @@ def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar,
     E P[m, :]^H, row m of (E P^H)^T, which follows each move by rank one."""
     if config.lattice:
         return _select_positions_on_grid(positions, geo.lattice, P, Z, Hbar, residual)
+    region, min_distance = config.region, config.distance
     taus = _majorizers(geo, P, Z, region.wavelength).tolist()
     accepted, terms, row_at = geo.tau_accepted, geo.terms, geo.row
     counts = {} if counts is None else counts
@@ -711,6 +712,7 @@ def _sweep_positions(positions, geo, P, Z, region, min_distance, config, Hbar,
 # ---------------------------------------------------------------------------
 
 def _matched_filter(H: np.ndarray) -> np.ndarray:
+    """Column k is conj(h_k) / ||h_k||, the conjugate of the matched filter h_k / ||h_k||."""
     norms = np.linalg.norm(H, axis=1)
     norms = np.where(norms > 0, norms, 1.0)
     return (H / norms[:, None]).T.conj()
@@ -796,8 +798,7 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
         # the projection is certified optimal only to within mu * gap
         record("auxiliary", sar + mu * xi, extra_slack=mu * gap)
 
-        E, xi, _ = _sweep_positions(positions, geo, P, Z, config.region,
-                                    config.distance, config, Hbar, counts, (E, xi))
+        E, xi, _ = _sweep_positions(positions, geo, P, Z, config, Hbar, counts, (E, xi))
         record("positions", sar + mu * xi)
 
         value = prev
@@ -907,7 +908,6 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
         raise ConfigurationError("targets and channel disagree on the user count")
     noise = realization.noise_variance
     region = config.region
-    dmin = config.distance
 
     if initial_layout is None:
         positions = uniform_line_layout(M, region)
@@ -915,13 +915,8 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
         positions = np.array(initial_layout, dtype=float)
         if positions.shape != (M, 2):
             raise ConfigurationError("initial layout must have shape (M, 2)")
-    if not layout_is_feasible(positions, region, dmin):
+    if not layout_is_feasible(positions, region, config.distance):
         raise ConfigurationError("initial antenna layout violates region or spacing")
-    if config.optimize_positions:
-        geo = _GeoCache(realization, config.wavelength, region if config.lattice else None)
-        if config.lattice and not all(p in geo.lattice.index
-                                      for p in map(tuple, positions.tolist())):
-            raise ConfigurationError("initial antenna layout is off the position lattice")
 
     H = channel_matrix(positions, realization, config.wavelength)
     P = np.array(initial_precoder, dtype=complex) if initial_precoder is not None \
@@ -931,13 +926,15 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
     outer_trace = _Rows("idddi")
     inner_trace = _ObjectiveTrace()
     xi, mu, Z, exact = 0.0, 0.0, None, None
-    sweeps_total = 0
-    outer_done = 0
     steps = {"free": 0, "qp": 0, "stuck": 0, "backtrack": 0}
     cost = {"precoder": 0.0, "auxiliary": 0.0, "positions": 0.0, "dual_evaluations": 0}
     calls = dict.fromkeys(("precoder", "auxiliary", "positions"), 0)
 
     if config.optimize_positions:
+        geo = _GeoCache(realization, config.wavelength, region if config.lattice else None)
+        if config.lattice and not all(p in geo.lattice.index
+                                      for p in map(tuple, positions.tolist())):
+            raise ConfigurationError("initial antenna layout is off the position lattice")
         status, xi, mu, Hbar = "max_outer", np.inf, config.mu0, H.conj()
         calls["auxiliary"] += 1
         try:
@@ -951,41 +948,38 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
                 warnings.append("degenerate_user")
                 Z = np.zeros((K, K), dtype=complex)
                 status = "degenerate"
-
-    if config.optimize_positions and status != "degenerate":
-        for outer in range(config.max_outer):
-            start = positions
-            try:
-                P, Z, positions, Hbar, sweeps, xi, sar = inner_loop(
-                    realization, positions, P, Z, model, targets, mu, config,
-                    trace=inner_trace, outer_index=outer, counts=steps, geo=geo, cost=cost,
-                    calls=calls, Hbar=Hbar)
-            except DegenerateUserError:
-                warnings.append("degenerate_user")
-                status = "degenerate"
-                break
-            sweeps_total += sweeps
-            outer_done = outer + 1
-            outer_trace.append((outer, mu, xi, sar + mu * xi, sweeps))
-
-            # the paper's stopping rule, or a lattice layout that stood still
-            # and that no lattice move can improve, at a layout the exact
-            # solve serves
-            if xi < config.eps_outer or (
-                    config.lattice and np.array_equal(start, positions)
-                    and _lattice_settled(geo.lattice, positions, P, xi)):
-                H = channel_matrix(positions, realization, config.wavelength)
-                exact = optimal_precoder(H, model, targets.thresholds, noise)
-                if exact is not None:
-                    status = "converged"
+        if status != "degenerate":
+            for outer in range(config.max_outer):
+                start = positions
+                try:
+                    P, Z, positions, Hbar, sweeps, xi, sar = inner_loop(
+                        realization, positions, P, Z, model, targets, mu, config,
+                        trace=inner_trace, outer_index=outer, counts=steps, geo=geo, cost=cost,
+                        calls=calls, Hbar=Hbar)
+                except DegenerateUserError:
+                    warnings.append("degenerate_user")
+                    status = "degenerate"
                     break
+                outer_trace.append((outer, mu, xi, sar + mu * xi, sweeps))
 
-            if len(outer_trace) > PLATEAU_WINDOW:
-                first = outer_trace[-PLATEAU_WINDOW - 1][2]
-                if first > 0 and (first - xi) / first < PLATEAU_REL_DECREASE:
-                    status = "plateau"
-                    break
-            mu = mu / config.a
+                # the paper's stopping rule, or a lattice layout that stood still
+                # and that no lattice move can improve, at a layout the exact
+                # solve serves
+                if xi < config.eps_outer or (
+                        config.lattice and np.array_equal(start, positions)
+                        and _lattice_settled(geo.lattice, positions, P, xi)):
+                    H = channel_matrix(positions, realization, config.wavelength)
+                    exact = optimal_precoder(H, model, targets.thresholds, noise)
+                    if exact is not None:
+                        status = "converged"
+                        break
+
+                if len(outer_trace) > PLATEAU_WINDOW:
+                    first = outer_trace[-PLATEAU_WINDOW - 1][2]
+                    if first > 0 and (first - xi) / first < PLATEAU_REL_DECREASE:
+                        status = "plateau"
+                        break
+                mu = mu / config.a
 
     # the emitted precoder is the exact optimum at the final layout; where the
     # targets cannot be met there, a moving layout keeps the penalty iterate
@@ -1007,7 +1001,7 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
     mind = min_pairwise_distance(positions)
     in_region = region.contains(positions, tol=1e-9)
     feasible = bool(exact is not None and np.min(slack) >= -FEASIBILITY_SLACK
-                    and mind >= dmin - 1e-9 and in_region)
+                    and mind >= config.distance - 1e-9 and in_region)
     beta = float(np.min(sinrs / targets.weights))
     return SolveReport(
         precoder=P,
@@ -1022,8 +1016,8 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
         converged=status == "converged",
         status=status,
         xi=float(xi),
-        outer_iterations=outer_done,
-        inner_sweeps_total=sweeps_total,
+        outer_iterations=len(outer_trace),
+        inner_sweeps_total=sum(sweeps for *_, sweeps in outer_trace),
         outer_trace=outer_trace,
         inner_objective_trace=inner_trace,
         wall_time_s=time.perf_counter() - t0,

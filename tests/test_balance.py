@@ -294,6 +294,7 @@ class StubReport:
         self.layout = np.zeros((2, 2))
         self.final_mu = 1.0
         self.warnings = []
+        self.config = {"beta0": beta0}
 
 
 def power_law(c, s):

@@ -76,7 +76,8 @@ def test_plan_validation():
                        (dict(noise_variance=0), "noise variance"),
                        (dict(sweep="paths", values=(3, 0)), "L=0"),
                        (dict(sweep="q0", values=(1.6, -0.4)), "SAR budget"),
-                       (dict(values=(1e13, -1e13)), "beta0"), (dict(m=0), "M=0")]:
+                       (dict(values=(1e13, -1e13)), "beta0"),
+                       (dict(m=0), r"^m must be a whole number >= 1, got 0$")]:
         with pytest.raises(ConfigurationError, match=match):
             tiny_plan(**bad)
     # and nothing derived is stored on the plan
@@ -129,6 +130,34 @@ def test_plan_refuses_targets_and_balance_settings_that_are_not_finite():
         doc = {**tiny_plan().to_json_dict(), **overrides}
         with pytest.raises(ConfigurationError, match=match):
             ExperimentPlan.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("trials", 1.5), ("trials", 0), ("trials", True), ("trials", "2"), ("trials", float("nan")),
+    ("master_seed", 1.5), ("master_seed", -3), ("master_seed", None),
+    ("k", 2.5), ("k", 0), ("m", 2.5), ("m", float("inf"))])
+def test_plan_refuses_counts_and_seeds_that_are_not_whole(field, value):
+    # trials, m and k are whole numbers >= 1 and the master seed one >= 0,
+    # refused by name when the plan is built, from code and from JSON alike;
+    # unchecked, trials=1.5 and master_seed=-3 build a plan whose run_sweep
+    # raises a bare TypeError or ValueError
+    match = rf"^{field} must be a whole number >= {0 if field == 'master_seed' else 1}"
+    with pytest.raises(ConfigurationError, match=match):
+        tiny_plan(**{field: value})
+    doc = {**tiny_plan().to_json_dict(), field: value}
+    with pytest.raises(ConfigurationError, match=match):
+        ExperimentPlan.from_json_dict(doc)
+
+
+def test_plan_takes_whole_floats_as_ints():
+    # as a path count does: 2.0 trials are 2
+    plan = tiny_plan(trials=2.0, master_seed=77.0, m=2.0, k=2.0, values=(1.0 / NOISE_W,),
+                     schemes=("fpa",))
+    assert (plan.trials, plan.master_seed, plan.m, plan.k) == (2, 77, 2, 2)
+    assert all(type(v) is int for v in (plan.trials, plan.master_seed, plan.m, plan.k))
+    assert run_sweep(plan).rows == run_sweep(tiny_plan(values=(1.0 / NOISE_W,),
+                                                       schemes=("fpa",))).rows
+    assert tiny_plan(master_seed=0).master_seed == 0
 
 
 def test_plan_json_rejects_unknown_keys():
@@ -391,6 +420,7 @@ def test_convergence_trace_iterations_grow_with_target():
                        eps_inner_rel=1e-3, eps_position_rel=1e-3)
     out = convergence_trace(9, [0.5 / NOISE_W, 4.0 / NOISE_W, 1000.0 / NOISE_W],
                             m=2, k=2, paths=3, solver_config=cfg)
+    assert all(tr["trend_ok"] for tr in out["traces"])
     iters = [tr["outer_iterations"] for tr in out["traces"]]
     assert iters == sorted(iters)
     assert iters[-1] > iters[0]

@@ -440,8 +440,7 @@ def test_position_block_matches_reference_decision_for_decision():
                 pos_ref, geo, P, Z, config.region, config.distance, config, H_ref, events,
                 solver_qp, tau_loc_of, sweep_ref)
             E_new, obj_new, stuck_new = solver._sweep_positions(
-                pos_new, geo_new, P, Z, config.region, config.distance, config, H_new,
-                sweep_new)
+                pos_new, geo_new, P, Z, config, H_new, sweep_new)
             assert sweep_new == sweep_ref and stuck_new == stuck_ref, (i, sweep)
             assert geo_new.tau_accepted == tau_loc_of, (i, sweep)
             if config.lattice:

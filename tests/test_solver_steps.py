@@ -472,8 +472,8 @@ def sweep(pos, real, P, Z, region):
     moved = np.array(pos, dtype=float)
     Hbar = channel_matrix(moved, real, WAVELENGTH).conj()
     counts = {}
-    _, _, stuck = solver._sweep_positions(moved, _GeoCache(real, WAVELENGTH), P, Z, region,
-                                          config.distance, config, Hbar, counts)
+    _, _, stuck = solver._sweep_positions(moved, _GeoCache(real, WAVELENGTH), P, Z, config,
+                                          Hbar, counts)
     return moved, stuck, counts
 
 
@@ -526,7 +526,7 @@ def test_accepted_steps_meet_the_surrogate_at_their_curvature(monkeypatch):
         taus = _majorizers(geo, P, Z, WAVELENGTH)
         Hbar = channel_matrix(live, real, WAVELENGTH).conj()
         calls.clear()
-        solver._sweep_positions(live, geo, P, Z, config.region, config.distance, config, Hbar)
+        solver._sweep_positions(live, geo, P, Z, config, Hbar)
         # a step was accepted when the layout seen next (by the next step, or
         # at the end) has the antenna at the step's end point
         seen_next = [c[0] for c in calls[1:]] + [live]
@@ -569,7 +569,7 @@ def test_backtracking_stops_at_the_majorizer(monkeypatch):
     caps = solver._majorizers(geo, P, Z, WAVELENGTH).tolist()
     geo.tau_accepted.update({m: 0.6 * c for m, c in enumerate(caps)})
     Hbar = channel_matrix(positions, real, WAVELENGTH).conj()
-    solver._sweep_positions(positions, geo, P, Z, config.region, config.distance, config, Hbar)
+    solver._sweep_positions(positions, geo, P, Z, config, Hbar)
     assert {m for m, _ in tried} == set(range(len(caps)))
     assert all(tau <= caps[m] for m, tau in tried)
     assert {m for m, tau in tried if tau == caps[m]} == set(range(len(caps)))
