@@ -6,14 +6,10 @@ from .channel import (
     PathSet,
     Region,
     channel_matrix,
-    channel_vector,
     dbm_to_watts,
-    field_response_vector,
     min_pairwise_distance,
     min_weighted_sinr,
-    propagation_delta,
     sample_channel,
-    sinr,
     sinr_all,
     uniform_line_layout,
 )

@@ -19,11 +19,7 @@ __all__ = [
     "ChannelRealization",
     "ConfigurationError",
     "dbm_to_watts",
-    "propagation_delta",
-    "field_response_vector",
-    "channel_vector",
     "channel_matrix",
-    "sinr",
     "sinr_all",
     "min_weighted_sinr",
     "sample_channel",
@@ -118,10 +114,6 @@ class Region:
         pts = np.atleast_2d(np.asarray(positions, dtype=float))
         return bool(np.all(np.abs(pts) <= self.half_width_m + tol))
 
-    def clip(self, position: np.ndarray) -> np.ndarray:
-        a = self.half_width_m
-        return np.clip(np.asarray(position, dtype=float), -a, a)
-
 
 @dataclass(frozen=True)
 class PathSet:
@@ -203,51 +195,17 @@ class ChannelRealization(_JsonDoc):
         return cls(paths=paths, noise_variance=doc["noise_variance"], seed=doc.get("seed"))
 
 
-def propagation_delta(position, theta, phi):
-    """Path-length difference between ``position`` and the origin for one AoD.
-
-    Returns x*sin(theta)*cos(phi) + y*cos(theta); broadcasts over path arrays.
-    """
-    pos = np.asarray(position, dtype=float)
-    return pos[0] * np.sin(theta) * np.cos(phi) + pos[1] * np.cos(theta)
-
-
-def field_response_vector(position, paths: PathSet, wavelength: float = DEFAULT_WAVELENGTH) -> np.ndarray:
-    """Unit-modulus per-path phase vector g(t_m) for a single antenna position."""
-    ax, ay = paths.direction_cosines
-    pos = np.asarray(position, dtype=float)
-    rho = pos[0] * ax + pos[1] * ay
-    return np.exp(1j * (2.0 * np.pi / wavelength) * rho)
-
-
-def channel_vector(positions: np.ndarray, paths: PathSet, wavelength: float = DEFAULT_WAVELENGTH) -> np.ndarray:
-    """Channel h toward one user: element m is g(t_m)^H f."""
-    pts = np.atleast_2d(np.asarray(positions, dtype=float))
-    ax, ay = paths.direction_cosines
-    # rho has shape (M, L); h_m = sum_p exp(-j 2pi/lambda rho[m, p]) f_p
-    rho = np.outer(pts[:, 0], ax) + np.outer(pts[:, 1], ay)
-    return np.exp(-1j * (2.0 * np.pi / wavelength) * rho) @ paths.path_gains
-
-
 def channel_matrix(positions: np.ndarray, realization: ChannelRealization,
                    wavelength: float = DEFAULT_WAVELENGTH) -> np.ndarray:
-    """Stack per-user channel vectors into H of shape (K, M).
-
-    All users at once: the operations of ``channel_vector`` on a (K, M, L)
-    phase array, and one matrix-vector product per user, so every row has the
-    bits of its ``channel_vector``.
+    """The channel matrix H (K, M): h_k(t_m) = sum_p f_kp exp(-j 2 pi rho_kp(t_m)
+    / lambda), rho = x sin(theta) cos(phi) + y cos(theta). All users at once,
+    on a (K, M, L) phase array with one matrix-vector product per user, so
+    every row has the bits of that user's channel computed alone.
     """
     ax, ay, gains = realization._stacked
     pts = np.atleast_2d(np.asarray(positions, dtype=float))
     rho = pts[None, :, 0, None] * ax[:, None, :] + pts[None, :, 1, None] * ay[:, None, :]
     return (np.exp(-1j * (2.0 * np.pi / wavelength) * rho) @ gains[:, :, None])[:, :, 0]
-
-
-def sinr(precoder: np.ndarray, realization: ChannelRealization, positions: np.ndarray,
-         k: int, wavelength: float = DEFAULT_WAVELENGTH) -> float:
-    """SINR of user k for the given precoder and antenna layout."""
-    H = channel_matrix(positions, realization, wavelength)
-    return float(sinr_all(precoder, H, realization.noise_variance)[k])
 
 
 def _signal_interference(couplings: np.ndarray):

@@ -20,8 +20,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .balance import BalanceConfig, solve_sinr_balance
-from .baselines import BaselineConfig, adaptive_backoff, solve_aps, solve_fpa, solve_without_sar
-from .channel import DEFAULT_NOISE_W, ConfigurationError, Region, _JsonDoc, sample_channel
+from .baselines import (BaselineConfig, adaptive_backoff, central_grid_layout, solve_aps,
+                        solve_fpa, solve_without_sar)
+from .channel import (DEFAULT_NOISE_W, ConfigurationError, Region, _JsonDoc, aps_grid,
+                      sample_channel, uniform_line_layout)
 from .exposure import SarModel, paper_sar_matrix, synthesize_sar_matrix
 from .solver import SinrTargets, SolverConfig, solve_sar_min
 
@@ -180,8 +182,13 @@ def _point_setup(plan: ExperimentPlan, value, seed: int):
         raise ConfigurationError(f"paths value {paths!r} is not a whole number")
     paths = int(paths)
     realization = sample_channel(seed, plan.m, plan.k, paths, plan.noise_variance)
-    solver_config = SolverConfig(region=Region(half_width=half_width,
-                                               wavelength=plan.wavelength), **plan.solver)
+    region = Region(half_width=half_width, wavelength=plan.wavelength)
+    solver_config = SolverConfig(region=region, **plan.solver)
+    # the start layout of each scheme, so a region too small for one fails here
+    if any(s != "aps" for s in schemes):
+        uniform_line_layout(plan.m, region)
+    if "aps" in schemes:
+        central_grid_layout(aps_grid(region), plan.m, solver_config.distance)
     balance_config = nosar_config = BalanceConfig(accuracy=plan.accuracy)
     if plan.beta_bracket is not None:
         balance_config = BalanceConfig(

@@ -904,6 +904,8 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
     t0 = time.perf_counter()
     M = model.n_antennas
     K = realization.num_users
+    if not isinstance(targets, SinrTargets):
+        raise ConfigurationError(f"exposure minimization needs SinrTargets, got {targets!r}")
     if targets.num_users != K:
         raise ConfigurationError("targets and channel disagree on the user count")
     noise = realization.noise_variance

@@ -132,6 +132,17 @@ def test_fpa_requires_fitting_array():
         solve_fpa(real, model, "sar-min", tight, targets=SinrTargets.uniform(2, 1.0))
 
 
+def test_sar_min_refuses_missing_targets(paper_channel):
+    # exposure minimization needs its SINR floors: refused by name, not an
+    # AttributeError from inside the solve
+    model = paper_sar_matrix()
+    for solve in (solve_fpa, solve_aps):
+        with pytest.raises(ConfigurationError, match="needs SinrTargets, got None"):
+            solve(paper_channel, model, "sar-min")
+    with pytest.raises(ConfigurationError, match="needs SinrTargets"):
+        solve_sar_min(paper_channel, [1.0 / NOISE_W] * 4, model)
+
+
 def test_fas_from_ula_never_worse_than_fpa(paper_channel):
     # position optimization started at the line array can only help
     model = paper_sar_matrix()

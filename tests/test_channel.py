@@ -9,14 +9,10 @@ from fluidsar.channel import (
     PathSet,
     Region,
     channel_matrix,
-    channel_vector,
     dbm_to_watts,
-    field_response_vector,
     layout_is_feasible,
     min_pairwise_distance,
-    propagation_delta,
     sample_channel,
-    sinr,
     sinr_all,
     uniform_line_layout,
 )
@@ -33,87 +29,112 @@ def make_paths(rng, L):
 
 
 # ---------------------------------------------------------------- geometry
+# Each case reads channel_matrix of one user against a closed form written
+# here: h(t) = sum_p f_p exp(-j 2 pi rho_p(t) / lambda), with the path-length
+# difference rho_p(t) = x sin(theta_p) cos(phi_p) + y cos(theta_p).
+
+def one_path(theta, phi, gain=1.0):
+    """A one-user channel of a single path."""
+    return ChannelRealization(paths=(PathSet(np.array([theta]), np.array([phi]),
+                                             np.array([gain], dtype=complex)),))
+
 
 def test_propagation_delta_origin_is_zero(rng):
+    # no path-length difference at the origin: the channel is the path's gain
     for _ in range(5):
         theta, phi = rng.uniform(0, np.pi, 2)
-        assert propagation_delta((0.0, 0.0), theta, phi) == 0.0
+        gain = complex(*rng.standard_normal(2))
+        assert channel_matrix((0.0, 0.0), one_path(theta, phi, gain), WAVELENGTH)[0, 0] == gain
 
 
 def test_propagation_delta_axis_cases():
     # theta=pi/2, phi=0 picks out x; theta=0 picks out y
-    assert propagation_delta((1.3, -0.4), np.pi / 2, 0.0) == pytest.approx(1.3, abs=1e-12)
-    assert propagation_delta((1.3, -0.4), 0.0, 1.1) == pytest.approx(-0.4, abs=1e-12)
+    t = (1.3 * WAVELENGTH, -0.4 * WAVELENGTH)
+    kap = 2 * np.pi / WAVELENGTH
+    assert channel_matrix(t, one_path(np.pi / 2, 0.0), WAVELENGTH)[0, 0] == \
+        pytest.approx(np.exp(-1j * kap * t[0]), abs=1e-12)
+    assert channel_matrix(t, one_path(0.0, 1.1), WAVELENGTH)[0, 0] == \
+        pytest.approx(np.exp(-1j * kap * t[1]), abs=1e-12)
 
 
 def test_field_response_is_all_ones_at_origin(rng):
+    # every path of a user arrives in phase at the origin
     paths = make_paths(rng, 7)
-    g = field_response_vector((0.0, 0.0), paths, WAVELENGTH)
-    assert np.allclose(g, 1.0)
+    for p in range(paths.count):
+        real = one_path(paths.elevation_aods[p], paths.azimuth_aods[p])
+        assert channel_matrix((0.0, 0.0), real, WAVELENGTH)[0, 0] == pytest.approx(1.0)
 
 
 def test_field_response_half_wavelength_phase():
     # a single path along x with the antenna half a wavelength out: phase pi
-    paths = PathSet(elevation_aods=np.array([np.pi / 2]),
-                    azimuth_aods=np.array([0.0]),
-                    path_gains=np.array([1.0 + 0j]))
-    g = field_response_vector((WAVELENGTH / 2, 0.0), paths, WAVELENGTH)
-    assert g[0] == pytest.approx(-1.0, abs=1e-12)
+    h = channel_matrix((WAVELENGTH / 2, 0.0), one_path(np.pi / 2, 0.0), WAVELENGTH)
+    assert h[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_field_response_unit_modulus_and_phase_match(rng):
     paths = make_paths(rng, 9)
     for _ in range(20):
         t = rng.uniform(-2 * WAVELENGTH, 2 * WAVELENGTH, 2)
-        g = field_response_vector(t, paths, WAVELENGTH)
-        assert np.max(np.abs(np.abs(g) - 1.0)) < 1e-12
-        # independent scalar recomputation of each phase
         for p in range(paths.count):
-            rho = propagation_delta(t, paths.elevation_aods[p], paths.azimuth_aods[p])
-            assert np.angle(g[p] * np.exp(-1j * 2 * np.pi / WAVELENGTH * rho)) == \
+            theta, phi = paths.elevation_aods[p], paths.azimuth_aods[p]
+            h = channel_matrix(t, one_path(theta, phi), WAVELENGTH)[0, 0]
+            assert abs(abs(h) - 1.0) < 1e-12
+            # independent scalar recomputation of the phase, sign included
+            rho = t[0] * np.sin(theta) * np.cos(phi) + t[1] * np.cos(theta)
+            assert np.angle(h * np.exp(1j * 2 * np.pi / WAVELENGTH * rho)) == \
                 pytest.approx(0.0, abs=1e-10)
 
 
 def test_channel_vector_single_path_unit_magnitude(rng):
     gain = 0.7 - 0.2j
-    paths = PathSet(np.array([1.0]), np.array([2.0]), np.array([gain]))
     pos = rng.uniform(-WAVELENGTH, WAVELENGTH, (5, 2))
-    h = channel_vector(pos, paths, WAVELENGTH)
+    h = channel_matrix(pos, one_path(1.0, 2.0, gain), WAVELENGTH)[0]
     assert np.allclose(np.abs(h), abs(gain), atol=1e-12)
 
 
 def test_channel_vector_identical_positions_identical_entries(rng):
     paths = make_paths(rng, 6)
     pos = np.zeros((4, 2))
-    h = channel_vector(pos, paths, WAVELENGTH)
+    h = channel_matrix(pos, ChannelRealization(paths=(paths,)), WAVELENGTH)[0]
     assert np.allclose(h, paths.path_gains.sum())
 
 
+def bruteforce_channel(pos, paths):
+    """Independent O(ML) accumulation of one user's channel with scalar loops."""
+    h = np.zeros(len(pos), dtype=complex)
+    for m in range(len(pos)):
+        for p in range(paths.count):
+            rho = (pos[m, 0] * np.sin(paths.elevation_aods[p]) * np.cos(paths.azimuth_aods[p])
+                   + pos[m, 1] * np.cos(paths.elevation_aods[p]))
+            h[m] += np.exp(-1j * 2 * np.pi / WAVELENGTH * rho) * paths.path_gains[p]
+    return h
+
+
 def test_channel_vector_matches_bruteforce(rng):
-    # independent O(ML) accumulation with scalar loops
     for trial in range(10):
-        paths = make_paths(rng, 8)
+        real = ChannelRealization(paths=tuple(make_paths(rng, 8) for _ in range(3)))
         pos = rng.uniform(-WAVELENGTH, WAVELENGTH, (5, 2))
-        h = channel_vector(pos, paths, WAVELENGTH)
-        for m in range(5):
-            acc = 0.0 + 0.0j
-            for p in range(paths.count):
-                rho = (pos[m, 0] * np.sin(paths.elevation_aods[p]) * np.cos(paths.azimuth_aods[p])
-                       + pos[m, 1] * np.cos(paths.elevation_aods[p]))
-                acc += np.exp(-1j * 2 * np.pi / WAVELENGTH * rho) * paths.path_gains[p]
-            assert abs(h[m] - acc) <= 1e-12 * max(1.0, abs(acc))
+        H = channel_matrix(pos, real, WAVELENGTH)
+        for k, paths in enumerate(real.paths):
+            want = bruteforce_channel(pos, paths)
+            assert np.all(np.abs(H[k] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 @pytest.mark.parametrize("M", [1, 4, 6])
 @pytest.mark.parametrize("K", [1, 4])
 @pytest.mark.parametrize("L", [1, 5, 15])
 def test_channel_matrix_is_stacked_channel_vectors_bit_for_bit(rng, M, K, L):
-    # all users at once must round every entry as the per-user vector does
+    # all users at once must round every entry as each user's channel alone
+    # does, and match the scalar loop
     for _ in range(20):
         real = ChannelRealization(paths=tuple(make_paths(rng, L) for _ in range(K)))
         pos = rng.uniform(-3 * WAVELENGTH, 3 * WAVELENGTH, (M, 2))
-        want = np.stack([channel_vector(pos, ps, WAVELENGTH) for ps in real.paths])
-        assert channel_matrix(pos, real, WAVELENGTH).tobytes() == want.tobytes()
+        H = channel_matrix(pos, real, WAVELENGTH)
+        for k, paths in enumerate(real.paths):
+            alone = channel_matrix(pos, ChannelRealization(paths=(paths,)), WAVELENGTH)
+            assert H[k].tobytes() == alone[0].tobytes()
+            want = bruteforce_channel(pos, paths)
+            assert np.all(np.abs(H[k] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_channel_refuses_ragged_path_counts(rng):
@@ -138,11 +159,13 @@ def test_channel_translation_covariance(rng):
     kap = 2 * np.pi / WAVELENGTH
     shifted = pos.copy()
     shifted[1] += delta
-    h_shift = channel_vector(shifted, paths, WAVELENGTH)
+    h_shift = channel_matrix(shifted, ChannelRealization(paths=(paths,)), WAVELENGTH)[0]
     adjusted = 0.0 + 0.0j
     for p in range(paths.count):
-        rho_old = propagation_delta(pos[1], paths.elevation_aods[p], paths.azimuth_aods[p])
-        rho_d = propagation_delta(delta, paths.elevation_aods[p], paths.azimuth_aods[p])
+        ax = np.sin(paths.elevation_aods[p]) * np.cos(paths.azimuth_aods[p])
+        ay = np.cos(paths.elevation_aods[p])
+        rho_old = pos[1, 0] * ax + pos[1, 1] * ay
+        rho_d = delta[0] * ax + delta[1] * ay
         adjusted += np.exp(-1j * kap * (rho_old + rho_d)) * paths.path_gains[p]
     assert abs(h_shift[1] - adjusted) < 1e-10
 
@@ -155,7 +178,7 @@ def test_sinr_zero_precoder_column():
     pos = uniform_line_layout(3, Region(1.0, WAVELENGTH))
     P = random_complex(rng, (3, 2))
     P[:, 0] = 0.0
-    assert sinr(P, real, pos, 0, WAVELENGTH) == 0.0
+    assert sinr_all(P, channel_matrix(pos, real, WAVELENGTH), NOISE_W)[0] == 0.0
 
 
 def test_sinr_orthogonal_interference(rng):
@@ -168,7 +191,7 @@ def test_sinr_orthogonal_interference(rng):
     v -= (h0.conj() @ v) / (h0.conj() @ h0) * h0
     P = np.column_stack([random_complex(rng, 4), v])
     expected = np.abs(h0.conj() @ P[:, 0]) ** 2 / NOISE_W
-    assert sinr(P, real, pos, 0, WAVELENGTH) == pytest.approx(expected, rel=1e-9)
+    assert sinr_all(P, H, NOISE_W)[0] == pytest.approx(expected, rel=1e-9)
 
 
 def test_sinr_matches_direct_evaluation(rng):
@@ -180,8 +203,6 @@ def test_sinr_matches_direct_evaluation(rng):
         # independent scalar-product oracle
         sig = abs(np.vdot(H[k], P[:, k])) ** 2
         inter = sum(abs(np.vdot(H[k], P[:, j])) ** 2 for j in range(2) if j != k)
-        assert sinr(P, real, pos, k, WAVELENGTH) == pytest.approx(
-            sig / (inter + NOISE_W), rel=1e-12)
         assert sinr_all(P, H, NOISE_W)[k] == pytest.approx(sig / (inter + NOISE_W), rel=1e-12)
 
 

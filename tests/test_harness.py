@@ -330,14 +330,38 @@ def test_run_sweep_crn_same_channel_across_schemes():
         assert len(set(seeds)) == 1  # same channel for every scheme
 
 
-def test_run_sweep_failure_rows_do_not_abort():
-    # an FPA array that cannot fit triggers per-trial errors, not an exception
-    plan = tiny_plan(m=4, half_width=0.5, schemes=("fpa",),
-                     values=(1.0 / NOISE_W,))
+def test_run_sweep_failure_rows_do_not_abort(monkeypatch):
+    # a solve that raises gives per-trial error rows, not an exception
+    def fail(*args, **kwargs):
+        raise RuntimeError("solve failed")
+
+    monkeypatch.delenv("FAS_THREADS", raising=False)  # serial: the patch holds
+    monkeypatch.setattr(harness, "solve_fpa", fail)
+    plan = tiny_plan(schemes=("fpa",), values=(1.0 / NOISE_W,))
     rec = run_sweep(plan)
     assert all(r["status"] == "error" for r in rec.rows)
+    assert all(r["error"] == "RuntimeError: solve failed" for r in rec.rows)
     agg = rec.aggregates[0]
     assert agg["trials"] == 0 and agg["failures"] == plan.trials
+
+
+def test_plan_refuses_a_region_that_cannot_hold_a_start_layout():
+    # every scheme's start layout is built with the plan: a line of 4 antennas
+    # does not fit in +-0.5 wavelength, so no trial runs
+    plan = dict(objective="balance", sweep="q0", values=(1.6,), trials=2, master_seed=1,
+                m=4, paths=3, half_width=0.5, accuracy=1e13, beta_bracket=1e15)
+    for schemes in [("fas", "fpa", "aps", "no-sar"), ("fas",), ("fpa",), ("no-sar",),
+                    ("backoff",)]:
+        with pytest.raises(ConfigurationError, match="does not fit"):
+            ExperimentPlan(schemes=schemes, **plan)
+    # APS starts on the region's lattice, whose 9 points hold 4 antennas
+    ExperimentPlan(schemes=("aps",), **plan)
+    with pytest.raises(ConfigurationError, match="lattice cannot host"):
+        ExperimentPlan(**{**plan, "m": 10}, schemes=("aps",))
+    # along a half_width sweep, the point that is too small is refused
+    with pytest.raises(ConfigurationError, match="does not fit"):
+        ExperimentPlan(**{**plan, "sweep": "half_width", "values": (1.0, 0.5)},
+                       schemes=("fpa",))
 
 
 def test_scheme_sweep_axis():

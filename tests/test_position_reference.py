@@ -108,7 +108,7 @@ def ref_position_qp(tau, grad, t_old, region, others, min_distance):
 
     t_free = -c / tau
     if np.all(A @ t_free >= b - tol):
-        return region.clip(t_free)
+        return np.clip(t_free, -region.half_width_m, region.half_width_m)
 
     n = A.shape[0]
     ii, jj = np.triu_indices(n, k=1)
@@ -137,7 +137,7 @@ def ref_position_qp(tau, grad, t_old, region, others, min_distance):
     ties = vals <= vmin + 1e-14 * max(1.0, abs(vmin))
     cand = cand[ties]
     best = cand[np.lexsort((cand[:, 1], cand[:, 0]))[0]]
-    return region.clip(best)
+    return np.clip(best, -region.half_width_m, region.half_width_m)
 
 
 def solver_qp_step(tau, grad, t_old, region, others, min_distance):
