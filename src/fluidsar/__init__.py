@@ -28,9 +28,6 @@ from .solver import (
     SolverConfig,
     SolverError,
     inner_loop,
-    position_gradient,
-    position_majorizer,
-    position_objective,
     solve_auxiliary,
     solve_precoder,
     solve_sar_min,

@@ -179,14 +179,22 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
 
     layout0 = uniform_line_layout(model.n_antennas, solver_config.region) \
         if initial_layout is None else np.array(initial_layout, dtype=float)
+    ladder: list[tuple] = []
+
+    def result(beta_star: float, rep: SolveReport, iterations: int = 0) -> BalanceResult:
+        return BalanceResult(beta_star, rep.precoder, rep.layout, rep.sar, budget, rep,
+                             ladder, iterations, warnings, time.perf_counter() - t0)
+
+    def trivial() -> SolveReport:
+        # the solution at target 0, for a balance that no probe fits
+        warnings.append("no_feasible_probe")
+        return solve_sar_min(realization, SinrTargets(weights, 0.0), model,
+                             solver_config, initial_layout=layout0)
+
     if not all(np.any(ps.path_gains) for ps in realization.paths):
         # a user with no path gain has h_k(t) = 0 at every layout: no probe fits
-        best = solve_sar_min(realization, SinrTargets(weights, 0.0), model,
-                             solver_config, initial_layout=layout0)
-        return BalanceResult(0.0, best.precoder, best.layout, best.sar, budget, best, [], 0,
-                             ["no_feasible_probe"], time.perf_counter() - t0)
+        return result(0.0, trivial())
 
-    ladder: list[tuple] = []
     # a probe starts from the last converged one only on a continuously moving
     # layout: lattice moves happen in the low-penalty phase that a warm start
     # skips, and a fixed layout's exact solve has nothing to resume
@@ -232,8 +240,7 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
         rep, ok = probe(beta_hi, "bracket")
     if ok:
         warnings.append("bracket_exhausted")
-        return BalanceResult(beta_hi, rep.precoder, rep.layout, rep.sar, budget, rep,
-                             ladder, 0, warnings, time.perf_counter() - t0)
+        return result(beta_hi, rep)
 
     lo, hi = _search(*_bisection_grid(lo[0], beta_hi, config.accuracy), lo[1], rep,
                      lambda b: probe(b, "bisect"), budget)
@@ -248,12 +255,8 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
                              lambda b: probe(b, "bisect"), budget)
 
     best_beta, best = lo
-    if best is None:
-        # nothing fit even after the descent; emit the trivial solution
-        warnings.append("no_feasible_probe")
-        best = solve_sar_min(realization, SinrTargets(weights, 0.0), model,
-                             solver_config, initial_layout=layout0)
-        best_beta = 0.0
+    if best is None:  # nothing fit even after the descent
+        best_beta, best = 0.0, trivial()
 
     # a feasible probe above an infeasible one, or a converged probe whose SAR
     # is below that of one at a smaller target, means the probe curve was not
@@ -264,6 +267,4 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
             or any(b < a * (1.0 - SAR_RTOL) for a, b in zip(sars, sars[1:])):
         warnings.append("non_monotone_ladder")
 
-    return BalanceResult(best_beta, best.precoder, best.layout, best.sar, budget, best,
-                         ladder, sum(row[0] == "bisect" for row in ladder),
-                         warnings, time.perf_counter() - t0)
+    return result(best_beta, best, sum(row[0] == "bisect" for row in ladder))

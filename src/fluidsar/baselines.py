@@ -28,7 +28,6 @@ __all__ = [
     "adaptive_backoff",
     "solve_aps",
     "solve_fpa",
-    "aps_grid",
 ]
 
 

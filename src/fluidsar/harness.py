@@ -42,10 +42,10 @@ VALID_SCHEMES = ("fas", "aps", "fpa", "no-sar", "backoff")
 POWER_ONLY = ("no-sar", "backoff")
 # the sweep axes that the power-only design reads
 POWER_ONLY_AXES = ("half_width", "paths")
-# task kinds in submission order, longest first. Run serially, an alternating
-# APS balance task takes 0.06-0.17 s, a FAS task 27-110 ms, a sar-min APS task
-# 20-31 ms and an FPA task 1-4 ms; putting FAS before APS did not shorten a
-# pooled round of the sar-min sweeps
+# task kinds in submission order, longest first. Run serially on one core over
+# the five acceptance plans, an APS balance task takes 45-133 ms, a FAS task
+# 20-97 ms, power-only 23-37 ms, a sar-min APS task 12-27 ms and FPA 1-5 ms;
+# putting FAS before APS did not shorten a pooled round of the sar-min sweeps
 TASK_ORDER = ("aps", "fas", "power-only", "fpa")
 # keys of a plan's ``solver`` dict and their type names: the SolverConfig
 # fields, except the region that the plan's half_width and wavelength set and

@@ -41,7 +41,8 @@ the previous loop returned: ``channel_matrix`` runs at the start and at the
 exact solve only. Each sweep forms C = Hbar P once, for all three blocks, and
 E = C - Z again only once an antenna moved. A continuous sweep forms U^T =
 (E P^H)^T and P P^H at its start and updates U^T by rank one as antennas
-move. Nothing outlives the solve; the single-step helpers build their own.
+move. Nothing outlives the solve; ``inner_loop`` called on its own, without a
+cache, builds one for that loop.
 """
 from __future__ import annotations
 
@@ -78,9 +79,6 @@ __all__ = [
     "DegenerateUserError",
     "solve_precoder",
     "solve_auxiliary",
-    "position_objective",
-    "position_gradient",
-    "position_majorizer",
     "inner_loop",
     "solve_sar_min",
 ]
@@ -425,21 +423,6 @@ def _dual_root(user, y_hi: float):
 # block 3: antenna position step
 # ---------------------------------------------------------------------------
 
-def position_objective(positions: np.ndarray, realization: ChannelRealization,
-                       P: np.ndarray, Z: np.ndarray, wavelength: float) -> float:
-    """Total squared coupling residual sum |h_k^H p_j - z_{k,j}|^2 (the xi
-    indicator), which the position block lowers one antenna at a time."""
-    return _residual(channel_matrix(positions, realization, wavelength).conj(), P, Z)[1]
-
-
-def position_gradient(m: int, positions: np.ndarray, realization: ChannelRealization,
-                      P: np.ndarray, Z: np.ndarray, wavelength: float) -> np.ndarray:
-    """Exact gradient of the coupling residual with respect to t_m."""
-    H = channel_matrix(positions, realization, wavelength)
-    u2 = (2.0 * ((H.conj() @ P - Z) @ P[m, :].conj())).view(float)  # (Re, Im) pairs of 2u
-    return _GeoCache(realization, wavelength).row(positions[m])[u2.size:].reshape(2, -1) @ u2
-
-
 def _majorizers(geo: _GeoCache, P: np.ndarray, Z: np.ndarray, wavelength: float) -> np.ndarray:
     """Curvature bounds tau_m for all antennas (position-independent): the
     cap of the position block's backtracked local curvature: s2 sum_j |P_mj|
@@ -449,12 +432,6 @@ def _majorizers(geo: _GeoCache, P: np.ndarray, Z: np.ndarray, wavelength: float)
     per_antenna = absP @ (2.0 * (geo.s2 * absP.sum(axis=0) + u)) \
         - geo.s2 * (absP * absP).sum(axis=1)
     return (8.0 * np.pi ** 2 / wavelength ** 2) * per_antenna
-
-
-def position_majorizer(m: int, positions: np.ndarray, realization: ChannelRealization,
-                       P: np.ndarray, Z: np.ndarray, wavelength: float) -> float:
-    """Scalar tau_m with tau_m * I >= Hessian of the per-antenna objective."""
-    return float(_majorizers(_GeoCache(realization, wavelength), P, Z, wavelength)[m])
 
 
 @functools.lru_cache(maxsize=16)  # _project_step's four box rows, once per half-width
@@ -738,9 +715,10 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
     status ("free", "qp", "stuck") and of their curvature doublings
     ("backtrack"), as ``trace`` gains the objective trace, ``cost`` each
     block's seconds by name and "dual_evaluations" (``solve_auxiliary``), and
-    ``calls`` each block's calls. ``geo`` is the solve's geometry cache and
-    ``Hbar`` the conj-channel matrix at ``positions``; without them, the loop
-    builds its own."""
+    ``calls`` each block's calls. ``geo`` is the geometry cache that
+    ``solve_sar_min`` builds once and passes to each of its loops, and ``Hbar``
+    the conj-channel matrix at ``positions``; a loop run on its own, without
+    them, builds both here."""
     if geo is None:
         geo = _GeoCache(realization, config.wavelength, config.region if config.lattice else None)
     noise = realization.noise_variance
@@ -938,30 +916,22 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
                                       for p in map(tuple, positions.tolist())):
             raise ConfigurationError("initial antenna layout is off the position lattice")
         status, xi, mu, Hbar = "max_outer", np.inf, config.mu0, H.conj()
-        calls["auxiliary"] += 1
+        Z = np.zeros((K, K), dtype=complex)  # reported if no projection succeeds
+        # a user the opening projection or an inner loop cannot recover ends the solve
         try:
-            Z, _, _ = solve_auxiliary(H, P, targets, noise, counts=cost)
-        except DegenerateUserError as err:
-            _reset_users(P, H, err.users)
             calls["auxiliary"] += 1
             try:
                 Z, _, _ = solve_auxiliary(H, P, targets, noise, counts=cost)
-            except DegenerateUserError:
-                warnings.append("degenerate_user")
-                Z = np.zeros((K, K), dtype=complex)
-                status = "degenerate"
-        if status != "degenerate":
+            except DegenerateUserError as err:
+                _reset_users(P, H, err.users)
+                calls["auxiliary"] += 1
+                Z, _, _ = solve_auxiliary(H, P, targets, noise, counts=cost)
             for outer in range(config.max_outer):
                 start = positions
-                try:
-                    P, Z, positions, Hbar, sweeps, xi, sar = inner_loop(
-                        realization, positions, P, Z, model, targets, mu, config,
-                        trace=inner_trace, outer_index=outer, counts=steps, geo=geo, cost=cost,
-                        calls=calls, Hbar=Hbar)
-                except DegenerateUserError:
-                    warnings.append("degenerate_user")
-                    status = "degenerate"
-                    break
+                P, Z, positions, Hbar, sweeps, xi, sar = inner_loop(
+                    realization, positions, P, Z, model, targets, mu, config,
+                    trace=inner_trace, outer_index=outer, counts=steps, geo=geo, cost=cost,
+                    calls=calls, Hbar=Hbar)
                 outer_trace.append((outer, mu, xi, sar + mu * xi, sweeps))
 
                 # the paper's stopping rule, or a lattice layout that stood still
@@ -982,6 +952,9 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
                         status = "plateau"
                         break
                 mu = mu / config.a
+        except DegenerateUserError:
+            warnings.append("degenerate_user")
+            status = "degenerate"
 
     # the emitted precoder is the exact optimum at the final layout; where the
     # targets cannot be met there, a moving layout keeps the penalty iterate

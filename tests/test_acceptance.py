@@ -30,16 +30,15 @@ from fluidsar.harness import ExperimentPlan, run_sweep, worker_count
 from fluidsar.solver import (
     SinrTargets,
     SolverConfig,
-    position_gradient,
-    position_majorizer,
-    position_objective,
+    _GeoCache,
+    _majorizers,
     solve_auxiliary,
     solve_sar_min,
 )
 
 from conftest import NOISE_W, WAVELENGTH, fast_config, random_complex
 from test_solver import assert_monotone
-from test_solver_steps import aux_objective, zeta_grid_oracle
+from test_solver_steps import aux_objective, kernel_gradient, residual_xi, zeta_grid_oracle
 
 EXPERIMENT_SOLVER = dict(mu0=3e-3, a=0.7, max_outer=100, max_inner=10, max_sca_iter=48,
                          eps_inner_rel=3e-4, eps_position_rel=3e-5)
@@ -79,13 +78,12 @@ def test_criterion_1_gradient_oracle():
             P = random_complex(rng, (4, 4))
             Z = random_complex(rng, (4, 4))
             m = int(rng.integers(4))
-            g = position_gradient(m, pos, real, P, Z, WAVELENGTH)
+            g = kernel_gradient(m, pos, real, P, Z)
             fd = np.zeros(2)
             for d in range(2):
                 up = pos.copy(); up[m, d] += step
                 dn = pos.copy(); dn[m, d] -= step
-                fd[d] = (position_objective(up, real, P, Z, WAVELENGTH)
-                         - position_objective(dn, real, P, Z, WAVELENGTH)) / (2 * step)
+                fd[d] = (residual_xi(up, real, P, Z) - residual_xi(dn, real, P, Z)) / (2 * step)
             rel = np.linalg.norm(g - fd) / (np.linalg.norm(fd) + 1e-12)
             worst = max(worst, rel)
             assert rel <= 1e-5
@@ -107,26 +105,26 @@ def test_criterion_2_majorization():
             P = random_complex(rng, (4, 4))
             Z = random_complex(rng, (4, 4))
             m = int(rng.integers(4))
-            base = position_objective(pos, real, P, Z, WAVELENGTH)
-            g = position_gradient(m, pos, real, P, Z, WAVELENGTH)
-            tau = position_majorizer(m, pos, real, P, Z, WAVELENGTH)
+            base = residual_xi(pos, real, P, Z)
+            g = kernel_gradient(m, pos, real, P, Z)
+            tau = _majorizers(_GeoCache(real, WAVELENGTH), P, Z, WAVELENGTH)[m]
             # random perturbation within one wavelength
             delta = rng.uniform(-1, 1, 2)
             delta *= rng.uniform(0, WAVELENGTH) / max(np.linalg.norm(delta), 1e-12)
             moved = pos.copy(); moved[m] += delta
-            lhs = position_objective(moved, real, P, Z, WAVELENGTH)
+            lhs = residual_xi(moved, real, P, Z)
             rhs = base + g @ delta + 0.5 * tau * (delta @ delta)
             assert lhs <= rhs + 1e-9
             # equality at the expansion point
             same = pos.copy()
-            assert position_objective(same, real, P, Z, WAVELENGTH) == base
+            assert residual_xi(same, real, P, Z) == base
             # tau dominates the FD-estimated Hessian
             Hm = np.zeros((2, 2))
             for d in range(2):
                 up = pos.copy(); up[m, d] += hstep
                 dn = pos.copy(); dn[m, d] -= hstep
-                Hm[:, d] = (position_gradient(m, up, real, P, Z, WAVELENGTH)
-                            - position_gradient(m, dn, real, P, Z, WAVELENGTH)) / (2 * hstep)
+                Hm[:, d] = (kernel_gradient(m, up, real, P, Z)
+                            - kernel_gradient(m, dn, real, P, Z)) / (2 * hstep)
             assert tau >= np.linalg.eigvalsh((Hm + Hm.T) / 2).max()
 
 

@@ -7,7 +7,6 @@ from fluidsar.balance import BalanceConfig
 from fluidsar.baselines import (
     BaselineConfig,
     adaptive_backoff,
-    aps_grid,
     central_grid_layout,
     solve_aps,
     solve_fpa,
@@ -16,6 +15,7 @@ from fluidsar.baselines import (
 from fluidsar.channel import (
     ConfigurationError,
     Region,
+    aps_grid,
     channel_matrix,
     min_pairwise_distance,
     sample_channel,

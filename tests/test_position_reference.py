@@ -40,12 +40,12 @@ the solver's, and compares every QP call with the reference QP separately
 import numpy as np
 
 from fluidsar import solver
-from fluidsar.baselines import aps_grid
 from fluidsar.channel import (
     ChannelRealization,
     PathSet,
     Region,
     _signal_interference,
+    aps_grid,
     channel_matrix,
     sample_channel,
     uniform_line_layout,

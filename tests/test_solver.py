@@ -338,6 +338,18 @@ def inner_loop_start(channel, recover):
     return layout, P, Z, model, targets
 
 
+def test_opening_projection_recovers_a_zero_column(paper_channel):
+    # the matched-filter start with user 2's column zeroed cannot be
+    # projected: the solve resets that column, projects again (a second
+    # auxiliary call before any sweep) and then runs as usual
+    layout, P, _, model, targets = inner_loop_start(paper_channel, False)
+    P[:, 2] = 0.0
+    rep = solve_sar_min(paper_channel, targets, model, fast_config(), initial_layout=layout,
+                        initial_precoder=P)
+    assert rep.converged and rep.warnings == []
+    assert rep.block_calls["auxiliary"] == rep.inner_sweeps_total + 2
+
+
 @pytest.mark.parametrize("recover", [False, True])
 def test_inner_loop_scores_sar_once_per_sweep(paper_channel, monkeypatch, recover):
     # only the precoder block and degenerate-user recovery change P, so one

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from fluidsar import solver
-from fluidsar.baselines import aps_grid, central_grid_layout
+from fluidsar.baselines import central_grid_layout
 from fluidsar.channel import (
     ConfigurationError,
     Region,
+    aps_grid,
     channel_matrix,
     min_pairwise_distance,
     sample_channel,
@@ -17,9 +18,7 @@ from fluidsar.solver import (
     SinrTargets,
     _GeoCache,
     _majorizers,
-    position_gradient,
-    position_majorizer,
-    position_objective,
+    _residual,
     solve_auxiliary,
     solve_precoder,
     solve_sar_min,
@@ -198,13 +197,27 @@ def setup_position_instance(rng, M=4, K=4, L=15, scale=1.0):
     return real, region, pos, P, Z
 
 
+def residual_xi(pos, real, P, Z):
+    """The coupling residual xi at a layout: the solver's ``_residual`` on the
+    conj-channel matrix there."""
+    return _residual(channel_matrix(pos, real, WAVELENGTH).conj(), P, Z)[1]
+
+
+def kernel_gradient(m, pos, real, P, Z):
+    """d xi / d t_m as the position sweep forms it: the gradient weights of the
+    kernel row at t_m times the (Re, Im) pairs of 2u, u = E P[m, :]^H."""
+    E = channel_matrix(pos, real, WAVELENGTH).conj() @ P - Z
+    u2 = (2.0 * (E @ P[m].conj())).view(float)
+    return _GeoCache(real, WAVELENGTH).row(pos[m])[u2.size:].reshape(2, -1) @ u2
+
+
 def test_position_objective_zero_cases(rng):
     real, region, pos, P, Z = setup_position_instance(rng)
     H = channel_matrix(pos, real, WAVELENGTH)
     exact = H.conj() @ P
-    assert position_objective(pos, real, P, exact, WAVELENGTH) == pytest.approx(0.0, abs=1e-20)
+    assert residual_xi(pos, real, P, exact) == pytest.approx(0.0, abs=1e-20)
     zero = np.zeros_like(P)
-    assert position_objective(pos, real, zero, np.zeros_like(Z), WAVELENGTH) == 0.0
+    assert residual_xi(pos, real, zero, np.zeros_like(Z)) == 0.0
 
 
 def test_position_objective_matches_bruteforce(rng):
@@ -214,7 +227,7 @@ def test_position_objective_matches_bruteforce(rng):
     for k in range(2):
         for j in range(2):
             acc += abs(np.vdot(H[k], P[:, j]) - Z[k, j]) ** 2
-    assert position_objective(pos, real, P, Z, WAVELENGTH) == pytest.approx(acc, rel=1e-12)
+    assert residual_xi(pos, real, P, Z) == pytest.approx(acc, rel=1e-12)
 
 
 def fd_gradient(m, pos, real, P, Z, step):
@@ -224,8 +237,7 @@ def fd_gradient(m, pos, real, P, Z, step):
         up[m, d] += step
         dn = pos.copy()
         dn[m, d] -= step
-        g[d] = (position_objective(up, real, P, Z, WAVELENGTH)
-                - position_objective(dn, real, P, Z, WAVELENGTH)) / (2 * step)
+        g[d] = (residual_xi(up, real, P, Z) - residual_xi(dn, real, P, Z)) / (2 * step)
     return g
 
 
@@ -233,7 +245,7 @@ def test_gradient_zero_when_data_zero(rng):
     real, region, pos, _, _ = setup_position_instance(rng, M=2, K=2, L=3)
     zeroP = np.zeros((2, 2), dtype=complex)
     zeroZ = np.zeros((2, 2), dtype=complex)
-    g = position_gradient(0, pos, real, zeroP, zeroZ, WAVELENGTH)
+    g = kernel_gradient(0, pos, real, zeroP, zeroZ)
     assert np.allclose(g, 0.0)
 
 
@@ -242,7 +254,7 @@ def test_gradient_matches_finite_differences(rng):
     for _ in range(15):
         real, region, pos, P, Z = setup_position_instance(rng, M=2, K=2, L=3)
         for m in range(2):
-            g = position_gradient(m, pos, real, P, Z, WAVELENGTH)
+            g = kernel_gradient(m, pos, real, P, Z)
             fd = fd_gradient(m, pos, real, P, Z, step)
             assert np.linalg.norm(g - fd) / (np.linalg.norm(fd) + 1e-12) <= 1e-5
 
@@ -270,7 +282,7 @@ def test_gradient_single_path_symbolic(rng):
         2 * np.real(np.conj(c - z) * 1j * kap * ax * c),
         2 * np.real(np.conj(c - z) * 1j * kap * ay * c),
     ])
-    g = position_gradient(0, pos, real, np.array([[p]]), np.array([[z]]), WAVELENGTH)
+    g = kernel_gradient(0, pos, real, np.array([[p]]), np.array([[z]]))
     assert np.allclose(g, expected, rtol=1e-9, atol=1e-9)
 
 
@@ -284,7 +296,8 @@ def test_majorizer_scalar_specialization(rng):
         paths=(PathSet(np.array([0.3]), np.array([1.1]), np.array([f])),),
         noise_variance=NOISE_W)
     pos = np.zeros((1, 2))
-    tau = position_majorizer(0, pos, real, np.array([[p]]), np.array([[z]]), WAVELENGTH)
+    tau = _majorizers(_GeoCache(real, WAVELENGTH), np.array([[p]]), np.array([[z]]),
+                      WAVELENGTH)[0]
     expected = (8 * np.pi ** 2 / WAVELENGTH ** 2) * (
         abs(p) ** 2 * abs(f) ** 2 + 2 * abs(f) * abs(p * np.conj(z)))
     assert tau == pytest.approx(expected, rel=1e-12)
@@ -293,15 +306,15 @@ def test_majorizer_scalar_specialization(rng):
 def test_majorizer_zero_case(rng):
     real, region, pos, _, _ = setup_position_instance(rng, M=2, K=2, L=3)
     zero = np.zeros((2, 2), dtype=complex)
-    assert position_majorizer(0, pos, real, zero, zero, WAVELENGTH) == 0.0
+    assert _majorizers(_GeoCache(real, WAVELENGTH), zero, zero, WAVELENGTH)[0] == 0.0
 
 
 def test_majorizer_dominates_fd_hessian(rng):
     step = 1e-5 * WAVELENGTH
     for _ in range(15):
         real, region, pos, P, Z = setup_position_instance(rng, M=3, K=2, L=4)
+        taus = _majorizers(_GeoCache(real, WAVELENGTH), P, Z, WAVELENGTH)
         for m in range(3):
-            tau = position_majorizer(m, pos, real, P, Z, WAVELENGTH)
             # FD Hessian of the objective in t_m
             Hm = np.zeros((2, 2))
             for d in range(2):
@@ -309,11 +322,11 @@ def test_majorizer_dominates_fd_hessian(rng):
                 up[m, d] += step
                 dn = pos.copy()
                 dn[m, d] -= step
-                gu = position_gradient(m, up, real, P, Z, WAVELENGTH)
-                gd = position_gradient(m, dn, real, P, Z, WAVELENGTH)
+                gu = kernel_gradient(m, up, real, P, Z)
+                gd = kernel_gradient(m, dn, real, P, Z)
                 Hm[:, d] = (gu - gd) / (2 * step)
             lam_max = np.linalg.eigvalsh((Hm + Hm.T) / 2).max()
-            assert tau >= lam_max
+            assert taus[m] >= lam_max
 
 
 def test_majorization_upper_bound_property(rng):
@@ -321,18 +334,18 @@ def test_majorization_upper_bound_property(rng):
     for _ in range(25):
         real, region, pos, P, Z = setup_position_instance(rng, M=2, K=2, L=4)
         m = int(rng.integers(2))
-        base = position_objective(pos, real, P, Z, WAVELENGTH)
-        g = position_gradient(m, pos, real, P, Z, WAVELENGTH)
-        tau = position_majorizer(m, pos, real, P, Z, WAVELENGTH)
+        base = residual_xi(pos, real, P, Z)
+        g = kernel_gradient(m, pos, real, P, Z)
+        tau = _majorizers(_GeoCache(real, WAVELENGTH), P, Z, WAVELENGTH)[m]
         delta = rng.uniform(-1, 1, 2)
         delta *= rng.uniform(0, WAVELENGTH) / max(np.linalg.norm(delta), 1e-12)
         moved = pos.copy()
         moved[m] += delta
-        lhs = position_objective(moved, real, P, Z, WAVELENGTH)
+        lhs = residual_xi(moved, real, P, Z)
         rhs = base + g @ delta + 0.5 * tau * (delta @ delta)
         assert lhs <= rhs + 1e-9
         # equality at the expansion point
-        assert position_objective(pos, real, P, Z, WAVELENGTH) == pytest.approx(base)
+        assert residual_xi(pos, real, P, Z) == pytest.approx(base)
 
 
 # ----------------------------------------------------------- QP and update
@@ -538,8 +551,8 @@ def test_accepted_steps_meet_the_surrogate_at_their_curvature(monkeypatch):
                 continue
             moved = layout.copy()
             moved[m] = t_new
-            j_old = position_objective(layout, real, P, Z, WAVELENGTH)
-            j_new = position_objective(moved, real, P, Z, WAVELENGTH)
+            j_old = residual_xi(layout, real, P, Z)
+            j_new = residual_xi(moved, real, P, Z)
             d = np.subtract(t_new, t_old)
             bound = j_old + float(np.dot(grad, d)) + 0.5 * tau_loc * float(d @ d)
             assert j_new <= bound + 1e-10 * j_old, (i, m, j_new, bound, tau_loc / taus[m])
@@ -616,7 +629,7 @@ def test_moved_residual_matches_a_fresh_residual():
         u2 = (2.0 * (E @ P[m].conj())).view(float)
         a, b = np.stack([u2, delta]) @ delta
         got = xi + a + b * float(np.vdot(P[m], P[m]).real)
-        want = position_objective(moved, real, P, Z, WAVELENGTH)
+        want = residual_xi(moved, real, P, Z)
         assert abs(got - want) <= 1e-13 * xi, (i, got, want)
 
 
