@@ -163,6 +163,9 @@ class ChannelRealization(_JsonDoc):
         # the batched channel_matrix and the solver's geometry cache
         object.__setattr__(self, "_stacked", tuple(np.stack(rows) for rows in zip(
             *((*ps.direction_cosines, ps.path_gains) for ps in self.paths))))
+        # the solver's tables of this channel, per wavelength, each built by
+        # the first solve that needs it (``solver._Geometry``)
+        object.__setattr__(self, "_geometry", {})
 
     @property
     def num_users(self) -> int:

@@ -18,6 +18,8 @@ q_k. ``bench/oracle.py`` computes the same optimum apart from this package.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .exposure import SarModel
@@ -28,14 +30,24 @@ MAX_ITER = 400  # fixed-point steps; a fixed point still rising after them is un
 RTOL = 1e-13    # relative change of every lam_k at which the fixed point has settled
 
 
+@functools.lru_cache(maxsize=8)
+def _index_tables(K: int):
+    """``others`` (K, K-1), row k the users other than k, and the (K-1)
+    identity: built once per K, read-only."""
+    others = np.array([[j for j in range(K) if j != k] for k in range(K)],
+                      dtype=int).reshape(K, K - 1)
+    eye = np.eye(K - 1)
+    others.flags.writeable = eye.flags.writeable = False
+    return others, eye
+
+
 def _ridge_residuals(W: np.ndarray, lam: np.ndarray):
     """Residual vectors r_k (K, M) and values s_k (K,) of every user's ridge
     least-squares problem, solved for all users at once by QR."""
     K, M = W.shape
-    others = np.array([[j for j in range(K) if j != k] for k in range(K)],
-                      dtype=int).reshape(K, K - 1)
+    others, eye = _index_tables(K)
     A = np.concatenate((W[others].transpose(0, 2, 1),
-                        np.eye(K - 1)[None, :, :] / np.sqrt(lam[others])[:, None, :]),
+                        eye[None, :, :] / np.sqrt(lam[others])[:, None, :]),
                        axis=1)                                    # (K, M+K-1, K-1)
     b = np.concatenate((W, np.zeros((K, K - 1))), axis=1)[:, :, None]
     Q, U = np.linalg.qr(A)

@@ -10,10 +10,21 @@ scheme first (static LPT scheduling, Graham 1969) and put back in row order.
 No-SAR and backoff share one power-only design, and so one task. Along an axis
 that this design does not read (``q0``, ``beta0``, ``scheme``), one task per
 trial solves it once and gives every point's no-SAR and backoff rows.
+
+A pooled sweep (``FAS_THREADS`` above 1) runs on one process pool per process
+and worker count, forked at the first pooled sweep and kept for the next: it
+is replaced when the worker count or the process changes or the pool broke,
+and shut down at exit. Its workers run the modules as they were when it was
+forked, so a patch made later reaches serial sweeps only; each worker exits
+once its parent is gone.
 """
 from __future__ import annotations
 
+import atexit
+import multiprocessing
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -350,14 +361,57 @@ def _aggregate(plan: ExperimentPlan, rows: list[dict]) -> list[dict]:
     return out
 
 
+_pool = None  # ((workers, pid), executor): the pooled sweeps' process pool
+
+
+def _worker_start():
+    """A pool worker exits once its parent is gone, so a sweep process that
+    was killed leaves no idle worker behind."""
+    parent = os.getppid()
+
+    def exit_with_parent():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+
+
+def _close_pool():
+    """Shut this process's pool down; a pool inherited through fork is not ours."""
+    global _pool
+    if _pool is not None and _pool[0][1] == os.getpid():
+        _pool[1].shutdown(cancel_futures=True)
+    _pool = None
+
+
+atexit.register(_close_pool)
+
+
+def _sweep_pool(workers: int) -> ProcessPoolExecutor:
+    """The pool of ``workers`` processes that this process's pooled sweeps
+    share, forked anew when there is none of that size or it broke. Fork,
+    not spawn: spawned workers start multiprocessing's resource tracker, a
+    process that outlives the pool."""
+    global _pool
+    key = (workers, os.getpid())
+    if _pool is None or _pool[0] != key or _pool[1]._broken:
+        _close_pool()
+        _pool = key, ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                         initializer=_worker_start)
+    return _pool[1]
+
+
 def run_sweep(plan: ExperimentPlan) -> RunRecord:
     """Execute the plan; per-trial isolation, order-independent reduction.
-    One worker or many, the same tasks run in the same order of submission."""
+    One worker or many, the same tasks run in the same order of submission.
+    With ``worker_count()`` above 1 and more than one task they run on the
+    process's sweep pool: forked by its first pooled sweep, kept until the
+    worker count or the process changes, the pool breaks or the process
+    exits, and blind to patches made after it was forked."""
     tasks = _tasks(plan)
-    workers = min(worker_count(), len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_task, [plan] * len(tasks), *zip(*tasks)))
+    workers = worker_count()
+    if min(workers, len(tasks)) > 1:
+        done = list(_sweep_pool(workers).map(_run_task, [plan] * len(tasks), *zip(*tasks)))
     else:
         done = [_run_task(plan, *task) for task in tasks]
     rows = [row for _, row in sorted((item for items in done for item in items),

@@ -31,18 +31,21 @@ exact solve at that layout ends the path just as the xi rule does. A fixed
 layout (``optimize_positions=False``) runs no penalty iteration: the exact
 solve is the whole answer.
 
-Cache lifetimes: ``solve_sar_min`` builds one geometry cache (``_GeoCache``:
-the channel's direction cosines and conjugated path gains, the continuous
-kernel ``row``, which gives an antenna's channel row and gradient weights in
-one real product, each antenna's last accepted local curvature, and its row
-at the point it last stood on; a lattice solve's table, ``_Lattice``) and
-hands it to every inner loop of the solve, with the conj-channel matrix Hbar
-the previous loop returned: ``channel_matrix`` runs at the start and at the
-exact solve only. Each sweep forms C = Hbar P once, for all three blocks, and
-E = C - Z again only once an antenna moved. A continuous sweep forms U^T =
-(E P^H)^T and P P^H at its start and updates U^T by rank one as antennas
-move. Nothing outlives the solve; ``inner_loop`` called on its own, without a
-cache, builds one for that loop.
+Cache lifetimes: what the channel determines is built once per channel and
+wavelength and kept on its ``ChannelRealization`` (``_Geometry``: direction
+cosines, conjugated path gains and the continuous kernel ``row``, which gives
+an antenna's channel row and gradient weights in one real product; per region
+the lattice table ``_Lattice``, with each point's distance to its nearest
+other row), so every probe of a balance ladder and both APS starts share one
+build. ``solve_sar_min`` builds its own state fresh (``_GeoCache``: the
+kernel's scratch buffers, each antenna's last accepted local curvature and
+its row at the point it last stood on) and hands it to every inner loop of
+the solve, with the conj-channel matrix Hbar the previous loop returned:
+``channel_matrix`` runs at the start and at the exact solve only. Each sweep
+forms C = Hbar P once, for all three blocks, and E = C - Z again only once an
+antenna moved. A continuous sweep forms U^T = (E P^H)^T and P P^H at its
+start and updates U^T by rank one as antennas move. No result is cached;
+``inner_loop`` called on its own, without a cache, builds one for that loop.
 """
 from __future__ import annotations
 
@@ -203,33 +206,57 @@ class SolverConfig:
 # geometry cache: per-user direction cosines and conjugated gains, stacked
 # ---------------------------------------------------------------------------
 
-class _GeoCache:
-    def __init__(self, realization: ChannelRealization, wavelength: float,
-                 lattice: Region | None = None):
+class _Geometry:
+    """What a channel determines at one wavelength, built by its first solve
+    and kept on the realization: the direction cosines and conjugated path
+    gains, the |gain| sums and the majorizers' constant ``s2``, the continuous
+    kernel's phases and ``mix``, and ``lattices``, each region's ``_Lattice``."""
+
+    def __init__(self, realization: ChannelRealization, wavelength: float):
         self.kappa = 2.0 * np.pi / wavelength
         self.ax, self.ay, gains = realization._stacked  # (K, L) each
         self.fbar = gains.conj()
         self.abs_gain_sum = np.abs(self.fbar).sum(axis=1)  # (K,)
         self.s2 = float((self.abs_gain_sum ** 2).sum())    # the majorizers' constant
         # the continuous kernel: F's columns sum a user's path terms with weights
-        # 1, kappa a and kappa b; at theta = _phase @ (x, y), [cos; sin] @ _mix
-        # is ``row``: hbar as (Re, Im) pairs, then conj (w_x, w_y) as (Im, Re)
+        # 1, kappa a and kappa b; at theta = phase @ (x, y), [cos; sin] @ mix
+        # is ``_GeoCache.row``: hbar as (Re, Im) pairs, then conj (w_x, w_y) as (Im, Re)
         K, L = self.fbar.shape
-        self._phase = phase = self.kappa * np.stack([self.ax.ravel(), self.ay.ravel()], axis=1)
-        self._t, self._cos_sin = np.empty(2), np.empty(2 * K * L)
-        self._cos, self._sin = self._cos_sin[:K * L], self._cos_sin[K * L:]
+        self.phase = phase = self.kappa * np.stack([self.ax.ravel(), self.ay.ravel()], axis=1)
         W = np.c_[np.ones(K * L), phase][:, :, None] * np.repeat(np.eye(K), L, axis=0)[:, None]
         F = self.fbar.reshape(-1, 1) * W.reshape(K * L, 3 * K)
         im = np.vstack([F.imag, F.real]) * np.repeat([1.0, -1.0, -1.0], K)
         pairs = np.stack([np.vstack([F.real, -F.imag]), im], axis=2)
         pairs[:, K:] = pairs[:, K:, ::-1].copy()
-        self._mix = pairs.reshape(2 * K * L, -1)
+        self.mix = pairs.reshape(2 * K * L, -1)
+        self.lattices: dict[Region, _Lattice] = {}
+
+
+class _GeoCache:
+    """One solve's geometry: the channel's ``_Geometry`` tables, shared by
+    every solve of that channel, and the solve's own state: the kernel's
+    scratch buffers, each antenna's last accepted local curvature and its
+    row at the point it last stood on; with ``lattice``, that region's
+    ``_Lattice``, built by the first solve that needs it."""
+
+    def __init__(self, realization: ChannelRealization, wavelength: float,
+                 lattice: Region | None = None):
+        if wavelength not in realization._geometry:
+            realization._geometry[wavelength] = _Geometry(realization, wavelength)
+        tables = realization._geometry[wavelength]
+        self.kappa, self.ax, self.ay, self.fbar = tables.kappa, tables.ax, tables.ay, tables.fbar
+        self.abs_gain_sum, self.s2 = tables.abs_gain_sum, tables.s2
+        self._phase, self._mix = tables.phase, tables.mix
+        n = self._phase.shape[0]
+        self._t, self._cos_sin = np.empty(2), np.empty(2 * n)
+        self._cos, self._sin = self._cos_sin[:n], self._cos_sin[n:]
         # antenna -> the local curvature its last accepted SCA step used
         self.tau_accepted: dict[int, float] = {}
         # antenna -> (t, hbar and weights of ``row`` at t): where it last stood
         self.terms: dict[int, tuple] = {}
-        # the lattice search's table of that region's lattice, if one is given
-        self.lattice = None if lattice is None else _Lattice(self, lattice)
+        if lattice is not None and lattice not in tables.lattices:
+            tables.lattices[lattice] = _Lattice(self, lattice)
+        self.lattice = tables.lattices.get(lattice)
 
     def row(self, t):
         """One antenna at t, 6K reals: its conj-channel row hbar as (Re, Im)
@@ -254,13 +281,29 @@ class _Lattice:
     """What the lattice search needs about a region's lambda/2 lattice: its n
     points ``grid`` in (x, y) order, so that the first best candidate is the
     lowest (x, y); their conj-channel rows ``hbar`` (n, K), each computed
-    independently of the others; and ``index``, which maps an (x, y) point
-    of ``grid`` to its row. Any two distinct points keep the spacing."""
+    independently of the others; ``index``, which maps an (x, y) point of
+    ``grid`` to its row; and ``near`` (``nearest``). Any two distinct points
+    keep the spacing."""
 
     def __init__(self, geo: _GeoCache, region: Region):
         self.grid = aps_grid(region)
         self.hbar = geo.conj_rows(self.grid)
         self.index = {p: i for i, p in enumerate(map(tuple, self.grid.tolist()))}
+        self.near = None
+
+    def nearest(self, at: list) -> np.ndarray:
+        """The distance from each point of ``at`` (rows of ``grid``) to the
+        nearest row of another point. The first call fills ``near`` for every
+        point, len(at) rows at a time: no temporary exceeds (len(at), n, K)."""
+        if self.near is None:
+            n, size = len(self.grid), len(at)
+            self.near = np.empty(n)
+            for s in range(0, n, size):
+                block = np.arange(s, min(s + size, n))
+                d = np.linalg.norm(self.hbar[None, :, :] - self.hbar[block][:, None, :], axis=2)
+                d[np.arange(block.size), block] = np.inf
+                self.near[block] = d.min(axis=1)
+        return self.near[at]
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +628,10 @@ def _lattice_settled(lat: _Lattice, positions, P, xi: float) -> bool:
     ||E||^2 = xi: moving antenna m changes its conj-channel row by some delta
     and E by delta P[m, :], so ||E + delta P[m, :]|| >= |delta| ||P[m, :]|| -
     ||E|| >= ||E|| once ||P[m, :]|| d(t_m) >= 2 sqrt(xi) for every antenna,
-    d(t) the distance from t's row to the nearest row of another point."""
-    at = [lat.index[p] for p in map(tuple, positions.tolist())]
-    d = np.linalg.norm(lat.hbar[None, :, :] - lat.hbar[at][:, None, :], axis=2)
-    d[np.arange(len(at)), at] = np.inf
-    return bool(np.all(np.linalg.norm(P, axis=1) * d.min(axis=1) >= 2.0 * math.sqrt(xi)))
+    d(t) the distance from t's row to the nearest row of another point,
+    ``_Lattice.nearest``."""
+    near = lat.nearest([lat.index[p] for p in map(tuple, positions.tolist())])
+    return bool(np.all(np.linalg.norm(P, axis=1) * near >= 2.0 * math.sqrt(xi)))
 
 
 def _sweep_positions(positions, geo, P, Z, config, Hbar,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fluidsar import solver
+from fluidsar import fixed, solver
 from fluidsar.baselines import solve_fpa
 from fluidsar.channel import (
     ConfigurationError,
@@ -211,3 +211,17 @@ def test_non_positive_definite_matrix_is_rejected():
     # PSD but singular: no whitening exists, so no model is built
     with pytest.raises(ConfigurationError, match="positive definite"):
         SarModel(matrix=np.array([[1.0, 1.0], [1.0, 1.0]]), budget=1.6)
+
+
+@pytest.mark.parametrize("K", [1, 2, 4, 6])
+def test_index_tables_are_built_once_per_user_count(K):
+    # every fixed-point step reads the same read-only tables: the users other
+    # than each user, and the (K-1) identity
+    others, eye = fixed._index_tables(K)
+    assert fixed._index_tables(K)[0] is others and fixed._index_tables(K)[1] is eye
+    assert others.shape == (K, K - 1)
+    assert [sorted(set(row) | {k}) for k, row in enumerate(others.tolist())] == [list(range(K))] * K
+    assert np.array_equal(eye, np.eye(K - 1))
+    for table in (others, eye):
+        with pytest.raises(ValueError):
+            table[...] = 0

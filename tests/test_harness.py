@@ -1,5 +1,9 @@
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -468,3 +472,114 @@ def test_worker_count_rejects_malformed_env(monkeypatch):
     monkeypatch.setenv("FAS_THREADS", "abc")
     with pytest.raises(ConfigurationError, match="FAS_THREADS.*'abc'"):
         worker_count()
+
+
+# ------------------------------------------------------------------ the sweep pool
+
+def pool_pids() -> set:
+    """The worker pids of this process's sweep pool."""
+    return set(harness._pool[1]._processes)
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` runs: a zombie, exited but not yet reaped, does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no /proc: signal 0 tells whether the pid exists
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def wait_until(condition, seconds: float = 10.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No sweep pool before the test, and none left after it."""
+    harness._close_pool()
+    monkeypatch.setenv("FAS_THREADS", "2")
+    yield
+    harness._close_pool()
+
+
+def test_pooled_sweeps_share_one_pool(fresh_pool):
+    plan = tiny_plan()
+    first = run_sweep(plan)
+    pids = pool_pids()
+    assert len(pids) == 2 and all(map(alive, pids))
+    second = run_sweep(tiny_plan(master_seed=78))
+    assert pool_pids() == pids
+    assert first.rows == run_sweep(plan).rows and second.rows != first.rows
+    assert pool_pids() == pids
+
+
+def test_a_new_worker_count_replaces_the_pool(fresh_pool, monkeypatch):
+    plan = tiny_plan()
+    two = run_sweep(plan)
+    old = pool_pids()
+    monkeypatch.setenv("FAS_THREADS", "3")
+    three = run_sweep(plan)
+    new = pool_pids()
+    assert len(new) == 3 and not new & old
+    assert not any(map(alive, old))  # shut down and reaped, not left idle
+    assert two.rows == three.rows
+
+
+def test_a_sweep_after_a_broken_pool_gets_a_fresh_one(fresh_pool):
+    plan = tiny_plan()
+    before = run_sweep(plan)
+    old = pool_pids()
+    os.kill(min(old), signal.SIGKILL)
+    # the pool notices the dead worker, stops the other and refuses work
+    assert wait_until(lambda: harness._pool[1]._broken)
+    after = run_sweep(plan)
+    assert not pool_pids() & old and len(pool_pids()) == 2
+    assert after.rows == before.rows
+    assert not any(map(alive, old))
+
+
+CHILD_SWEEP = """
+import os, signal, sys
+os.environ["FAS_THREADS"] = "2"
+from fluidsar import harness
+harness.run_sweep(harness.ExperimentPlan(
+    objective="sar-min", sweep="beta0", values=(1e13, 2e13), trials=2, master_seed=5,
+    schemes=("fpa",), m=2, k=2, paths=3, beta0=1e13))
+print(" ".join(map(str, sorted(harness._pool[1]._processes))), flush=True)
+if sys.argv[1] == "killed":
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+@pytest.mark.parametrize("end", ["exits", "killed"])
+def test_no_worker_outlives_its_sweep_process(end, tmp_path):
+    # a process that ran a pooled sweep leaves no worker behind, whether it
+    # exits (the pool is shut down at exit) or is killed (each worker sees its
+    # parent gone and exits). Output goes to files, not pipes that a live
+    # worker would hold open
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out, err = tmp_path / "out", tmp_path / "err"
+    with open(out, "w") as fo, open(err, "w") as fe:
+        code = subprocess.run([sys.executable, "-c", CHILD_SWEEP, end], env=env, stdout=fo,
+                              stderr=fe, timeout=120).returncode
+    assert code == (-signal.SIGKILL if end == "killed" else 0), err.read_text()
+    pids = [int(p) for p in out.read_text().split()]
+    assert len(pids) == 2
+    try:
+        assert wait_until(lambda: not any(map(alive, pids))), [p for p in pids if alive(p)]
+    finally:
+        for pid in filter(alive, pids):  # a failed check leaves no orphan either
+            os.kill(pid, signal.SIGKILL)

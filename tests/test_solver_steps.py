@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fluidsar import solver
-from fluidsar.baselines import central_grid_layout
+from fluidsar import balance, solver
+from fluidsar.balance import BalanceConfig, solve_sinr_balance
+from fluidsar.baselines import central_grid_layout, solve_aps
 from fluidsar.channel import (
     ConfigurationError,
     Region,
@@ -816,3 +817,110 @@ def test_settled_lattice_solve_stops_on_the_exact_solve():
                              targets.thresholds, NOISE_W)
     assert np.array_equal(rep.precoder, exact)
     assert rep.sar == sar_value(exact, model)
+
+
+# ------------------------------------------------------------------ channel tables
+
+def count_builds(monkeypatch, cls):
+    """Record the arguments of every ``cls`` built from here on."""
+    built = []
+    init = cls.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", spy)
+    return built
+
+
+def test_a_channel_builds_its_tables_once_for_every_solve(monkeypatch):
+    # a balance ladder probes its channel many times, and APS runs a ladder
+    # from each of two lattice starts: every solve reads the one geometry of
+    # the channel, and the one lattice table of the region
+    geometries = count_builds(monkeypatch, solver._Geometry)
+    lattices = count_builds(monkeypatch, solver._Lattice)
+    real = sample_channel(12, 4, 4, 15, NOISE_W)
+    region = Region(3.0, WAVELENGTH)
+    cfg = fast_config(region=region)
+    bal = BalanceConfig(accuracy=1e13, bracket=(0.0, 1e15))
+    solves = []
+    sar_min = solver.solve_sar_min
+    monkeypatch.setattr(balance, "solve_sar_min",
+                        lambda *args, **kw: solves.append(1) or sar_min(*args, **kw))
+    fas = solve_sinr_balance(real, paper_sar_matrix(), bal, cfg)
+    aps = solve_aps(real, paper_sar_matrix(), "balance", None, cfg, bal)
+    assert fas.iterations > 1 and aps.evaluated == 2 and len(solves) > 4
+    assert geometries == [(real, WAVELENGTH)]
+    assert [args[1] for args in lattices] == [region]
+    assert list(real._geometry) == [WAVELENGTH]
+
+
+def test_a_solve_on_filled_tables_equals_one_on_a_fresh_channel():
+    # the tables hold only what the channel determines: solving again on a
+    # channel whose tables earlier solves filled gives, bit for bit, what the
+    # same solve gives on the same channel freshly sampled
+    targets = SinrTargets.uniform(4, 1.0 / NOISE_W)
+    cfg = fast_config(region=Region(3.0, WAVELENGTH))
+    model = paper_sar_matrix()
+
+    def solves(real):
+        return [solve_sar_min(real, targets, model, cfg),
+                solve_aps(real, model, "sar-min", None, cfg, targets=targets).best,
+                solve_sinr_balance(real, model, BalanceConfig(accuracy=1e13), cfg).report]
+
+    warm = sample_channel(13, 4, 4, 15, NOISE_W)
+    solves(warm)
+    assert warm._geometry[WAVELENGTH].lattices[cfg.region].near is not None
+    for again, fresh in zip(solves(warm), solves(sample_channel(13, 4, 4, 15, NOISE_W))):
+        for name in ("precoder", "layout", "sar", "status"):
+            assert np.array_equal(getattr(again, name), getattr(fresh, name)), name
+        assert list(again.outer_trace) == list(fresh.outer_trace)
+        assert list(again.inner_objective_trace) == list(fresh.inner_objective_trace)
+
+
+def nearest_by_norm(lat, at):
+    """The distances that the settled check computed for every call before the
+    table: each row's norm to every row, its own set to inf, then the minima."""
+    d = np.linalg.norm(lat.hbar[None, :, :] - lat.hbar[at][:, None, :], axis=2)
+    d[np.arange(len(at)), at] = np.inf
+    return d.min(axis=1)
+
+
+@pytest.mark.parametrize("half_width", [1.0, 2.5, 3.0])
+def test_nearest_row_table_equals_the_norms_bit_for_bit(half_width):
+    # the table, filled in blocks of the first caller's antenna count, holds
+    # exactly the minima of the norms over all rows, whatever the count
+    rng = np.random.default_rng(23)
+    for seed, first in ((4, 4), (5, 1), (6, 3)):
+        real = sample_channel(seed, 4, 4, 15, NOISE_W)
+        lat = _GeoCache(real, WAVELENGTH, Region(half_width, WAVELENGTH)).lattice
+        n = len(lat.grid)
+        assert lat.near is None
+        lat.nearest(rng.permutation(n)[:first].tolist())
+        for start in range(0, n, 4):
+            at = list(range(start, min(start + 4, n)))
+            assert np.array_equal(lat.near[at], nearest_by_norm(lat, at))
+        for _ in range(20):
+            at = rng.permutation(n)[:rng.integers(1, 8)].tolist()
+            assert np.array_equal(lat.nearest(at), nearest_by_norm(lat, at))
+
+
+def test_settled_check_gives_the_verdict_of_the_norms():
+    # the settled check reads the table where it computed the norms: the same
+    # verdict on random states, with residuals scaled around the bound
+    rng = np.random.default_rng(29)
+    agree = {True: 0, False: 0}
+    for seed, half_width in ((8, 1.0), (9, 3.0)):
+        lat = _GeoCache(sample_channel(seed, 4, 4, 15, NOISE_W), WAVELENGTH,
+                        Region(half_width, WAVELENGTH)).lattice
+        for _ in range(100):
+            M = int(rng.integers(1, 6))
+            at = rng.permutation(len(lat.grid))[:M].tolist()
+            P = random_complex(rng, (M, 4), scale=rng.uniform(0.1, 10.0))
+            reach = np.linalg.norm(P, axis=1) * nearest_by_norm(lat, at)
+            xi = float((rng.choice([0.5, 0.999999, 1.0, 1.000001, 2.0]) * reach.min() / 2) ** 2)
+            expected = bool(np.all(reach >= 2.0 * np.sqrt(xi)))
+            assert solver._lattice_settled(lat, lat.grid[at], P, xi) == expected
+            agree[expected] += 1
+    assert min(agree.values()) >= 40  # both verdicts are exercised
