@@ -12,6 +12,10 @@ where on it to probe. If no probe fits, the same search runs on the halvings
 of the lowest infeasible probe; if none fits either, the result is the
 trivial solution at target 0 with the warning ``no_feasible_probe``, which a
 channel with a user whose path gains are all zero gets without a probe.
+
+Each probe lies between the highest probe that fit and the lowest that did
+not, so every infeasible probe bounds the answer from above: a search given a
+value to beat stops at its first infeasible probe at or below it (``outbid``).
 """
 from __future__ import annotations
 
@@ -157,10 +161,15 @@ def _search(beta, top: int, ra, rb, probe, budget: float):
     return (beta(a), ra), (beta(b), rb)
 
 
+class _Outbid(Exception):
+    """An infeasible probe at or below the value to beat; args: its report."""
+
+
 def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
                        config: BalanceConfig | None = None,
                        solver_config: SolverConfig | None = None,
-                       initial_layout: np.ndarray | None = None) -> BalanceResult:
+                       initial_layout: np.ndarray | None = None, *,
+                       beats: float | None = None) -> BalanceResult:
     """Search on the SINR target; each probe is one exposure-min solve.
 
     The upper bracket end is probed, and doubled while it fits (ladder phase
@@ -168,6 +177,12 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
     If no probe fits, the first ``MAX_DESCENTS`` halvings of the lowest
     infeasible probe are searched (``"descend"``), and the cell [b, 2b] above
     the answer is narrowed. ``iterations`` counts the ``"bisect"`` probes.
+
+    ``beats``, a beta* to beat, stops the search at its first infeasible probe
+    at or below it: the answer lies below every infeasible probe, so it can
+    no longer reach ``beats``. The result then keeps the ladder so far, with
+    the warning ``outbid``, and the best probe that fit (beta* 0 and the
+    stopping probe's report where none did).
     """
     t0 = time.perf_counter()
     config = config or BalanceConfig()
@@ -200,9 +215,10 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
     # skips, and a fixed layout's exact solve has nothing to resume
     warm_probes = solver_config.optimize_positions and not solver_config.lattice
     warm: SolveReport | None = None
+    fit = None  # (beta0, report) of the last probe that fit: the highest so far
 
     def probe(beta0: float, phase: str):
-        nonlocal warm
+        nonlocal warm, fit
         cfg = solver_config
         kwargs: dict = {"initial_layout": layout0}
         if warm is not None and warm.config["beta0"] > 0 and beta0 > 0:
@@ -221,6 +237,10 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
         ladder.append((phase, beta0, rep.sar, bool(ok), bool(rep.converged)))
         if warm_probes:
             warm = rep if rep.converged else None
+        if ok:
+            fit = beta0, rep
+        elif beats is not None and beta0 <= beats:
+            raise _Outbid(rep)
         return rep, ok
 
     if config.bracket is not None:
@@ -230,29 +250,33 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
         beta_hi = default_upper_bracket(realization, model, weights, layout0,
                                         solver_config.wavelength)
 
-    rep, ok = probe(beta_hi, "bracket")
-    lo = (beta_lo, None)
-    expansions = 0
-    while ok and expansions < MAX_EXPANSIONS:
-        lo = (beta_hi, rep)
-        beta_hi *= 2.0
-        expansions += 1
+    try:
         rep, ok = probe(beta_hi, "bracket")
-    if ok:
-        warnings.append("bracket_exhausted")
-        return result(beta_hi, rep)
+        lo = (beta_lo, None)
+        expansions = 0
+        while ok and expansions < MAX_EXPANSIONS:
+            lo = (beta_hi, rep)
+            beta_hi *= 2.0
+            expansions += 1
+            rep, ok = probe(beta_hi, "bracket")
+        if ok:
+            warnings.append("bracket_exhausted")
+            return result(beta_hi, rep)
 
-    lo, hi = _search(*_bisection_grid(lo[0], beta_hi, config.accuracy), lo[1], rep,
-                     lambda b: probe(b, "bisect"), budget)
-    if lo[1] is None:
-        # no probe fit, which refutes the bracket's lower end: search the
-        # halvings of the lowest infeasible probe, then narrow [b, 2b]
-        h, top = hi[0], MAX_DESCENTS + 1
-        lo, hi = _search(lambda i: math.ldexp(h, i - top) if i else 0.0, top, None, hi[1],
-                         lambda b: probe(b, "descend"), budget)
-        if lo[1] is not None and hi[0] - lo[0] > config.accuracy:
-            lo, hi = _search(*_bisection_grid(lo[0], hi[0], config.accuracy), lo[1], hi[1],
-                             lambda b: probe(b, "bisect"), budget)
+        lo, hi = _search(*_bisection_grid(lo[0], beta_hi, config.accuracy), lo[1], rep,
+                         lambda b: probe(b, "bisect"), budget)
+        if lo[1] is None:
+            # no probe fit, which refutes the bracket's lower end: search the
+            # halvings of the lowest infeasible probe, then narrow [b, 2b]
+            h, top = hi[0], MAX_DESCENTS + 1
+            lo, hi = _search(lambda i: math.ldexp(h, i - top) if i else 0.0, top, None, hi[1],
+                             lambda b: probe(b, "descend"), budget)
+            if lo[1] is not None and hi[0] - lo[0] > config.accuracy:
+                lo, hi = _search(*_bisection_grid(lo[0], hi[0], config.accuracy), lo[1], hi[1],
+                                 lambda b: probe(b, "bisect"), budget)
+    except _Outbid as stop:
+        warnings.append("outbid")
+        lo = fit or (0.0, stop.args[0])
 
     best_beta, best = lo
     if best is None:  # nothing fit even after the descent

@@ -137,8 +137,10 @@ def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
     It runs one solve from each of two lattice starts, whose position block
     moves each antenna to its best lattice point; each solve stops, on the
     exact solve at its layout, once no lattice move can lower its coupling
-    residual (the solver's settled-layout exit). The best of them wins.
-    ``config`` is not read.
+    residual (the solver's settled-layout exit). The best of them wins. A
+    balance from a later start gets the best beta* so far as ``beats``: once
+    one of its probes shows that it cannot win, it ends as ``outbid`` and is
+    skipped. ``config`` is not read.
     """
     t0 = time.perf_counter()
     if objective not in ("sar-min", "balance"):
@@ -166,7 +168,10 @@ def solve_aps(realization: ChannelRealization, model: SarModel, objective: str,
             key = (rep.sar, rep.layout.tolist())
         else:
             rep = solve_sinr_balance(realization, model, balance_config, cfg,
-                                     initial_layout=layout)
+                                     initial_layout=layout,
+                                     beats=None if best is None else best.beta_star)
+            if "outbid" in rep.warnings:
+                continue
             key = (-rep.beta_star, rep.layout.tolist())
         if best_key is None or key < best_key:
             best, best_key = rep, key

@@ -41,15 +41,27 @@ def _index_tables(K: int):
     return others, eye
 
 
-def _ridge_residuals(W: np.ndarray, lam: np.ndarray):
-    """Residual vectors r_k (K, M) and values s_k (K,) of every user's ridge
-    least-squares problem, solved for all users at once by QR."""
+def _ridge_system(W: np.ndarray):
+    """Every user's ridge least-squares system (A, b) with the rows that do not
+    depend on lam filled: A (K, M+K-1, K-1), whose last K-1 rows
+    ``_ridge_residuals`` fills, and b (K, M+K-1, 1)."""
     K, M = W.shape
+    others, _ = _index_tables(K)
+    A = np.empty((K, M + K - 1, K - 1), dtype=complex)
+    A[:, :M] = W[others].transpose(0, 2, 1)
+    b = np.zeros((K, M + K - 1, 1), dtype=complex)
+    b[:, :M, 0] = W
+    return A, b
+
+
+def _ridge_residuals(A: np.ndarray, b: np.ndarray, lam: np.ndarray):
+    """Residual vectors r_k (K, M) and values s_k (K,) of every user's ridge
+    least-squares problem, ``_ridge_system``'s (A, b) at lam, solved for all
+    users at once by QR."""
+    K, n, _ = A.shape
+    M = n - K + 1
     others, eye = _index_tables(K)
-    A = np.concatenate((W[others].transpose(0, 2, 1),
-                        eye[None, :, :] / np.sqrt(lam[others])[:, None, :]),
-                       axis=1)                                    # (K, M+K-1, K-1)
-    b = np.concatenate((W, np.zeros((K, K - 1))), axis=1)[:, :, None]
+    A[:, M:] = eye[None, :, :] / np.sqrt(lam[others])[:, None, :]
     Q, U = np.linalg.qr(A)
     x = np.linalg.solve(U, Q.conj().transpose(0, 2, 1) @ b)
     e = (b - A @ x)[:, :, 0]
@@ -72,8 +84,9 @@ def optimal_precoder(H: np.ndarray, model: SarModel, thresholds: np.ndarray,
     if not np.all(norms > 0):
         return None
     lam = g / norms
+    system = _ridge_system(W)
     for _ in range(MAX_ITER):
-        r, s = _ridge_residuals(W, lam)
+        r, s = _ridge_residuals(*system, lam)
         if not np.all(s > g / np.finfo(float).max):  # else g / s is not finite
             return None
         new = g / s
@@ -83,12 +96,12 @@ def optimal_precoder(H: np.ndarray, model: SarModel, thresholds: np.ndarray,
             break
     else:
         return None
-    r, _ = _ridge_residuals(W, lam)
+    r, _ = _ridge_residuals(*system, lam)
     rnorm = np.linalg.norm(r, axis=1)
     if not np.all(rnorm > 0):
         return None
     V = r / rnorm[:, None]                        # unit whitened beams
-    A = np.abs(W.conj() @ V.T) ** 2               # A[k, j] = |w_k^H v_j|^2
+    A = np.abs(W.conj().dot(V.T)) ** 2            # A[k, j] = |w_k^H v_j|^2
     F = -A * g[:, None]
     F[np.diag_indices_from(F)] = np.diag(A)
     try:

@@ -46,6 +46,8 @@ forms C = Hbar P once, for all three blocks, and E = C - Z again only once an
 antenna moved. A continuous sweep forms U^T = (E P^H)^T and P P^H at its
 start and updates U^T by rank one as antennas move. No result is cached;
 ``inner_loop`` called on its own, without a cache, builds one for that loop.
+The small products call BLAS through ``ndarray.dot``, which gives the bits of
+``@`` at less overhead a call.
 """
 from __future__ import annotations
 
@@ -320,10 +322,10 @@ def solve_precoder(H: np.ndarray, Z: np.ndarray, model: SarModel, mu: float) -> 
     """
     if mu <= 0:
         raise SolverError("precoder step requires a positive penalty factor")
-    A = model.hermitian_sum + 2.0 * mu * (H.T @ H.conj())
-    B = 2.0 * mu * (H.T @ Z)
+    A = model.hermitian_sum + 2.0 * mu * H.T.dot(H.conj())
+    B = 2.0 * mu * H.T.dot(Z)
     P = _umath_linalg.solve(A, B, signature="DD->D")
-    res = A @ P - B
+    res = A.dot(P) - B
     if not np.vdot(res, res).real <= 1e-16 * max(1.0, np.vdot(B, B).real):
         raise SolverError("precoder stationarity residual too large")
     return P
@@ -347,7 +349,7 @@ def solve_auxiliary(H: np.ndarray, P: np.ndarray, targets: SinrTargets,
     brackets). ``couplings`` is H^* P if the caller formed it; ``counts``
     gains the root searches' evaluations under "dual_evaluations".
     """
-    C = H.conj() @ P if couplings is None else couplings  # row k holds h_k^H p_j
+    C = H.conj().dot(P) if couplings is None else couplings  # row k holds h_k^H p_j
     sig, interf = _signal_interference(C)
     # on Python floats: at most K users, where array overhead would dominate
     g = targets.thresholds
@@ -471,8 +473,8 @@ def _majorizers(geo: _GeoCache, P: np.ndarray, Z: np.ndarray, wavelength: float)
     cap of the position block's backtracked local curvature: s2 sum_j |P_mj|
     (2 sum_n |P_nj| - |P_mj|) + 2 sum_j |P_mj| sum_k S_k |z_kj| for antenna m."""
     absP = np.abs(P)                      # (M, K)
-    u = geo.abs_gain_sum @ np.abs(Z)      # (K,)
-    per_antenna = absP @ (2.0 * (geo.s2 * absP.sum(axis=0) + u)) \
+    u = geo.abs_gain_sum.dot(np.abs(Z))   # (K,)
+    per_antenna = absP.dot(2.0 * (geo.s2 * absP.sum(axis=0) + u)) \
         - geo.s2 * (absP * absP).sum(axis=1)
     return (8.0 * np.pi ** 2 / wavelength ** 2) * per_antenna
 
@@ -587,7 +589,7 @@ def _step_from_gradient(t_old, grad, tau: float, region: Region, min_distance: f
 
 def _residual(Hbar, P, Z):
     """The coupling residual E = Hbar P - Z and xi = ||E||^2."""
-    E = Hbar @ P - Z
+    E = Hbar.dot(P) - Z
     return E, float(np.vdot(E, E).real)
 
 
@@ -603,13 +605,14 @@ def _select_positions_on_grid(positions, lat: _Lattice, P, Z, Hbar,
     at = [lat.index[p] for p in map(tuple, positions.tolist())]
     M = positions.shape[0]
     E, obj = residual = residual or _residual(Hbar, P, Z)
+    Ec = E.conj()
     moved = False
     pnorm2 = (np.abs(P) ** 2).sum(axis=1)  # ||P[m, :]||^2 per antenna
     for m in range(M):
         # conj-channel steps to every point, (n, K)
-        delta = lat.hbar - Hbar[:, m][None, :]
-        s = E.conj() @ P[m, :]
-        obj_c = obj + 2.0 * np.real(delta @ s) + (np.abs(delta) ** 2).sum(axis=1) * pnorm2[m]
+        delta = lat.hbar - Hbar[:, m]
+        obj_c = obj + 2.0 * delta.dot(Ec.dot(P[m])).real \
+            + (np.abs(delta) ** 2).sum(axis=1) * pnorm2[m]
         obj_c[at[:m] + at[m + 1:]] = np.inf
         best = int(obj_c.argmin())
         if obj_c[best] >= obj:
@@ -617,7 +620,8 @@ def _select_positions_on_grid(positions, lat: _Lattice, P, Z, Hbar,
         at[m] = best
         positions[m] = lat.grid[best]
         Hbar[:, m] = lat.hbar[best]
-        E = E + delta[best][:, None] * P[m, :][None, :]
+        E = E + delta[best][:, None] * P[m]
+        Ec = E.conj()
         obj = float(np.vdot(E, E).real)
         moved = True
     return (_residual(Hbar, P, Z) if moved else residual) + (False,)
@@ -653,7 +657,7 @@ def _sweep_positions(positions, geo, P, Z, config, Hbar,
     step_tol = 1e-8 * region.wavelength  # moves below this cannot matter
     E, obj = residual = residual or _residual(Hbar, P, Z)
     Pc = P.conj()
-    Ut, gram = Pc @ E.T, P @ Pc.T
+    Ut, gram = Pc.dot(E.T), P.dot(Pc.T)
     pnorm2, gram = gram.diagonal().real.tolist(), gram[:, :, None]  # gram[m]: a column
     n2 = 2 * Hbar.shape[0]
     # [u2; delta] @ delta = [2 Re(delta^H u), ||delta||^2], u2 the pairs of 2u
@@ -795,7 +799,7 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
         P = solve_precoder(H, Z, model, mu)
         # only this block and degenerate-user recovery change P
         sar = sar_value(P, model)
-        C = Hbar @ P  # the couplings h_k^H p_j, which every block of the sweep reads
+        C = Hbar.dot(P)  # the couplings h_k^H p_j, which every block of the sweep reads
         E = C - Z
         record("precoder", sar + mu * float(np.vdot(E, E).real))
 
@@ -807,7 +811,7 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
             recovered = True
             calls["auxiliary"] = calls.get("auxiliary", 0) + 1  # the call that failed
             _reset_users(P, H, err.users)
-            C = Hbar @ P
+            C = Hbar.dot(P)
             Z, _, gap = solve_auxiliary(H, P, targets, noise, C, cost)
             sar = sar_value(P, model)
             prev = None  # objective baseline is void after re-initialization

@@ -313,3 +313,103 @@ def test_aps_settled_lattice_exit_keeps_every_result(monkeypatch):
         assert a.precoder.tobytes() == b.precoder.tobytes()
     assert len(on) == 24 and ladders_on == ladders_off and len(ladders_on) == 24
     assert outer_on < 0.6 * outer_off  # 2,659 against 6,313 when written
+
+
+# ------------------------------------------------------------- APS outbid cutoff
+
+def acceptance_cases():
+    """The acceptance channels 0-5 at +-1 and +-3 wavelengths, each with the
+    lattice solver config that ``solve_aps`` runs."""
+    from dataclasses import replace
+
+    from fluidsar.harness import derive_seed
+    from test_acceptance import EXPERIMENT_SOLVER
+    for trial in range(6):
+        real = sample_channel(derive_seed(909, trial), 4, 4, 15, NOISE_W)
+        for half_width in (1.0, 3.0):
+            cfg = SolverConfig(region=Region(half_width, WAVELENGTH), **EXPERIMENT_SOLVER)
+            yield real, cfg, replace(cfg, optimize_positions=True, lattice=True)
+
+
+ACCEPTANCE_BAL = BalanceConfig(accuracy=1e13, bracket=(0.0, 1e15))
+
+
+def test_aps_balance_is_the_better_full_ladder_with_fewer_solves(monkeypatch):
+    # the second start's ladder stops once a probe shows it cannot beat the
+    # first: the result is that of two full ladders, bit for bit, and the
+    # skipped probes are solves saved
+    from fluidsar import balance, baselines
+    starts, solves = [], []
+    full, sar_min = baselines.solve_sinr_balance, balance.solve_sar_min
+
+    def recording_balance(*args, **kwargs):
+        starts.append(kwargs["initial_layout"])
+        return full(*args, **kwargs)
+
+    def counting_sar_min(*args, **kwargs):
+        solves.append(1)
+        return sar_min(*args, **kwargs)
+    monkeypatch.setattr(baselines, "solve_sinr_balance", recording_balance)
+    monkeypatch.setattr(balance, "solve_sar_min", counting_sar_min)
+    model, fewer = paper_sar_matrix(), 0
+    for real, cfg, lattice_cfg in acceptance_cases():
+        starts.clear()
+        solves.clear()
+        aps = solve_aps(real, model, "balance", BaselineConfig(), cfg, ACCEPTANCE_BAL)
+        aps_solves = len(solves)
+        assert len(starts) == 2
+        runs = [full(real, model, ACCEPTANCE_BAL, lattice_cfg, initial_layout=layout)
+                for layout in starts]
+        best = min(runs, key=lambda res: (-res.beta_star, res.layout.tolist()))
+        assert aps.value == aps.beta == best.beta_star
+        assert aps.layout.tobytes() == best.layout.tobytes()
+        assert aps.precoder.tobytes() == best.precoder.tobytes()
+        assert aps.best.ladder == best.ladder and aps.best.warnings == best.warnings
+        assert aps_solves <= len(solves) - aps_solves
+        fewer += aps_solves < len(solves) - aps_solves
+    assert fewer >= 1
+
+
+def lattice_ladder():
+    """Channel 2 at +-3 wavelengths from the innermost lattice cluster: its
+    config, start and full ladder, which fits probes between its infeasible
+    ones."""
+    from fluidsar.balance import solve_sinr_balance
+    real, _, cfg = list(acceptance_cases())[5]
+    start = central_grid_layout(aps_grid(cfg.region), 4, cfg.distance)
+    res = solve_sinr_balance(real, paper_sar_matrix(), ACCEPTANCE_BAL, cfg,
+                             initial_layout=start)
+    return real, cfg, start, res
+
+
+def test_beats_below_the_answer_changes_nothing():
+    from fluidsar.balance import solve_sinr_balance
+    real, cfg, start, res = lattice_ladder()
+    assert res.beta_star > 0
+    for beats in (0.0, 0.5 * res.beta_star, math.nextafter(res.beta_star, 0.0)):
+        out = solve_sinr_balance(real, paper_sar_matrix(), ACCEPTANCE_BAL, cfg,
+                                 initial_layout=start, beats=beats)
+        assert out.ladder == res.ladder and out.warnings == res.warnings
+        assert out.beta_star == res.beta_star and out.iterations == res.iterations
+        assert out.precoder.tobytes() == res.precoder.tobytes()
+        assert out.layout.tobytes() == res.layout.tobytes()
+
+
+def test_beats_at_an_infeasible_probe_ends_the_ladder_there():
+    # the ladder stops right after its first infeasible probe at or below
+    # beats, and keeps its best fitting probe so far, or beta* 0
+    from fluidsar.balance import solve_sinr_balance
+    real, cfg, start, res = lattice_ladder()
+    failed = [row[1] for row in res.ladder if not row[3]]
+    answers = []
+    for beats in failed + [2.0 * max(failed)]:
+        out = solve_sinr_balance(real, paper_sar_matrix(), ACCEPTANCE_BAL, cfg,
+                                 initial_layout=start, beats=beats)
+        stop = next(i for i, row in enumerate(res.ladder) if not row[3] and row[1] <= beats)
+        assert out.ladder == res.ladder[:stop + 1]
+        assert "outbid" in out.warnings
+        assert out.beta_star < beats
+        assert out.beta_star == max((row[1] for row in out.ladder if row[3]), default=0.0)
+        answers.append(out.beta_star)
+    # cut before any probe fit, and after some did
+    assert min(answers) == 0.0 < max(answers)

@@ -17,6 +17,7 @@ outcome: this is a report, not a gate.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -63,6 +64,30 @@ def differing(ours: dict, theirs: dict) -> list:
     return sorted(k for k in ours.keys() | theirs.keys() if ours.get(k) != theirs.get(k))
 
 
+def resolve(rev: str):
+    """The root of the checkout this runs in, and the full sha of ``rev``."""
+    root = Path(subprocess.run(["git", "rev-parse", "--show-toplevel"], check=True,
+                               capture_output=True, text=True).stdout.strip())
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=root,
+                         check=True, capture_output=True, text=True).stdout.strip()
+    return root, sha
+
+
+@contextlib.contextmanager
+def worktree(root: Path, sha: str):
+    """A detached ``git worktree`` of ``sha`` in a temporary directory, removed
+    on exit."""
+    with tempfile.TemporaryDirectory() as scratch:
+        other = Path(scratch) / "tree"
+        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(other), sha],
+                       cwd=root, check=True)
+        try:
+            yield other
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(other)], cwd=root,
+                           check=False)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev", nargs="?", help="the commit to compare this checkout with")
@@ -74,21 +99,11 @@ def main(argv=None):
         return 0
     if not args.rev:
         ap.error("REV is required")
-    root = Path(subprocess.run(["git", "rev-parse", "--show-toplevel"], check=True,
-                               capture_output=True, text=True).stdout.strip())
-    sha = subprocess.run(["git", "rev-parse", "--verify", f"{args.rev}^{{commit}}"], cwd=root,
-                         check=True, capture_output=True, text=True).stdout.strip()
+    root, sha = resolve(args.rev)
     names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
     ours = digests_in_process(root, names)
-    with tempfile.TemporaryDirectory() as scratch:
-        other = Path(scratch) / "tree"
-        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(other), sha],
-                       cwd=root, check=True)
-        try:
-            theirs = digests_in_process(other, names)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(other)], cwd=root,
-                           check=False)
+    with worktree(root, sha) as other:
+        theirs = digests_in_process(other, names)
     print(f"benchmark outputs of this checkout against {sha[:12]}")
     total = changed = 0
     for name in names:
