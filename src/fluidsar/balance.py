@@ -75,7 +75,6 @@ class BalanceResult(_JsonDoc):
     budget: float
     report: SolveReport | None
     ladder: list  # (phase, beta0, sar, feasible, converged)
-    iterations: int
     warnings: list
     wall_time_s: float
 
@@ -176,7 +175,7 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
     ``"bracket"``); the bracket is then narrowed to the accuracy (``"bisect"``).
     If no probe fits, the first ``MAX_DESCENTS`` halvings of the lowest
     infeasible probe are searched (``"descend"``), and the cell [b, 2b] above
-    the answer is narrowed. ``iterations`` counts the ``"bisect"`` probes.
+    the answer is narrowed.
 
     ``beats``, a beta* to beat, stops the search at its first infeasible probe
     at or below it: the answer lies below every infeasible probe, so it can
@@ -196,9 +195,9 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
         if initial_layout is None else np.array(initial_layout, dtype=float)
     ladder: list[tuple] = []
 
-    def result(beta_star: float, rep: SolveReport, iterations: int = 0) -> BalanceResult:
+    def result(beta_star: float, rep: SolveReport) -> BalanceResult:
         return BalanceResult(beta_star, rep.precoder, rep.layout, rep.sar, budget, rep,
-                             ladder, iterations, warnings, time.perf_counter() - t0)
+                             ladder, warnings, time.perf_counter() - t0)
 
     def trivial() -> SolveReport:
         # the solution at target 0, for a balance that no probe fits
@@ -282,13 +281,12 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
     if best is None:  # nothing fit even after the descent
         best_beta, best = 0.0, trivial()
 
-    # a feasible probe above an infeasible one, or a converged probe whose SAR
-    # is below that of one at a smaller target, means the probe curve was not
-    # monotone in beta0; surface it rather than assume it away
+    # a converged probe whose SAR is below that of one at a smaller target
+    # means the probe curve was not monotone in beta0 (no fitting probe lies
+    # above a failing one: see the module docstring); surface it
     rows = sorted(ladder, key=lambda row: (row[1], not row[3], row[2]))
-    oks, sars = [row[3] for row in rows], [row[2] for row in rows if row[4]]
-    if oks != sorted(oks, reverse=True) \
-            or any(b < a * (1.0 - SAR_RTOL) for a, b in zip(sars, sars[1:])):
+    sars = [row[2] for row in rows if row[4]]
+    if any(b < a * (1.0 - SAR_RTOL) for a, b in zip(sars, sars[1:])):
         warnings.append("non_monotone_ladder")
 
-    return result(best_beta, best, sum(row[0] == "bisect" for row in ladder))
+    return result(best_beta, best)

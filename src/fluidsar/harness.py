@@ -325,12 +325,6 @@ class RunRecord(_JsonDoc):
                 _csv_number(agg["mean"]), _csv_number(agg["stderr"]), agg["trials"]))
         return "\n".join(lines) + "\n"
 
-    def aggregate(self, sweep_value, scheme: str) -> dict | None:
-        for agg in self.aggregates:
-            if agg["sweep_value"] == sweep_value and agg["scheme"] == scheme:
-                return agg
-        return None
-
 
 def _csv_number(v) -> str:
     if v is None:

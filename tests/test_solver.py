@@ -53,18 +53,27 @@ def assert_monotone(trace, slack=1e-9):
             prev = v
 
 
+def run_inner_loop(channel, layout, P, Z, model, targets, mu, config, state=None,
+                   outer_index=0):
+    """One inner loop from ``layout`` on ``state``, by default a fresh solve
+    state: the loop's result, then the state."""
+    state = state or solver._SolveState(channel, config)
+    Hbar = channel_matrix(layout, channel, config.wavelength).conj()
+    return inner_loop(channel, layout, P, Z, model, targets, mu, config, state, Hbar,
+                      outer_index), state
+
+
 def test_inner_loop_converged_state_exits_quickly(paper_channel):
     cfg = fast_config()
     model = paper_sar_matrix()
     targets = SinrTargets.uniform(4, 1.0 / NOISE_W)
     rep = solve_sar_min(paper_channel, targets, model, cfg)
     # feeding the solution back in: single extra sweep, immediate exit
-    trace = []
-    P, Z, pos, Hbar, sweeps, xi, sar = inner_loop(
+    (P, Z, pos, Hbar, sweeps, xi, sar), state = run_inner_loop(
         paper_channel, rep.layout, rep.precoder, rep.aux, model, targets,
-        rep.final_mu, cfg, trace=trace)
+        rep.final_mu, cfg)
     assert sweeps <= 2
-    assert_monotone(trace)
+    assert_monotone(state.trace)
 
 
 def test_solve_paper_config_trace_monotone(paper_channel):
@@ -244,11 +253,12 @@ def test_solve_report_counts_position_steps(paper_channel):
     # and a stuck step never backtracks
     assert 0 < steps["backtrack"] <= 8 * (steps["free"] + steps["qp"])
     assert json.loads(json.dumps(rep.to_json_dict()))["position_steps"] == steps
-    # inner_loop fills a caller's dict the way it fills a trace list
-    counts = {}
-    inner_loop(paper_channel, uniform_line_layout(4, Region(1.0, WAVELENGTH)), rep.precoder,
-               rep.aux, model, targets, fast_config().mu0, fast_config(), counts=counts)
-    assert sum(counts.values()) > 0 and set(counts) <= {"free", "qp", "stuck", "backtrack"}
+    # an inner loop counts its steps on the solve state it is given
+    _, state = run_inner_loop(paper_channel, uniform_line_layout(4, Region(1.0, WAVELENGTH)),
+                              rep.precoder, rep.aux, model, targets, fast_config().mu0,
+                              fast_config())
+    counts = state.steps
+    assert sum(counts.values()) > 0 and set(counts) == {"free", "qp", "stuck", "backtrack"}
     fixed = solve_sar_min(paper_channel, targets, model, fast_config(optimize_positions=False))
     assert fixed.position_steps == {"free": 0, "qp": 0, "stuck": 0, "backtrack": 0}
 
@@ -275,11 +285,10 @@ def test_solve_report_says_what_each_block_cost(paper_channel):
     assert fixed.block_calls == {"precoder": 0, "auxiliary": 0, "positions": 0}
     # a degenerate-user recovery calls the auxiliary block twice in its sweep
     layout, P, Z, model, targets = inner_loop_start(paper_channel, True)
-    calls, trace = {}, []
-    *_, sweeps, _, _ = inner_loop(paper_channel, layout, P, Z, model, targets,
-                                  fast_config().mu0, fast_config(), trace=trace, calls=calls)
-    assert sum(label == "recovered" for _, label, _ in trace) == 1
-    assert calls == {"precoder": sweeps, "auxiliary": sweeps + 1, "positions": sweeps}
+    (*_, sweeps, _, _), state = run_inner_loop(paper_channel, layout, P, Z, model, targets,
+                                               fast_config().mu0, fast_config())
+    assert sum(label == "recovered" for _, label, _ in state.trace) == 1
+    assert state.calls == {"precoder": sweeps, "auxiliary": sweeps + 1, "positions": sweeps}
 
 
 def test_positions_disabled_keeps_layout(paper_channel):
@@ -350,6 +359,20 @@ def test_opening_projection_recovers_a_zero_column(paper_channel):
     assert rep.block_calls["auxiliary"] == rep.inner_sweeps_total + 2
 
 
+@pytest.mark.parametrize("shape,value", [((3, 4), 1.0), ((4, 4, 1), 1.0), ((4, 4), np.nan)])
+@pytest.mark.parametrize("optimize_positions", [True, False])
+def test_start_precoder_must_be_a_finite_m_by_k_array(paper_channel, shape, value,
+                                                      optimize_positions):
+    # refused by name before any solve runs, as a bad start layout is: not a
+    # ValueError or TypeError from inside numpy, nor, for a NaN entry, a
+    # misleading SolverError from the precoder block
+    _, _, _, model, targets = inner_loop_start(paper_channel, False)
+    cfg = fast_config(optimize_positions=optimize_positions)
+    with pytest.raises(solver.ConfigurationError, match="finite \\(M, K\\) array"):
+        solve_sar_min(paper_channel, targets, model, cfg,
+                      initial_precoder=np.full(shape, value, dtype=complex))
+
+
 @pytest.mark.parametrize("recover", [False, True])
 def test_inner_loop_scores_sar_once_per_sweep(paper_channel, monkeypatch, recover):
     # only the precoder block and degenerate-user recovery change P, so one
@@ -358,11 +381,10 @@ def test_inner_loop_scores_sar_once_per_sweep(paper_channel, monkeypatch, recove
     sar_value_ = solver.sar_value
     monkeypatch.setattr(solver, "sar_value", lambda P, m: calls.append(1) or sar_value_(P, m))
     layout, P, Z, model, targets = inner_loop_start(paper_channel, recover)
-    trace = []
     cfg = fast_config()
-    *_, sweeps, _, _ = inner_loop(paper_channel, layout, P, Z, model, targets, cfg.mu0, cfg,
-                                  trace=trace)
-    recoveries = sum(label == "recovered" for _, label, _ in trace)
+    (*_, sweeps, _, _), state = run_inner_loop(paper_channel, layout, P, Z, model, targets,
+                                               cfg.mu0, cfg)
+    recoveries = sum(label == "recovered" for _, label, _ in state.trace)
     assert sweeps > 1 and recoveries == recover
     assert len(calls) == sweeps + recoveries
 
@@ -372,8 +394,9 @@ def test_traces_read_back_as_appended(paper_channel):
     cfg = fast_config()
     rows, compact = [], _ObjectiveTrace()
     for trace in (rows, compact):
-        inner_loop(paper_channel, layout, P, Z, model, targets, cfg.mu0, cfg, trace=trace,
-                   outer_index=7)
+        state = solver._SolveState(paper_channel, cfg)
+        state.trace = trace
+        run_inner_loop(paper_channel, layout, P, Z, model, targets, cfg.mu0, cfg, state, 7)
     assert rows[1] == (7, "recovered", None) and len(rows) > 4
     assert list(compact) == rows and len(compact) == len(rows)
     assert [compact[i] for i in range(-len(rows), len(rows))] == rows + rows

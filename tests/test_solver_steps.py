@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from fluidsar.exposure import paper_sar_matrix, sar_value, synthesize_sar_matrix
 from fluidsar.solver import (
     DegenerateUserError,
     SinrTargets,
-    _GeoCache,
+    _Geometry,
     _majorizers,
     _residual,
     solve_auxiliary,
@@ -209,7 +211,7 @@ def kernel_gradient(m, pos, real, P, Z):
     kernel row at t_m times the (Re, Im) pairs of 2u, u = E P[m, :]^H."""
     E = channel_matrix(pos, real, WAVELENGTH).conj() @ P - Z
     u2 = (2.0 * (E @ P[m].conj())).view(float)
-    return _GeoCache(real, WAVELENGTH).row(pos[m])[u2.size:].reshape(2, -1) @ u2
+    return _Geometry(real, WAVELENGTH).kernel()(pos[m])[u2.size:].reshape(2, -1) @ u2
 
 
 def test_position_objective_zero_cases(rng):
@@ -297,7 +299,7 @@ def test_majorizer_scalar_specialization(rng):
         paths=(PathSet(np.array([0.3]), np.array([1.1]), np.array([f])),),
         noise_variance=NOISE_W)
     pos = np.zeros((1, 2))
-    tau = _majorizers(_GeoCache(real, WAVELENGTH), np.array([[p]]), np.array([[z]]),
+    tau = _majorizers(_Geometry(real, WAVELENGTH), np.array([[p]]), np.array([[z]]),
                       WAVELENGTH)[0]
     expected = (8 * np.pi ** 2 / WAVELENGTH ** 2) * (
         abs(p) ** 2 * abs(f) ** 2 + 2 * abs(f) * abs(p * np.conj(z)))
@@ -307,14 +309,14 @@ def test_majorizer_scalar_specialization(rng):
 def test_majorizer_zero_case(rng):
     real, region, pos, _, _ = setup_position_instance(rng, M=2, K=2, L=3)
     zero = np.zeros((2, 2), dtype=complex)
-    assert _majorizers(_GeoCache(real, WAVELENGTH), zero, zero, WAVELENGTH)[0] == 0.0
+    assert _majorizers(_Geometry(real, WAVELENGTH), zero, zero, WAVELENGTH)[0] == 0.0
 
 
 def test_majorizer_dominates_fd_hessian(rng):
     step = 1e-5 * WAVELENGTH
     for _ in range(15):
         real, region, pos, P, Z = setup_position_instance(rng, M=3, K=2, L=4)
-        taus = _majorizers(_GeoCache(real, WAVELENGTH), P, Z, WAVELENGTH)
+        taus = _majorizers(_Geometry(real, WAVELENGTH), P, Z, WAVELENGTH)
         for m in range(3):
             # FD Hessian of the objective in t_m
             Hm = np.zeros((2, 2))
@@ -337,7 +339,7 @@ def test_majorization_upper_bound_property(rng):
         m = int(rng.integers(2))
         base = residual_xi(pos, real, P, Z)
         g = kernel_gradient(m, pos, real, P, Z)
-        tau = _majorizers(_GeoCache(real, WAVELENGTH), P, Z, WAVELENGTH)[m]
+        tau = _majorizers(_Geometry(real, WAVELENGTH), P, Z, WAVELENGTH)[m]
         delta = rng.uniform(-1, 1, 2)
         delta *= rng.uniform(0, WAVELENGTH) / max(np.linalg.norm(delta), 1e-12)
         moved = pos.copy()
@@ -486,10 +488,9 @@ def sweep(pos, real, P, Z, region):
     config = fast_config(region=region)
     moved = np.array(pos, dtype=float)
     Hbar = channel_matrix(moved, real, WAVELENGTH).conj()
-    counts = {}
-    _, _, stuck = solver._sweep_positions(moved, _GeoCache(real, WAVELENGTH), P, Z, config,
-                                          Hbar, counts)
-    return moved, stuck, counts
+    state = solver._SolveState(real, config)
+    _, _, stuck = solver._sweep_positions(moved, state, P, Z, config, Hbar)
+    return moved, stuck, state.steps
 
 
 def test_position_sweep_fixed_point(rng, region):
@@ -499,7 +500,7 @@ def test_position_sweep_fixed_point(rng, region):
     H = channel_matrix(pos, real, WAVELENGTH)
     exact = H.conj() @ P
     moved, stuck, counts = sweep(pos, real, P, exact, region)
-    assert np.array_equal(moved, pos) and not stuck and counts == {}
+    assert np.array_equal(moved, pos) and not stuck and not any(counts.values())
 
 
 def test_position_sweep_respects_constraints(rng, region):
@@ -537,11 +538,11 @@ def test_accepted_steps_meet_the_surrogate_at_their_curvature(monkeypatch):
         real, config, live, P, Z = random_state(rng, i)
         if min_pairwise_distance(live) == 0.0:
             continue  # two antennas on one point: a step cannot name its antenna
-        geo = _GeoCache(real, WAVELENGTH)
-        taus = _majorizers(geo, P, Z, WAVELENGTH)
+        state = solver._SolveState(real, config)
+        taus = _majorizers(state.geometry, P, Z, WAVELENGTH)
         Hbar = channel_matrix(live, real, WAVELENGTH).conj()
         calls.clear()
-        solver._sweep_positions(live, geo, P, Z, config, Hbar)
+        solver._sweep_positions(live, state, P, Z, config, Hbar)
         # a step was accepted when the layout seen next (by the next step, or
         # at the end) has the antenna at the step's end point
         seen_next = [c[0] for c in calls[1:]] + [live]
@@ -580,11 +581,11 @@ def test_backtracking_stops_at_the_majorizer(monkeypatch):
     monkeypatch.setattr(solver, "_step_from_gradient", recording)
     monkeypatch.setattr(solver, "_majorizers", lambda *a: _majorizers(*a) * 1e-4)
     real, config, positions, P, Z = random_state(np.random.default_rng(5), 2)
-    geo = _GeoCache(real, WAVELENGTH)
-    caps = solver._majorizers(geo, P, Z, WAVELENGTH).tolist()
-    geo.tau_accepted.update({m: 0.6 * c for m, c in enumerate(caps)})
+    state = solver._SolveState(real, config)
+    caps = solver._majorizers(state.geometry, P, Z, WAVELENGTH).tolist()
+    state.tau_accepted.update({m: 0.6 * c for m, c in enumerate(caps)})
     Hbar = channel_matrix(positions, real, WAVELENGTH).conj()
-    solver._sweep_positions(positions, geo, P, Z, config, Hbar)
+    solver._sweep_positions(positions, state, P, Z, config, Hbar)
     assert {m for m, _ in tried} == set(range(len(caps)))
     assert all(tau <= caps[m] for m, tau in tried)
     assert {m for m, tau in tried if tau == caps[m]} == set(range(len(caps)))
@@ -598,11 +599,11 @@ def test_point_rows_match_the_channel():
     worst = 0.0
     for i in range(50):
         real = sample_channel(1000 + i, 4, 4, (5, 15)[i % 2], NOISE_W)
-        geo = _GeoCache(real, WAVELENGTH)
+        row_at = _Geometry(real, WAVELENGTH).kernel()
         pts = rng.uniform(-3.0, 3.0, (4, 2)) * WAVELENGTH
         Hc = channel_matrix(pts, real, WAVELENGTH).conj()
         for m, t in enumerate(pts.tolist()):
-            row = geo.row(tuple(t))
+            row = row_at(tuple(t))
             assert row.shape == (24,)
             h = row[:8].view(complex)
             worst = max(worst, np.abs(h - Hc[:, m]).max() / np.linalg.norm(Hc[:, m]))
@@ -620,13 +621,13 @@ def test_moved_residual_matches_a_fresh_residual():
     rng = np.random.default_rng(43)
     for i in range(0, 200, 2):  # the continuous states
         real, config, pos, P, Z = random_state(rng, i)
-        geo = _GeoCache(real, WAVELENGTH)
+        row_at = _Geometry(real, WAVELENGTH).kernel()
         E = channel_matrix(pos, real, WAVELENGTH).conj() @ P - Z
         xi = float(np.vdot(E, E).real)
         m = i % 4
         moved = pos.copy()
         moved[m] += rng.normal(0.0, (1e-4, 1e-2, 0.3)[i % 3] * WAVELENGTH, 2)
-        delta = geo.row(tuple(moved[m]))[:8] - geo.row(tuple(pos[m]))[:8]
+        delta = row_at(tuple(moved[m]))[:8] - row_at(tuple(pos[m]))[:8]
         u2 = (2.0 * (E @ P[m].conj())).view(float)
         a, b = np.stack([u2, delta]) @ delta
         got = xi + a + b * float(np.vdot(P[m], P[m]).real)
@@ -640,8 +641,13 @@ def test_kernel_runs_once_per_candidate(monkeypatch):
     # starts; an antenna's row is carried from one visit to the next
     real = sample_channel(3, 4, 4, 15, NOISE_W)
     rows = []
-    row = _GeoCache.row
-    monkeypatch.setattr(_GeoCache, "row", lambda self, t: rows.append(t) or row(self, t))
+    kernel = _Geometry.kernel
+
+    def counting(self):
+        row = kernel(self)
+        return lambda t: rows.append(t) or row(t)
+
+    monkeypatch.setattr(_Geometry, "kernel", counting)
     rep = solve_sar_min(real, SinrTargets.uniform(4, 1.0 / NOISE_W), paper_sar_matrix(),
                         fast_config())
     steps = rep.position_steps
@@ -657,10 +663,12 @@ def test_inner_loops_carry_the_channel(monkeypatch):
     starts, matrices = [], []
     inner_loop, channel = solver.inner_loop, solver.channel_matrix
 
-    def checking(realization, positions, *args, Hbar=None, **kwargs):
-        starts.append(np.abs(Hbar - channel(positions, real, WAVELENGTH).conj()).max()
+    def checking(*args, **kwargs):
+        call = inspect.signature(inner_loop).bind(*args, **kwargs).arguments
+        Hbar = call["Hbar"]
+        starts.append(np.abs(Hbar - channel(call["positions"], real, WAVELENGTH).conj()).max()
                       / np.linalg.norm(Hbar))
-        return inner_loop(realization, positions, *args, Hbar=Hbar, **kwargs)
+        return inner_loop(*args, **kwargs)
 
     monkeypatch.setattr(solver, "inner_loop", checking)
     monkeypatch.setattr(solver, "channel_matrix", lambda *a: matrices.append(1) or channel(*a))
@@ -672,45 +680,41 @@ def test_inner_loops_carry_the_channel(monkeypatch):
 
 
 def test_lattice_table_rows_match_direct_evaluation():
-    # the lattice search gathers candidate channels from a table built once;
-    # each row must equal evaluating its point alone, bit for bit, so that
-    # gathering cannot change which candidate the search picks
-    real = sample_channel(7, 4, 4, 15, NOISE_W)
-    region = Region(2.5, WAVELENGTH)
-    geo = _GeoCache(real, WAVELENGTH, region)
-    grid = aps_grid(region)
-    lat = geo.lattice
-    table = lat.hbar
-    assert np.array_equal(lat.grid, grid)
+    # the lattice search gathers candidate rows from a table built once per
+    # channel and region; each row must be, bit for bit, the conj-channel row
+    # that channel_matrix gives its point in a layout of M = 4 antennas, as a
+    # solve evaluates it, so that gathering cannot change which candidate the
+    # search picks or the rows it carries
     rng = np.random.default_rng(5)
-    for _ in range(5):
-        ok = rng.random(len(grid)) < 0.7
-        assert np.array_equal(table[ok], geo.conj_rows(grid[ok]))
-    for i in rng.choice(len(grid), 5, replace=False):
-        assert np.array_equal(table[i], geo.conj_rows(grid[i][None, :])[0])
-    Hc = channel_matrix(grid, real, WAVELENGTH).conj().T
-    np.testing.assert_allclose(table, Hc, rtol=0, atol=1e-12 * np.abs(Hc).max())
+    for seed, half_width in ((7, 2.5), (8, 1.0), (9, 3.0)):
+        real = sample_channel(seed, 4, 4, 15, NOISE_W)
+        region = Region(half_width, WAVELENGTH)
+        lat = solver._Lattice(real, region)
+        n = len(lat.grid)
+        assert np.array_equal(lat.grid, aps_grid(region)) and lat.hbar.shape == (n, 4)
+        for i in range(n):
+            at = rng.permutation([i, *rng.choice(np.delete(np.arange(n), i), 3, False)])
+            Hc = channel_matrix(lat.grid[at], real, WAVELENGTH).conj()
+            assert np.array_equal(lat.hbar[i], Hc[:, list(at).index(i)]), (seed, i)
 
 
 def test_lattice_tables_built_once_per_solve(monkeypatch):
-    # one lattice solve builds the candidate table once, not once per inner loop
+    # one lattice solve builds its region's table once, not once per inner
+    # loop, from one channel_matrix call (for the check that the start lies on
+    # the lattice) beside those at its start layout and at its exact solve
     real = sample_channel(3, 4, 4, 15, NOISE_W)
     region = Region(1.0, WAVELENGTH)
     grid = aps_grid(region)
-    tables = []
-    conj_rows = _GeoCache.conj_rows
-
-    def counting(self, points):
-        if len(points) == len(grid):
-            tables.append(len(points))
-        return conj_rows(self, points)
-
-    monkeypatch.setattr(_GeoCache, "conj_rows", counting)
+    lattices = count_builds(monkeypatch, solver._Lattice)
+    points, channel = [], solver.channel_matrix
+    monkeypatch.setattr(solver, "channel_matrix",
+                        lambda pts, *a: points.append(len(pts)) or channel(pts, *a))
     cfg = fast_config(region=region, lattice=True)
     rep = solve_sar_min(real, SinrTargets.uniform(4, 1.0 / NOISE_W), paper_sar_matrix(), cfg,
                         initial_layout=central_grid_layout(grid, 4, WAVELENGTH / 2))
     assert rep.outer_iterations > 1 and rep.inner_sweeps_total > rep.outer_iterations
-    assert tables == [len(grid)]
+    assert lattices == [(real, region)]
+    assert points == [len(grid), 4, 4]
 
 
 def test_lattice_solve_rejects_a_start_off_its_lattice():
@@ -737,7 +741,7 @@ def test_lattice_search_offers_every_free_point_next_to_an_antenna(half_width, a
     # antenna 1 on p and a residual that moving antenna 0 to q cancels, the
     # search moves antenna 0 to q
     real = sample_channel(9, 4, 4, 15, NOISE_W)
-    lat = _GeoCache(real, WAVELENGTH, Region(half_width, WAVELENGTH)).lattice
+    lat = solver._Lattice(real, Region(half_width, WAVELENGTH))
     steps = np.rint(lat.grid / (WAVELENGTH / 2))
     pairs = np.argwhere(np.abs(steps[:, None, :] - steps[None, :, :]).sum(axis=2) == 1)
     assert len(pairs) == 2 * adjacent
@@ -765,7 +769,7 @@ def test_lattice_search_leaves_a_settled_layout_unchanged(half_width):
     # delta the step to the nearest row of the tightest antenna, ties the bound
     real = sample_channel(8, 4, 4, 15, NOISE_W)
     region = Region(half_width, WAVELENGTH)
-    lat = _GeoCache(real, WAVELENGTH, region).lattice
+    lat = solver._Lattice(real, region)
     grid = lat.grid
     rng = np.random.default_rng(17)
     moved_beyond_bound = 0
@@ -850,10 +854,32 @@ def test_a_channel_builds_its_tables_once_for_every_solve(monkeypatch):
                         lambda *args, **kw: solves.append(1) or sar_min(*args, **kw))
     fas = solve_sinr_balance(real, paper_sar_matrix(), bal, cfg)
     aps = solve_aps(real, paper_sar_matrix(), "balance", None, cfg, bal)
-    assert fas.iterations > 1 and aps.evaluated == 2 and len(solves) > 4
+    assert fas.probes["bisect"] > 1 and aps.evaluated == 2 and len(solves) > 4
     assert geometries == [(real, WAVELENGTH)]
     assert [args[1] for args in lattices] == [region]
     assert list(real._geometry) == [WAVELENGTH]
+
+
+def test_solves_of_one_channel_share_tables_but_no_scratch():
+    # two solves of one channel read one geometry, but each kernel row writes
+    # into buffers of its own, so solves in threads cannot overwrite each
+    # other's rows; a lattice solve takes the region's one table, no row
+    real = sample_channel(14, 4, 4, 15, NOISE_W)
+    a, b = (solver._SolveState(real, fast_config()) for _ in range(2))
+    assert a.geometry is b.geometry and a.lattice is None
+
+    def scratch(row):
+        cells = [c.cell_contents for c in row.__closure__]
+        return [x for x in cells if isinstance(x, np.ndarray)
+                and x is not a.geometry.phase and x is not a.geometry.mix]
+
+    assert len(scratch(a.row)) == 4
+    assert not any(np.shares_memory(x, y) for x in scratch(a.row) for y in scratch(b.row))
+    t = (0.3 * WAVELENGTH, -0.2 * WAVELENGTH)
+    assert np.array_equal(a.row(t), b.row(t))
+    lattice = fast_config(region=Region(1.0, WAVELENGTH), lattice=True)
+    c, d = (solver._SolveState(real, lattice) for _ in range(2))
+    assert c.geometry is a.geometry and c.row is None and c.lattice is d.lattice
 
 
 def test_a_solve_on_filled_tables_equals_one_on_a_fresh_channel():
@@ -894,7 +920,7 @@ def test_nearest_row_table_equals_the_norms_bit_for_bit(half_width):
     rng = np.random.default_rng(23)
     for seed, first in ((4, 4), (5, 1), (6, 3)):
         real = sample_channel(seed, 4, 4, 15, NOISE_W)
-        lat = _GeoCache(real, WAVELENGTH, Region(half_width, WAVELENGTH)).lattice
+        lat = solver._Lattice(real, Region(half_width, WAVELENGTH))
         n = len(lat.grid)
         assert lat.near is None
         lat.nearest(rng.permutation(n)[:first].tolist())
@@ -912,8 +938,8 @@ def test_settled_check_gives_the_verdict_of_the_norms():
     rng = np.random.default_rng(29)
     agree = {True: 0, False: 0}
     for seed, half_width in ((8, 1.0), (9, 3.0)):
-        lat = _GeoCache(sample_channel(seed, 4, 4, 15, NOISE_W), WAVELENGTH,
-                        Region(half_width, WAVELENGTH)).lattice
+        lat = solver._Lattice(sample_channel(seed, 4, 4, 15, NOISE_W),
+                              Region(half_width, WAVELENGTH))
         for _ in range(100):
             M = int(rng.integers(1, 6))
             at = rng.permutation(len(lat.grid))[:M].tolist()

@@ -11,13 +11,21 @@ in a process of its own, which imports that tree's ``src/`` and ``bench/`` as
 ``bench/run.py`` does, with BLAS on one thread and ``FAS_THREADS=1``, and
 builds the workloads on the master seed 909, as ``bench/run.py`` does by
 default. The sha256 of each task's ``fingerprint()`` is compared across the
-trees; the tasks that differ are printed. The exit status is 0 whatever the
-outcome: this is a report, not a gate.
+trees; the tasks that differ are printed.
+
+Each tree also runs, in a process of its own and serially, the five
+acceptance plans of its ``bench/workloads.py`` (``AcceptanceMix``)
+at the acceptance suite's trial counts: 20 trials a balance plan and 40 a
+sar-min plan, 1,320 rows in all. Each plan's row count and the sha256 of its
+rows as JSON and of its CSV are compared; those that differ are printed.
+
+The exit status is 0 whatever the outcome: this is a report, not a gate.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -29,6 +37,12 @@ from pathlib import Path
 MASTER_SEED = 909
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "FAS_THREADS")
+# the acceptance suite's trials per plan, by objective (tests/test_acceptance.py)
+SWEEP_TRIALS = {"balance": 20, "sar-min": 40}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def digests(tree: Path, names: list) -> dict:
@@ -40,23 +54,68 @@ def digests(tree: Path, names: list) -> dict:
     for name in names:
         try:
             wl = run.build(name, MASTER_SEED)
-            out[name] = {wl.label(task): hashlib.sha256(
-                repr(wl.fingerprint(task, wl.run(task))).encode()).hexdigest()
-                for task in wl.tasks}
+            out[name] = {wl.label(task): sha256(repr(wl.fingerprint(task, wl.run(task))))
+                         for task in wl.tasks}
         except Exception as exc:  # an older tree may lack a workload
             out[name] = {"error": f"{type(exc).__name__}: {exc}"}
     return out
 
 
-def digests_in_process(tree: Path, names: list) -> dict:
-    """``digests`` in a fresh process: one tree's modules never meet the other's."""
+def sweep_plans(tree: Path) -> dict:
+    """{plan name: ExperimentPlan}: the acceptance plans of ``tree``'s
+    ``bench/workloads.py`` at ``SWEEP_TRIALS``."""
+    sys.path.insert(0, str(tree / "bench"))
+    import run  # the tree's bench/run.py; ``build`` imports the tree's src/
+    plans = run.build("acceptance-mix", MASTER_SEED).plans
+    return {name: dataclasses.replace(plan, trials=SWEEP_TRIALS[plan.objective])
+            for name, plan in plans.items()}
+
+
+def sweep_digests(tree: Path) -> dict:
+    """{"<plan> rows": count, "<plan> rows JSON": sha256, "<plan> CSV": sha256}
+    of every ``sweep_plans`` plan, run serially in ``tree``."""
+    plans = sweep_plans(tree)
+    from fluidsar.harness import run_sweep  # the tree's, once sweep_plans ran
+    out = {}
+    for name, plan in plans.items():
+        record = run_sweep(plan)
+        out[f"{name} rows"] = len(record.rows)
+        out[f"{name} rows JSON"] = sha256(json.dumps(record.rows, sort_keys=True))
+        out[f"{name} CSV"] = sha256(record.to_csv())
+    return out
+
+
+def in_process(tree: Path, *args) -> dict:
+    """The child mode ``args`` (``--digests`` or ``--sweep-digests``) for
+    ``tree`` in a fresh process, so that one tree's modules never meet the
+    other's: its JSON, or {"error": the last line of its error output}."""
     env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1")}
-    out = subprocess.run([sys.executable, __file__, "--digests", str(tree), *names],
+    out = subprocess.run([sys.executable, __file__, args[0], str(tree), *args[1:]],
                          env=env, capture_output=True, text=True, timeout=3600)
     if out.returncode != 0:
-        last = (out.stderr.strip().splitlines() or [f"exit status {out.returncode}"])[-1]
-        return {name: {"error": last} for name in names}
+        return {"error": (out.stderr.strip().splitlines()
+                          or [f"exit status {out.returncode}"])[-1]}
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def digests_in_process(tree: Path, names: list) -> dict:
+    """``digests`` in a fresh process; a failed process fails every workload."""
+    out = in_process(tree, "--digests", *names)
+    return {name: out for name in names} if "error" in out else out
+
+
+def report(name: str, ours: dict, theirs: dict, short: str, unit: str) -> tuple:
+    """Print how ``ours`` and ``theirs`` ({label: digest}, or {"error":
+    message}) compare; returns (labels compared, labels that differ)."""
+    if "error" in ours or "error" in theirs:
+        print(f"{name}: not compared; here {ours.get('error', 'ran')}, "
+              f"at {short} {theirs.get('error', 'ran')}")
+        return 0, 0
+    diff = differing(ours, theirs)
+    print(f"{name}: {len(ours)} {unit}, {len(diff)} differ")
+    for label in diff:
+        print(f"  differs: {label}")
+    return len(ours), len(diff)
 
 
 def differing(ours: dict, theirs: dict) -> list:
@@ -91,32 +150,37 @@ def worktree(root: Path, sha: str):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev", nargs="?", help="the commit to compare this checkout with")
-    # the child mode: --digests TREE WORKLOAD..., one tree's digests as JSON
+    # the child modes: --digests TREE WORKLOAD... and --sweep-digests TREE, one
+    # tree's digests as JSON
     ap.add_argument("--digests", nargs="+", help=argparse.SUPPRESS)
+    ap.add_argument("--sweep-digests", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.digests:
         print(json.dumps(digests(Path(args.digests[0]), args.digests[1:])))
+        return 0
+    if args.sweep_digests:
+        print(json.dumps(sweep_digests(Path(args.sweep_digests))))
         return 0
     if not args.rev:
         ap.error("REV is required")
     root, sha = resolve(args.rev)
     names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
     ours = digests_in_process(root, names)
+    ours_sweeps = in_process(root, "--sweep-digests")
     with worktree(root, sha) as other:
         theirs = digests_in_process(other, names)
-    print(f"benchmark outputs of this checkout against {sha[:12]}")
+        theirs_sweeps = in_process(other, "--sweep-digests")
+    short = sha[:12]
+    print(f"benchmark outputs of this checkout against {short}")
     total = changed = 0
     for name in names:
-        if "error" in ours[name] or "error" in theirs[name]:
-            print(f"{name}: not compared; here {ours[name].get('error', 'ran')}, "
-                  f"at {sha[:12]} {theirs[name].get('error', 'ran')}")
-            continue
-        diff = differing(ours[name], theirs[name])
-        total, changed = total + len(ours[name]), changed + len(diff)
-        print(f"{name}: {len(ours[name])} tasks, {len(diff)} differ")
-        for label in diff:
-            print(f"  differs: {label}")
+        n, d = report(name, ours[name], theirs[name], short, "tasks")
+        total, changed = total + n, changed + d
     print(f"all: {total} tasks compared, {changed} differ")
+    rows = sum(n for label, n in ours_sweeps.items() if label.endswith(" rows"))
+    print(f"acceptance sweeps here: {rows} rows")
+    report("acceptance sweeps", ours_sweeps, theirs_sweeps, short,
+           "row counts, rows JSON and CSV digests")
     return 0
 
 
