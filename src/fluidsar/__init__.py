@@ -41,6 +41,6 @@ from .baselines import (
     solve_fpa,
     solve_without_sar,
 )
-from .harness import ExperimentPlan, RunRecord, convergence_trace, run_sweep
+from .harness import ExperimentPlan, RunRecord, run_sweep
 
 __version__ = "0.1.0"

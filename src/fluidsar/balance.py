@@ -188,6 +188,8 @@ def solve_sinr_balance(realization: ChannelRealization, model: SarModel,
     solver_config = solver_config or SolverConfig()
     K = realization.num_users
     weights = np.ones(K) if config.weights is None else np.asarray(config.weights, dtype=float)
+    if weights.size != K:
+        raise ConfigurationError("weights and channel disagree on the user count")
     budget = model.budget
     warnings: list[str] = []
 

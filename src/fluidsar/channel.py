@@ -241,8 +241,8 @@ def sample_channel(rng_seed: int, M: int, K: int, L: int,
     AoDs are i.i.d. Uniform[0, pi] (elevation and azimuth independently),
     path gains are circularly-symmetric CN(0, 1). Deterministic per seed.
     """
-    if M < 1 or K < 1 or L < 1:
-        raise ConfigurationError(f"invalid dimensions M={M}, K={K}, L={L}")
+    if M < 1 or K < 1 or L < 1 or rng_seed < 0:
+        raise ConfigurationError(f"invalid seed {rng_seed} or dimensions M={M}, K={K}, L={L}")
     rng = np.random.default_rng(rng_seed)
     paths = []
     for _ in range(K):

@@ -10,9 +10,10 @@ import numpy as np
 
 from .balance import BalanceConfig, solve_sinr_balance
 from .baselines import BaselineConfig, adaptive_backoff, solve_aps, solve_fpa, solve_without_sar
-from .channel import DEFAULT_NOISE_W, ChannelRealization, Region, dbm_to_watts, sample_channel
+from .channel import (DEFAULT_NOISE_W, ChannelRealization, ConfigurationError, Region,
+                      dbm_to_watts, sample_channel)
 from .exposure import SarModel, paper_sar_matrix, synthesize_sar_matrix
-from .harness import ExperimentPlan, convergence_trace, run_sweep
+from .harness import ExperimentPlan, _sar_model, run_sweep
 from .solver import SinrTargets, SolverConfig, solve_sar_min
 
 
@@ -32,7 +33,7 @@ def _load_sar(args, m: int) -> SarModel:
     budget = args.q0 if getattr(args, "q0", None) is not None else 1.6
     if spec == "paper4":
         if m != 4:
-            raise SystemExit("--sar paper4 requires 4 antennas")
+            raise ConfigurationError("--sar paper4 requires 4 antennas")
         return paper_sar_matrix(budget=budget)
     if spec.startswith("file:"):
         with open(spec[len("file:"):]) as fh:
@@ -40,9 +41,13 @@ def _load_sar(args, m: int) -> SarModel:
         if budget != model.budget and getattr(args, "q0", None) is not None:
             model = SarModel(model.matrix, budget, model.synthetic)
         return model
-    if spec.startswith("synth:"):
+    if spec.startswith("synth:") and spec[len("synth:"):].isdigit():
         return synthesize_sar_matrix(int(spec[len("synth:"):]), budget=budget)
-    raise SystemExit(f"unknown --sar spec {spec!r}")
+    raise ConfigurationError(f"unknown --sar spec {spec!r}")
+
+
+def float_list(text: str) -> list:  # argparse names this type in its error
+    return [float(x) for x in text.split(",")]
 
 
 # the solver's flags: every SolverConfig field with a numeric default
@@ -66,13 +71,17 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(region=region, **_solver_kwargs(args))
 
 
-def _write_report(args, doc: dict):
-    text = json.dumps(doc, indent=2)
+def _write(args, text: str, end: str = "\n"):
+    """``text`` to the ``--out`` file, or ``text + end`` to standard output."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text + end)
+
+
+def _write_report(args, doc: dict):
+    _write(args, json.dumps(doc, indent=2))
 
 
 def _add_common(p):
@@ -85,16 +94,14 @@ def _add_common(p):
     p.add_argument("--half-width", type=float, default=1.0,
                    help="region half-width in wavelengths")
     p.add_argument("--wavelength", type=float, default=0.01)
-    p.add_argument("--weights", default=None, help="comma-separated SINR weights")
+    p.add_argument("--weights", type=float_list, help="comma-separated SINR weights")
     _add_solver_flags(p)
     p.add_argument("--save-channel", default=None, help="also write the channel JSON here")
     p.add_argument("--out", default=None, help="write the report JSON here")
 
 
 def _weights(args, k: int) -> np.ndarray:
-    if args.weights is None:
-        return np.ones(k)
-    return np.array([float(x) for x in args.weights.split(",")])
+    return np.ones(k) if args.weights is None else np.array(args.weights)
 
 
 def main(argv=None) -> int:
@@ -136,7 +143,7 @@ def main(argv=None) -> int:
 
     p_trace = sub.add_parser("trace", help="stopping-indicator trajectories")
     p_trace.add_argument("--seed", type=int, required=True)
-    p_trace.add_argument("--beta0", required=True, help="comma-separated targets")
+    p_trace.add_argument("--beta0", type=float_list, required=True, help="comma-separated targets")
     p_trace.add_argument("--m", type=int, default=4)
     p_trace.add_argument("--k", type=int, default=4)
     p_trace.add_argument("--paths", type=int, default=15)
@@ -145,7 +152,15 @@ def main(argv=None) -> int:
     p_trace.add_argument("--out", default=None, help="write the trace CSV here")
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except (ConfigurationError, OSError, json.JSONDecodeError) as err:
+        # bad input ends as argparse ends it, in one line and status 2 (1: not converged)
+        parser.exit(2, f"{parser.prog}: error: {err}\n")
 
+
+def _run(args) -> int:
+    """Run the parsed command; returns the exit status."""
     if args.command == "sweep":
         with open(args.plan) as fh:
             plan = ExperimentPlan.from_json(fh.read())
@@ -155,20 +170,14 @@ def main(argv=None) -> int:
 
     if args.command == "trace":
         noise = dbm_to_watts(args.noise_dbm) if args.noise_dbm is not None else DEFAULT_NOISE_W
-        cfg = SolverConfig(**_solver_kwargs(args))
-        result = convergence_trace(args.seed, [float(x) for x in args.beta0.split(",")],
-                                   m=args.m, k=args.k, paths=args.paths,
-                                   noise_variance=noise, solver_config=cfg)
+        realization = sample_channel(args.seed, args.m, args.k, args.paths, noise)
+        # the sweeps' model at the default budget, which an exposure minimization never reads
+        model, cfg = _sar_model(args.m, 1.6), SolverConfig(**_solver_kwargs(args))
         lines = ["beta0,iteration,xi"]
-        for tr in result["traces"]:
-            for it, _, xi in tr["trace"]:
-                lines.append(f"{tr['beta0']:.12g},{it},{xi:.12g}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        for beta0 in args.beta0:
+            rep = solve_sar_min(realization, SinrTargets.uniform(args.k, beta0), model, cfg)
+            lines += [f"{beta0:.12g},{it},{xi:.12g}" for it, _, xi, _, _ in rep.outer_trace]
+        _write(args, "\n".join(lines) + "\n", end="")
         return 0
 
     realization = _load_channel(args)
@@ -207,7 +216,7 @@ def main(argv=None) -> int:
         objective = getattr(args, "objective", "balance")
         targets = SinrTargets(weights, args.beta0) if args.beta0 is not None else None
         if objective == "sar-min" and targets is None:
-            raise SystemExit("--beta0 is required for the sar-min objective")
+            raise ConfigurationError("--beta0 is required for the sar-min objective")
         if args.scheme == "aps":
             res = solve_aps(realization, model, objective, None, cfg, bal, targets)
             _write_report(args, {"kind": "baseline-aps", **res.to_json_dict()})

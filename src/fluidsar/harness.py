@@ -42,7 +42,6 @@ __all__ = [
     "ExperimentPlan",
     "RunRecord",
     "run_sweep",
-    "convergence_trace",
     "derive_seed",
     "worker_count",
 ]
@@ -420,31 +419,3 @@ def run_sweep(plan: ExperimentPlan) -> RunRecord:
             fh.write(record.to_json())
     return record
 
-
-def convergence_trace(channel_seed: int, beta0_list, m: int = 4, k: int = 4,
-                      paths: int = 15, noise_variance: float = DEFAULT_NOISE_W,
-                      solver_config: SolverConfig | None = None) -> dict:
-    """Stopping-indicator trajectories of the penalty loop, one per target,
-    each with ``trend_ok``: whether xi(2i) <= xi(i) for every i >= 10. The SAR
-    model keeps the default budget, which an exposure minimization never reads.
-    """
-    solver_config = solver_config or SolverConfig()
-    realization = sample_channel(channel_seed, m, k, paths, noise_variance)
-    model = _sar_model(m, 1.6)
-    traces = []
-    for beta0 in beta0_list:
-        rep = solve_sar_min(realization, SinrTargets.uniform(k, float(beta0)), model,
-                            solver_config)
-        xi_path = [(it, mu, xi) for it, mu, xi, _, _ in rep.outer_trace]
-        xis = [xi for _, _, xi in xi_path]
-        trend_ok = all(xis[2 * i] <= xis[i]
-                       for i in range(10, len(xis)) if 2 * i < len(xis))
-        traces.append({
-            "beta0": float(beta0),
-            "trace": xi_path,
-            "outer_iterations": rep.outer_iterations,
-            "converged": rep.converged,
-            "final_xi": rep.xi,
-            "trend_ok": trend_ok,
-        })
-    return {"seed": channel_seed, "traces": traces}

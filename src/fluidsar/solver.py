@@ -600,18 +600,17 @@ def _residual(Hbar, P, Z):
     return E, float(np.vdot(E, E).real)
 
 
-def _select_positions_on_grid(positions, lat: _Lattice, P, Z, Hbar,
-                              residual: tuple | None = None):
+def _select_positions_on_grid(positions, lat: _Lattice, P, Z, Hbar, residual: tuple):
     """Per-antenna exhaustive search over the lattice: each antenna moves to
     the candidate that minimizes the coupling residual exactly, if that is
     below the residual where it stands. The candidates are the points no
     other antenna holds, its own included, in (x, y) order, so ties go to the
     lower x, then the lower y. Every antenna must sit on a lattice point.
-    Mutates positions/Hbar; ``residual`` as in ``_sweep_positions``.
+    Mutates positions/Hbar; takes and returns (E, xi) as ``_sweep_positions``.
     """
     at = [lat.index[p] for p in map(tuple, positions.tolist())]
     M = positions.shape[0]
-    E, obj = residual = residual or _residual(Hbar, P, Z)
+    E, obj = residual
     Ec = E.conj()
     moved = False
     pnorm2 = (np.abs(P) ** 2).sum(axis=1)  # ||P[m, :]||^2 per antenna
@@ -631,7 +630,7 @@ def _select_positions_on_grid(positions, lat: _Lattice, P, Z, Hbar,
         Ec = E.conj()
         obj = float(np.vdot(E, E).real)
         moved = True
-    return (_residual(Hbar, P, Z) if moved else residual) + (False,)
+    return _residual(Hbar, P, Z) if moved else residual
 
 
 def _lattice_settled(lat: _Lattice, positions, P, xi: float) -> bool:
@@ -645,23 +644,22 @@ def _lattice_settled(lat: _Lattice, positions, P, xi: float) -> bool:
     return bool(np.all(np.linalg.norm(P, axis=1) * near >= 2.0 * math.sqrt(xi)))
 
 
-def _sweep_positions(positions, state: _SolveState, P, Z, config, Hbar,
-                     residual: tuple | None = None):
-    """Sequential per-antenna SCA descents; mutates positions/Hbar, returns
-    (E, xi, stuck) after the sweep, and takes (E, xi) at its start as
-    ``residual`` (``_residual`` when not given). ``state.steps`` gains one
-    per free, QP and stuck step under those status names, and one per
-    curvature doubling under "backtrack". A candidate whose row moves by
-    delta scores xi + 2 Re(delta^H u) + ||delta||^2 ||P[m, :]||^2 from u =
-    E P[m, :]^H, row m of (E P^H)^T, which follows each move by rank one."""
+def _sweep_positions(positions, state: _SolveState, P, Z, config, Hbar, residual: tuple):
+    """Sequential per-antenna SCA descents from the residual (E, xi) =
+    ``_residual(Hbar, P, Z)`` given as ``residual``; mutates positions/Hbar
+    and returns (E, xi) after the sweep. ``state.steps`` gains one per free,
+    QP and stuck step under those status names, and one per curvature
+    doubling under "backtrack". A candidate whose row moves by delta scores
+    xi + 2 Re(delta^H u) + ||delta||^2 ||P[m, :]||^2 from u = E P[m, :]^H,
+    row m of (E P^H)^T, which follows each move by rank one."""
     if config.lattice:
         return _select_positions_on_grid(positions, state.lattice, P, Z, Hbar, residual)
     region, min_distance = config.region, config.distance
     taus = _majorizers(state.geometry, P, Z, region.wavelength).tolist()
     accepted, terms, row_at, counts = state.tau_accepted, state.terms, state.row, state.steps
-    any_stuck = any_moved = False
+    any_moved = False
     step_tol = 1e-8 * region.wavelength  # moves below this cannot matter
-    E, obj = residual = residual or _residual(Hbar, P, Z)
+    E, obj = residual
     Pc = P.conj()
     Ut, gram = Pc.dot(E.T), P.dot(Pc.T)
     pnorm2, gram = gram.diagonal().real.tolist(), gram[:, :, None]  # gram[m]: a column
@@ -711,7 +709,6 @@ def _sweep_positions(positions, state: _SolveState, P, Z, config, Hbar,
                 counts["backtrack"] += 1
             counts[status] += 1
             if status == "stuck":
-                any_stuck = True
                 break
             # the tolerance must stay relative: any absolute slack here gets
             # amplified by mu in the penalized objective the caller tracks
@@ -733,7 +730,7 @@ def _sweep_positions(positions, state: _SolveState, P, Z, config, Hbar,
             if m + 1 < len(taus):  # only the antennas after m read U^T
                 Ut += gram[m] * (h - Hbar[:, m])
             Hbar[:, m] = h
-    return (_residual(Hbar, P, Z) if any_moved else residual) + (any_stuck,)
+    return _residual(Hbar, P, Z) if any_moved else residual
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +813,7 @@ def inner_loop(realization: ChannelRealization, positions: np.ndarray, P: np.nda
         # the projection is certified optimal only to within mu * gap
         record("auxiliary", sar + mu * xi, extra_slack=mu * gap)
 
-        E, xi, _ = _sweep_positions(positions, state, P, Z, config, Hbar, (E, xi))
+        E, xi = _sweep_positions(positions, state, P, Z, config, Hbar, (E, xi))
         record("positions", sar + mu * xi)
 
         value = prev

@@ -150,6 +150,17 @@ def test_balance_config_refuses_settings_that_are_not_finite(bad):
             BalanceConfig(accuracy=1e13, weights=weights)
 
 
+def test_balance_refuses_weights_of_another_user_count(monkeypatch):
+    # three weights for two users used to fail in numpy's broadcasting, inside
+    # the upper bracket; the balance refuses them before any probe
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a probe ran on weights of the wrong count")
+    monkeypatch.setattr(balance, "solve_sar_min", no_solve)
+    with pytest.raises(ConfigurationError, match="weights and channel disagree"):
+        solve_sinr_balance(desk_channel(1), DESK_MODEL,
+                           BalanceConfig(accuracy=1e10, weights=[1.0, 1.0, 1.0]), fast_config())
+
+
 def test_zero_budget_returns_zero():
     real = desk_channel(1)
     model = synthesize_sar_matrix(2, budget=1e-9)

@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from fluidsar.channel import sample_channel
+from fluidsar.channel import DEFAULT_NOISE_W, sample_channel
 from fluidsar.cli import main
 
 from conftest import NOISE_W
@@ -38,6 +39,19 @@ def assert_report_keys(doc):
     assert list(doc) == ["kind"] + REPORT_KEYS[doc["kind"]], doc["kind"]
     if "solution" in doc:
         assert list(doc["solution"]) == SOLVE_KEYS, doc["kind"]
+
+
+def assert_refused(capsys, argv, match):
+    """``main(argv)`` ends as argparse ends bad input: exit status 2 and, last
+    on standard error, one ``fluidsar...: error:`` line that matches
+    ``match``; only argparse's own refusals print their usage above it."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 or lines[0].startswith("usage:"), lines
+    assert re.match(r"fluidsar( [a-z-]+)*: error: ", lines[-1]), lines[-1]
+    assert re.search(match, lines[-1]), lines[-1]
 
 
 def test_cli_sar_min_with_seed_channel(tmp_path):
@@ -90,9 +104,8 @@ def test_cli_sinr_balance_and_sar_file(tmp_path):
     assert len(doc["ladder"]) >= 1
 
 
-def test_cli_refuses_a_singular_sar_file_before_solving(tmp_path, monkeypatch):
+def test_cli_refuses_a_singular_sar_file_before_solving(tmp_path, monkeypatch, capsys):
     from fluidsar import cli
-    from fluidsar.channel import ConfigurationError
     from test_exposure import singular_sar_json
     sar_file = tmp_path / "sar.json"
     sar_file.write_text(singular_sar_json())
@@ -100,24 +113,22 @@ def test_cli_refuses_a_singular_sar_file_before_solving(tmp_path, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran on the singular model")
     monkeypatch.setattr(cli, "solve_sar_min", no_solve)
-    with pytest.raises(ConfigurationError, match="positive definite"):
-        main(["solve", "sar-min", "--channel", "5", "--m", "2", "--k", "2", "--paths", "3",
-              "--beta0", str(0.5 / NOISE_W), "--sar", f"file:{sar_file}"] + FAST)
+    assert_refused(capsys, ["solve", "sar-min", "--channel", "5", "--m", "2", "--k", "2",
+                            "--paths", "3", "--beta0", str(0.5 / NOISE_W),
+                            "--sar", f"file:{sar_file}"] + FAST, "positive definite")
 
 
 @pytest.mark.parametrize("problem", ["sar-min", "sinr-balance"])
-def test_cli_refuses_a_nan_budget_before_solving(monkeypatch, problem):
+def test_cli_refuses_a_nan_budget_before_solving(monkeypatch, capsys, problem):
     from fluidsar import cli
-    from fluidsar.channel import ConfigurationError
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran with a NaN budget")
     monkeypatch.setattr(cli, "solve_sar_min", no_solve)
     monkeypatch.setattr(cli, "solve_sinr_balance", no_solve)
     extra = ["--beta0", str(0.5 / NOISE_W)] if problem == "sar-min" else []
-    with pytest.raises(ConfigurationError, match="finite positive"):
-        main(["solve", problem, "--channel", "5", "--paths", "3", "--q0", "nan"]
-             + extra + FAST)
+    assert_refused(capsys, ["solve", problem, "--channel", "5", "--paths", "3", "--q0", "nan"]
+                   + extra + FAST, "finite positive")
 
 
 @pytest.mark.parametrize("argv,match", [
@@ -129,32 +140,28 @@ def test_cli_refuses_a_nan_budget_before_solving(monkeypatch, problem):
     (["solve", "sinr-balance", "--noise-dbm", "nan"], "noise variance"),
     (["baseline", "no-sar", "--power-budget", "nan"], "power budget"),
 ])
-def test_cli_refuses_a_nan_target_or_accuracy_before_solving(monkeypatch, argv, match):
+def test_cli_refuses_a_nan_target_or_accuracy_before_solving(monkeypatch, capsys, argv, match):
     from fluidsar import cli
-    from fluidsar.channel import ConfigurationError
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran with a NaN setting")
     for name in ("solve_sar_min", "solve_sinr_balance", "solve_without_sar",
                  "adaptive_backoff"):
         monkeypatch.setattr(cli, name, no_solve)
-    with pytest.raises(ConfigurationError, match=match):
-        main(argv + ["--channel", "5", "--paths", "3"] + FAST)
+    assert_refused(capsys, argv + ["--channel", "5", "--paths", "3"] + FAST, match)
 
 
 @pytest.mark.parametrize("flag,value,match", [("--mu0", "nan", "mu0"),
                                               ("--max-inner", "0", "max_inner")])
-def test_cli_refuses_solver_settings_before_solving(monkeypatch, flag, value, match):
+def test_cli_refuses_solver_settings_before_solving(monkeypatch, capsys, flag, value, match):
     from fluidsar import cli
-    from fluidsar.channel import ConfigurationError
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran with a setting no solve can use")
     monkeypatch.setattr(cli, "solve_sar_min", no_solve)
-    with pytest.raises(ConfigurationError, match=match):
-        # the flag follows FAST, so its value is the one parsed
-        main(["solve", "sar-min", "--channel", "5", "--paths", "3",
-              "--beta0", str(0.5 / NOISE_W)] + FAST + [flag, value])
+    # the flag follows FAST, so its value is the one parsed
+    assert_refused(capsys, ["solve", "sar-min", "--channel", "5", "--paths", "3",
+                            "--beta0", str(0.5 / NOISE_W)] + FAST + [flag, value], match)
 
 
 def test_cli_baselines(tmp_path):
@@ -207,15 +214,38 @@ def test_cli_sweep_and_stdout(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
-def test_cli_trace(tmp_path):
+def report_trace_csv(seed, m, k, paths, targets, model, config):
+    """The trace CSV built from ``solve_sar_min(...).outer_trace`` at each
+    target: one ``beta0,iteration,xi`` row per outer iteration."""
+    from fluidsar.solver import SinrTargets, solve_sar_min
+    real = sample_channel(seed, m, k, paths, DEFAULT_NOISE_W)
+    lines = ["beta0,iteration,xi"]
+    for beta0 in targets:
+        rep = solve_sar_min(real, SinrTargets.uniform(k, beta0), model, config)
+        lines += [f"{beta0:.12g},{row[0]},{row[2]:.12g}" for row in rep.outer_trace]
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_trace(tmp_path, capsys):
+    # the CSV is each report's outer trace: at M = 2 on the synthetic model
+    # (to a file), at M = 4 on the measured one (to standard output)
+    from fluidsar.exposure import paper_sar_matrix, synthesize_sar_matrix
+    from fluidsar.solver import SolverConfig
+    config = SolverConfig(mu0=1e-2, a=0.5)
     out = tmp_path / "trace.csv"
+    targets = [0.5 / NOISE_W, 2.0 / NOISE_W]
     rc = main(["trace", "--seed", "5", "--m", "2", "--k", "2", "--paths", "3",
-               "--beta0", f"{0.5 / NOISE_W},{2.0 / NOISE_W}",
+               "--beta0", f"{targets[0]},{targets[1]}",
                "--mu0", "1e-2", "--a", "0.5", "--out", str(out)])
     assert rc == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "beta0,iteration,xi"
-    assert len(lines) > 10
+    want = report_trace_csv(5, 2, 2, 3, targets, synthesize_sar_matrix(2, budget=1.6), config)
+    assert out.read_text() == want and len(want.splitlines()) > 10
+    capsys.readouterr()
+    rc = main(["trace", "--seed", "1", "--paths", "5", "--beta0", "1.6e13,6.3e13",
+               "--mu0", "1e-2", "--a", "0.5"])
+    assert rc == 0
+    want = report_trace_csv(1, 4, 4, 5, [1.6e13, 6.3e13], paper_sar_matrix(budget=1.6), config)
+    assert capsys.readouterr().out == want and len(want.splitlines()) > 10
 
 
 # every solver flag, each with a value that differs from its default and from
@@ -252,7 +282,54 @@ def test_cli_report_config_key_order(tmp_path):
     assert config["feasibility_slack"] == 1e-5
 
 
-def test_cli_rejects_unknown_sar(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["solve", "sar-min", "--channel", "1", "--beta0", "1.0",
-              "--sar", "mystery"])
+def test_cli_rejects_unknown_sar(capsys):
+    assert_refused(capsys, ["solve", "sar-min", "--channel", "1", "--beta0", "1.0",
+                            "--sar", "mystery"], "unknown --sar spec 'mystery'")
+
+
+# bad input of every kind: a channel seed, channel file, SAR spec, weight list
+# or plan that no solve can use, and a SAR budget below zero
+BAD_INPUT = [
+    (["solve", "sar-min", "--channel", "seed:-5", "--beta0", "1"], "seed -5"),
+    (["solve", "sar-min", "--channel", "{tmp}/nofile.json", "--beta0", "1"],
+     "No such file.*nofile.json"),
+    (["solve", "sar-min", "--channel", "{tmp}/bad.json", "--beta0", "1"], "Expecting"),
+    (["solve", "sar-min", "--channel", "5", "--beta0", "1", "--sar", "synth:x"],
+     "unknown --sar spec 'synth:x'"),
+    (["solve", "sinr-balance", "--channel", "5", "--weights", "a,b"],
+     "argument --weights: invalid float_list value: 'a,b'"),
+    (["solve", "sar-min", "--channel", "5", "--beta0", "1", "--weights", "1,2,3"],
+     "targets and channel disagree on the user count"),
+    (["solve", "sinr-balance", "--channel", "5", "--weights", "1,2,3"],
+     "weights and channel disagree on the user count"),
+    (["solve", "sinr-balance", "--channel", "5", "--q0", "-1"],
+     "SAR budget must be a finite positive number"),
+    (["sweep", "--plan", "{tmp}/plan.json"], r"unknown plan keys \['bogus'\]"),
+]
+
+
+@pytest.mark.parametrize("argv,match", BAD_INPUT, ids=[
+    "negative-seed", "missing-channel-file", "malformed-channel-file", "synth-spec",
+    "weights-not-numbers", "weights-count-sar-min", "weights-count-balance",
+    "negative-budget", "unknown-plan-key"])
+def test_cli_ends_bad_input_in_one_error_line(tmp_path, capsys, argv, match):
+    # status 1 belongs to a sar-min solve that did not converge, so bad input
+    # must not end in a traceback (status 1) either
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "plan.json").write_text(json.dumps({
+        "objective": "sar-min", "sweep": "beta0", "values": [1.0], "beta0": 1.0,
+        "bogus": 1}))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    paths = [] if argv[0] == "sweep" else ["--paths", "3"]
+    assert_refused(capsys, argv + paths, match)
+
+
+def test_cli_leaves_solver_faults_as_tracebacks(monkeypatch):
+    from fluidsar import cli
+    from fluidsar.solver import SolverError
+
+    def fault(*args, **kwargs):
+        raise SolverError("inner objective increased")
+    monkeypatch.setattr(cli, "solve_sar_min", fault)
+    with pytest.raises(SolverError, match="inner objective increased"):
+        main(["solve", "sar-min", "--channel", "5", "--paths", "3", "--beta0", "1"])

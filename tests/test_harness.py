@@ -14,7 +14,6 @@ from fluidsar.channel import ConfigurationError
 from fluidsar.harness import (
     ExperimentPlan,
     RunRecord,
-    convergence_trace,
     derive_seed,
     run_sweep,
     worker_count,
@@ -425,33 +424,6 @@ def test_no_feasible_probe_row_is_not_ok(monkeypatch):
         assert "no_feasible_probe" in row["warnings"]
     agg = rec.aggregates[0]
     assert agg["trials"] == 0 and agg["failures"] == plan.trials
-
-
-def test_convergence_trace_shape_and_exit():
-    cfg = SolverConfig(mu0=1e-2, a=0.5, max_outer=60, max_inner=8, max_sca_iter=8,
-                       eps_inner_rel=1e-3, eps_position_rel=1e-3)
-    out = convergence_trace(5, [0.5 / NOISE_W, 4.0 / NOISE_W], m=2, k=2, paths=3,
-                            solver_config=cfg)
-    assert len(out["traces"]) == 2
-    for tr in out["traces"]:
-        assert tr["converged"]
-        assert tr["final_xi"] < 1e-7
-        assert tr["trend_ok"]
-        iters = [row[0] for row in tr["trace"]]
-        assert iters == sorted(iters)
-
-
-def test_convergence_trace_iterations_grow_with_target():
-    # stricter targets keep the coupling residual above the exit threshold
-    # longer, so the outer loop runs more iterations
-    cfg = SolverConfig(mu0=1e-2, a=0.5, max_outer=120, max_inner=8, max_sca_iter=8,
-                       eps_inner_rel=1e-3, eps_position_rel=1e-3)
-    out = convergence_trace(9, [0.5 / NOISE_W, 4.0 / NOISE_W, 1000.0 / NOISE_W],
-                            m=2, k=2, paths=3, solver_config=cfg)
-    assert all(tr["trend_ok"] for tr in out["traces"])
-    iters = [tr["outer_iterations"] for tr in out["traces"]]
-    assert iters == sorted(iters)
-    assert iters[-1] > iters[0]
 
 
 def test_paths_sweep_axis():

@@ -1,4 +1,4 @@
-"""The comparison of ``tools/same_outputs.py`` on synthetic task digests."""
+"""The comparison of ``tools/same_outputs.py`` on synthetic task digests and reports."""
 import importlib.util
 from pathlib import Path
 
@@ -26,3 +26,20 @@ def test_sweep_plans_are_the_acceptance_sweeps():
     rows = sum(plan.trials * len(plan.values) * (1 if plan.sweep == "scheme" else len(plan.schemes))
                for plan in plans.values())
     assert rows == 1320
+
+
+def test_strip_clocks_drops_clock_readings_at_every_depth():
+    # a balance report nests solve reports, each with its own clocks; every
+    # other key keeps its value and its place
+    doc = {"kind": "sinr-balance", "wall_time_s": 0.5, "beta_star": 2.0,
+           "ladder": [[1.0, True], {"wall_time_s": 0.1, "xi": 1e-9}],
+           "solution": {"block_seconds": {"precoder": 0.2}, "block_calls": {"precoder": 3},
+                        "outer_trace": [[0, 0.01, 1e-3]], "wall_time_s": 0.4}}
+    stripped = same_outputs.strip_clocks(doc)
+    assert stripped == {
+        "kind": "sinr-balance", "beta_star": 2.0,
+        "ladder": [[1.0, True], {"xi": 1e-9}],
+        "solution": {"block_calls": {"precoder": 3}, "outer_trace": [[0, 0.01, 1e-3]]}}
+    assert list(stripped) == ["kind", "beta_star", "ladder", "solution"]
+    assert list(stripped["solution"]) == ["block_calls", "outer_trace"]
+    assert doc["wall_time_s"] == 0.5 and "block_seconds" in doc["solution"]  # left as it was

@@ -89,6 +89,45 @@ def test_solve_paper_config_trace_monotone(paper_channel):
     assert xis[-1] <= xis[0]
 
 
+def outer_reports(seed, beta0_list, cfg):
+    """``solve_sar_min``'s reports at each target, on ``seed``'s M = K = 2,
+    L = 3 channel and the synthetic SAR model that the sweeps use at M = 2."""
+    real = sample_channel(seed, 2, 2, 3, NOISE_W)
+    model = synthesize_sar_matrix(2, budget=1.6)
+    return [solve_sar_min(real, SinrTargets.uniform(2, beta0), model, cfg)
+            for beta0 in beta0_list]
+
+
+def xi_halves_hold(rep):
+    """Whether xi(2i) <= xi(i) for every i >= 10 along ``rep.outer_trace``."""
+    xis = [row[2] for row in rep.outer_trace]
+    return all(xis[2 * i] <= xis[i] for i in range(10, len(xis)) if 2 * i < len(xis))
+
+
+def test_outer_trace_shape_and_exit():
+    cfg = SolverConfig(mu0=1e-2, a=0.5, max_outer=60, max_inner=8, max_sca_iter=8,
+                       eps_inner_rel=1e-3, eps_position_rel=1e-3)
+    reports = outer_reports(5, [0.5 / NOISE_W, 4.0 / NOISE_W], cfg)
+    for rep in reports:
+        assert rep.converged
+        assert rep.xi < 1e-7
+        assert xi_halves_hold(rep)
+        iters = [row[0] for row in rep.outer_trace]
+        assert iters == sorted(iters)
+
+
+def test_outer_iterations_grow_with_target():
+    # stricter targets keep the coupling residual above the exit threshold
+    # longer, so the outer loop runs more iterations
+    cfg = SolverConfig(mu0=1e-2, a=0.5, max_outer=120, max_inner=8, max_sca_iter=8,
+                       eps_inner_rel=1e-3, eps_position_rel=1e-3)
+    reports = outer_reports(9, [0.5 / NOISE_W, 4.0 / NOISE_W, 1000.0 / NOISE_W], cfg)
+    assert all(xi_halves_hold(rep) for rep in reports)
+    iters = [rep.outer_iterations for rep in reports]
+    assert iters == sorted(iters)
+    assert iters[-1] > iters[0]
+
+
 def test_outer_loop_stops_on_xi_once_the_exact_solve_exists(paper_channel, monkeypatch):
     # the paper's stopping rule: the first outer iteration with xi below
     # eps_outer whose layout the exact solve serves ends the loop, and the

@@ -484,13 +484,13 @@ def test_qp_is_the_projection_of_the_free_step():
 
 def sweep(pos, real, P, Z, region):
     """One position sweep of the solver on a copy of ``pos``: the layout after
-    it, the stuck flag and the step counts."""
+    it and the step counts by status."""
     config = fast_config(region=region)
     moved = np.array(pos, dtype=float)
     Hbar = channel_matrix(moved, real, WAVELENGTH).conj()
     state = solver._SolveState(real, config)
-    _, _, stuck = solver._sweep_positions(moved, state, P, Z, config, Hbar)
-    return moved, stuck, state.steps
+    solver._sweep_positions(moved, state, P, Z, config, Hbar, solver._residual(Hbar, P, Z))
+    return moved, state.steps
 
 
 def test_position_sweep_fixed_point(rng, region):
@@ -499,8 +499,8 @@ def test_position_sweep_fixed_point(rng, region):
     pos = uniform_line_layout(2, region)
     H = channel_matrix(pos, real, WAVELENGTH)
     exact = H.conj() @ P
-    moved, stuck, counts = sweep(pos, real, P, exact, region)
-    assert np.array_equal(moved, pos) and not stuck and not any(counts.values())
+    moved, counts = sweep(pos, real, P, exact, region)
+    assert np.array_equal(moved, pos) and not any(counts.values())
 
 
 def test_position_sweep_respects_constraints(rng, region):
@@ -508,7 +508,7 @@ def test_position_sweep_respects_constraints(rng, region):
     for _ in range(20):
         real, _, pos, P, Z = setup_position_instance(rng, M=4, K=3, L=5, scale=2.0)
         pos = uniform_line_layout(4, region)
-        moved, _, counts = sweep(pos, real, P, Z, region)
+        moved, counts = sweep(pos, real, P, Z, region)
         for status, n in counts.items():
             steps[status] = steps.get(status, 0) + n
         assert region.contains(moved, tol=1e-12)
@@ -542,7 +542,7 @@ def test_accepted_steps_meet_the_surrogate_at_their_curvature(monkeypatch):
         taus = _majorizers(state.geometry, P, Z, WAVELENGTH)
         Hbar = channel_matrix(live, real, WAVELENGTH).conj()
         calls.clear()
-        solver._sweep_positions(live, state, P, Z, config, Hbar)
+        solver._sweep_positions(live, state, P, Z, config, Hbar, solver._residual(Hbar, P, Z))
         # a step was accepted when the layout seen next (by the next step, or
         # at the end) has the antenna at the step's end point
         seen_next = [c[0] for c in calls[1:]] + [live]
@@ -585,7 +585,8 @@ def test_backtracking_stops_at_the_majorizer(monkeypatch):
     caps = solver._majorizers(state.geometry, P, Z, WAVELENGTH).tolist()
     state.tau_accepted.update({m: 0.6 * c for m, c in enumerate(caps)})
     Hbar = channel_matrix(positions, real, WAVELENGTH).conj()
-    solver._sweep_positions(positions, state, P, Z, config, Hbar)
+    solver._sweep_positions(positions, state, P, Z, config, Hbar,
+                            solver._residual(Hbar, P, Z))
     assert {m for m, _ in tried} == set(range(len(caps)))
     assert all(tau <= caps[m] for m, tau in tried)
     assert {m for m, tau in tried if tau == caps[m]} == set(range(len(caps)))
@@ -751,7 +752,8 @@ def test_lattice_search_offers_every_free_point_next_to_an_antenna(half_width, a
         at = [rest[0], p, rest[1], rest[2]]
         positions, Hbar = lat.grid[at].copy(), lat.hbar[at].T.copy()
         Z = Hbar @ P + np.outer(lat.hbar[q] - lat.hbar[at[0]], P[0])
-        solver._select_positions_on_grid(positions, lat, P, Z, Hbar)
+        solver._select_positions_on_grid(positions, lat, P, Z, Hbar,
+                                         solver._residual(Hbar, P, Z))
         assert np.array_equal(positions[0], lat.grid[q]), (p, q)
 
 
@@ -795,7 +797,7 @@ def test_lattice_search_leaves_a_settled_layout_unchanged(half_width):
             settled = solver._lattice_settled(lat, positions, P, xi)
             assert settled == (scale < 1.0), (i, scale)
             pos, H = positions.copy(), Hbar.copy()
-            solver._select_positions_on_grid(pos, lat, P, Z, H)
+            solver._select_positions_on_grid(pos, lat, P, Z, H, solver._residual(H, P, Z))
             if settled:
                 assert np.array_equal(pos, positions) and np.array_equal(H, Hbar), (i, scale)
             else:

@@ -19,6 +19,13 @@ at the acceptance suite's trial counts: 20 trials a balance plan and 40 a
 sar-min plan, 1,320 rows in all. Each plan's row count and the sha256 of its
 rows as JSON and of its CSV are compared; those that differ are printed.
 
+Each tree also runs, in a process of its own, the command-line reports of
+``CLI_COMMANDS`` through its ``fluidsar.cli.main``: ``solve sar-min``,
+``solve sinr-balance`` and the four baselines on a small M = K = 2 channel,
+and the ``trace`` of ``tests/test_cli.py``. The sha256 of each command's exit
+status and output, a JSON report taken without its clock readings
+(``CLOCK_KEYS``, at every depth), is compared; those that differ are printed.
+
 The exit status is 0 whatever the outcome: this is a report, not a gate.
 """
 from __future__ import annotations
@@ -27,6 +34,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -39,13 +47,27 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "FAS_THREADS")
 # the acceptance suite's trials per plan, by objective (tests/test_acceptance.py)
 SWEEP_TRIALS = {"balance": 20, "sar-min": 40}
+# the command-line reports compared: M = K = 2 solves on channel seed 3 with
+# the synthetic model, and tests/test_cli.py's trace (its noise -105 dBm)
+_SMALL = ["--channel", "3", "--m", "2", "--k", "2", "--paths", "3", "--sar", "synth:2"]
+_NOISE_W = 10.0 ** (-13.5)
+CLI_COMMANDS = {
+    "solve sar-min": ["solve", "sar-min", *_SMALL, "--beta0", "1e13"],
+    "solve sinr-balance": ["solve", "sinr-balance", *_SMALL, "--eps1", "1e12"],
+    **{f"baseline {scheme}": ["baseline", scheme, *_SMALL, "--eps1", "1e12"]
+       for scheme in ("no-sar", "backoff", "aps", "fpa")},
+    "trace": ["trace", "--seed", "5", "--m", "2", "--k", "2", "--paths", "3",
+              "--beta0", f"{0.5 / _NOISE_W},{2.0 / _NOISE_W}", "--mu0", "1e-2", "--a", "0.5"],
+}
+# the report keys that hold clock readings, which no two runs share
+CLOCK_KEYS = ("wall_time_s", "block_seconds")
 
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def digests(tree: Path, names: list) -> dict:
+def digests(tree: Path, *names: str) -> dict:
     """{workload: {task label: sha256 of its fingerprint}} in ``tree``, or
     {workload: {"error": message}} where a workload could not be run."""
     sys.path.insert(0, str(tree / "bench"))
@@ -85,12 +107,46 @@ def sweep_digests(tree: Path) -> dict:
     return out
 
 
-def in_process(tree: Path, *args) -> dict:
-    """The child mode ``args`` (``--digests`` or ``--sweep-digests``) for
-    ``tree`` in a fresh process, so that one tree's modules never meet the
-    other's: its JSON, or {"error": the last line of its error output}."""
+def strip_clocks(doc):
+    """``doc``, a parsed JSON document, without the ``CLOCK_KEYS`` at any depth."""
+    if isinstance(doc, dict):
+        return {key: strip_clocks(value) for key, value in doc.items()
+                if key not in CLOCK_KEYS}
+    if isinstance(doc, list):
+        return [strip_clocks(value) for value in doc]
+    return doc
+
+
+def cli_digests(tree: Path) -> dict:
+    """{command label: sha256 of its exit status and output} of every
+    ``CLI_COMMANDS`` command, run through ``tree``'s ``fluidsar.cli.main``; a
+    JSON report is hashed as ``strip_clocks`` leaves it."""
+    sys.path.insert(0, str(tree / "src"))
+    from fluidsar.cli import main  # the tree's
+    out = {}
+    for label, argv in CLI_COMMANDS.items():
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            try:
+                status = main(argv)
+            except (Exception, SystemExit) as exc:  # an older tree may lack a command
+                status = f"{type(exc).__name__}: {exc}"
+        text = stdout.getvalue()
+        if text.startswith("{"):
+            text = json.dumps(strip_clocks(json.loads(text)))
+        out[label] = sha256(f"{status}\n{text}")
+    return out
+
+
+# the child modes: ``--child MODE TREE [WORKLOAD...]`` prints MODE's JSON for TREE
+CHILD_MODES = {"digests": digests, "sweeps": sweep_digests, "cli": cli_digests}
+
+
+def in_process(tree: Path, mode: str, *args) -> dict:
+    """The child mode ``mode`` (a ``CHILD_MODES`` key) for ``tree`` in a
+    fresh process, so that one tree's modules never meet the other's: its
+    JSON, or {"error": the last line of its error output}."""
     env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1")}
-    out = subprocess.run([sys.executable, __file__, args[0], str(tree), *args[1:]],
+    out = subprocess.run([sys.executable, __file__, "--child", mode, str(tree), *args],
                          env=env, capture_output=True, text=True, timeout=3600)
     if out.returncode != 0:
         return {"error": (out.stderr.strip().splitlines()
@@ -100,7 +156,7 @@ def in_process(tree: Path, *args) -> dict:
 
 def digests_in_process(tree: Path, names: list) -> dict:
     """``digests`` in a fresh process; a failed process fails every workload."""
-    out = in_process(tree, "--digests", *names)
+    out = in_process(tree, "digests", *names)
     return {name: out for name in names} if "error" in out else out
 
 
@@ -150,26 +206,21 @@ def worktree(root: Path, sha: str):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev", nargs="?", help="the commit to compare this checkout with")
-    # the child modes: --digests TREE WORKLOAD... and --sweep-digests TREE, one
-    # tree's digests as JSON
-    ap.add_argument("--digests", nargs="+", help=argparse.SUPPRESS)
-    ap.add_argument("--sweep-digests", help=argparse.SUPPRESS)
+    ap.add_argument("--child", nargs="+", help=argparse.SUPPRESS)  # see CHILD_MODES
     args = ap.parse_args(argv)
-    if args.digests:
-        print(json.dumps(digests(Path(args.digests[0]), args.digests[1:])))
-        return 0
-    if args.sweep_digests:
-        print(json.dumps(sweep_digests(Path(args.sweep_digests))))
+    if args.child:
+        mode, tree, *rest = args.child
+        print(json.dumps(CHILD_MODES[mode](Path(tree), *rest)))
         return 0
     if not args.rev:
         ap.error("REV is required")
     root, sha = resolve(args.rev)
     names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
     ours = digests_in_process(root, names)
-    ours_sweeps = in_process(root, "--sweep-digests")
+    ours_sweeps, ours_cli = in_process(root, "sweeps"), in_process(root, "cli")
     with worktree(root, sha) as other:
         theirs = digests_in_process(other, names)
-        theirs_sweeps = in_process(other, "--sweep-digests")
+        theirs_sweeps, theirs_cli = in_process(other, "sweeps"), in_process(other, "cli")
     short = sha[:12]
     print(f"benchmark outputs of this checkout against {short}")
     total = changed = 0
@@ -181,6 +232,7 @@ def main(argv=None):
     print(f"acceptance sweeps here: {rows} rows")
     report("acceptance sweeps", ours_sweeps, theirs_sweeps, short,
            "row counts, rows JSON and CSV digests")
+    report("CLI outputs", ours_cli, theirs_cli, short, "commands")
     return 0
 
 
