@@ -70,7 +70,8 @@ def _jsonable(value):
 class _JsonDoc:
     """The JSON codec of a dataclass: its fields in order, but those named in
     ``JSON_SKIP``, through ``_jsonable``; as text, indented by ``JSON_INDENT``.
-    ``from_json`` reads through the class's own ``from_json_dict``."""
+    ``from_json`` reads a JSON object through the class's own
+    ``from_json_dict``, and refuses a document of another shape."""
 
     JSON_SKIP = ()
     JSON_INDENT = None
@@ -84,7 +85,14 @@ class _JsonDoc:
 
     @classmethod
     def from_json(cls, text: str):
-        return cls.from_json_dict(json.loads(text))
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"{cls.__name__} document is not a JSON object")
+        try:
+            return cls.from_json_dict(doc)
+        except (KeyError, TypeError, IndexError) as err:  # a missing or misshapen field
+            raise ConfigurationError(
+                f"malformed {cls.__name__} document: {type(err).__name__}: {err}") from None
 
 
 def dbm_to_watts(dbm: float) -> float:

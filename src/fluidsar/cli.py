@@ -8,12 +8,12 @@ from dataclasses import fields
 
 import numpy as np
 
-from .balance import BalanceConfig, solve_sinr_balance
-from .baselines import BaselineConfig, adaptive_backoff, solve_aps, solve_fpa, solve_without_sar
+from .balance import BalanceConfig
+from .baselines import BaselineConfig
 from .channel import (DEFAULT_NOISE_W, ChannelRealization, ConfigurationError, Region,
                       dbm_to_watts, sample_channel)
 from .exposure import SarModel, paper_sar_matrix, synthesize_sar_matrix
-from .harness import ExperimentPlan, _sar_model, run_sweep
+from .harness import ExperimentPlan, _sar_model, run_sweep, solve_scheme
 from .solver import SinrTargets, SolverConfig, solve_sar_min
 
 
@@ -29,21 +29,23 @@ def _load_channel(args) -> ChannelRealization:
 
 
 def _load_sar(args, m: int) -> SarModel:
+    """The model of ``--sar``, which must be of ``m`` antennas."""
     spec = args.sar
     budget = args.q0 if getattr(args, "q0", None) is not None else 1.6
     if spec == "paper4":
-        if m != 4:
-            raise ConfigurationError("--sar paper4 requires 4 antennas")
-        return paper_sar_matrix(budget=budget)
-    if spec.startswith("file:"):
+        model = paper_sar_matrix(budget=budget)
+    elif spec.startswith("file:"):
         with open(spec[len("file:"):]) as fh:
             model = SarModel.from_json(fh.read())
         if budget != model.budget and getattr(args, "q0", None) is not None:
             model = SarModel(model.matrix, budget, model.synthetic)
-        return model
-    if spec.startswith("synth:") and spec[len("synth:"):].isdigit():
-        return synthesize_sar_matrix(int(spec[len("synth:"):]), budget=budget)
-    raise ConfigurationError(f"unknown --sar spec {spec!r}")
+    elif spec.startswith("synth:") and spec[len("synth:"):].isdigit():
+        model = synthesize_sar_matrix(int(spec[len("synth:"):]), budget=budget)
+    else:
+        raise ConfigurationError(f"unknown --sar spec {spec!r}")
+    if model.n_antennas != m:
+        raise ConfigurationError(f"--sar {spec} has {model.n_antennas} antennas, not --m {m}")
+    return model
 
 
 def float_list(text: str) -> list:  # argparse names this type in its error
@@ -185,48 +187,25 @@ def _run(args) -> int:
         with open(args.save_channel, "w") as fh:
             fh.write(realization.to_json())
     cfg = _solver_config(args)
-    k = realization.num_users
-    weights = _weights(args, k)
-
-    if args.command == "solve" and args.problem == "sar-min":
-        model = _load_sar(args, args.m)
-        rep = solve_sar_min(realization, SinrTargets(weights, args.beta0), model, cfg)
-        _write_report(args, {"kind": "sar-min", **rep.to_json_dict()})
-        return 0 if rep.converged else 1
-
-    if args.command == "solve" and args.problem == "sinr-balance":
-        model = _load_sar(args, args.m)
-        bal = BalanceConfig(accuracy=args.eps1, weights=weights)
-        res = solve_sinr_balance(realization, model, bal, cfg)
-        _write_report(args, {"kind": "sinr-balance", **res.to_json_dict()})
-        return 0
-
-    if args.command == "baseline":
-        bal = BalanceConfig(accuracy=args.eps1, weights=weights)
-        bcfg = BaselineConfig(power_budget=args.power_budget)
-        if args.scheme == "no-sar":
-            res = solve_without_sar(realization, args.m, bcfg, cfg, bal)
-            _write_report(args, {"kind": "baseline-no-sar", **res.to_json_dict()})
-            return 0
-        model = _load_sar(args, args.m)
-        if args.scheme == "backoff":
-            res = adaptive_backoff(realization, model, bcfg, cfg, bal)
-            _write_report(args, {"kind": "baseline-backoff", **res.to_json_dict()})
-            return 0
-        objective = getattr(args, "objective", "balance")
-        targets = SinrTargets(weights, args.beta0) if args.beta0 is not None else None
-        if objective == "sar-min" and targets is None:
-            raise ConfigurationError("--beta0 is required for the sar-min objective")
-        if args.scheme == "aps":
-            res = solve_aps(realization, model, objective, None, cfg, bal, targets)
-            _write_report(args, {"kind": "baseline-aps", **res.to_json_dict()})
-            return 0
-        if args.scheme == "fpa":
-            res = solve_fpa(realization, model, objective, cfg, bal, targets)
-            doc = res.to_json_dict()
-            _write_report(args, {"kind": "baseline-fpa", "orientation": "x-axis", **doc})
-            return 0
-    raise SystemExit("unhandled command")
+    weights = _weights(args, realization.num_users)
+    # a command without --eps1 or --power-budget runs no design that reads it
+    bal = BalanceConfig(accuracy=getattr(args, "eps1", 1e-4), weights=weights)
+    bcfg = BaselineConfig(power_budget=getattr(args, "power_budget", 2.0))
+    if args.command == "solve":
+        scheme, objective = "fas", "sar-min" if args.problem == "sar-min" else "balance"
+    else:
+        scheme, objective = args.scheme, getattr(args, "objective", "balance")
+    beta0 = getattr(args, "beta0", None)
+    targets = SinrTargets(weights, beta0) if beta0 is not None else None
+    if objective == "sar-min" and targets is None:
+        raise ConfigurationError("--beta0 is required for the sar-min objective")
+    # the power-only design reads only the antenna count of the sweeps' model
+    model = _sar_model(args.m, 1.6) if scheme == "no-sar" else _load_sar(args, args.m)
+    res = solve_scheme(scheme, objective, realization, model, cfg, bal, targets, bcfg, bal)
+    kind = args.problem if scheme == "fas" else f"baseline-{scheme}"
+    orientation = {"orientation": "x-axis"} if scheme == "fpa" else {}
+    _write_report(args, {"kind": kind, **orientation, **res.to_json_dict()})
+    return 1 if kind == "sar-min" and not res.converged else 0
 
 
 if __name__ == "__main__":

@@ -33,8 +33,8 @@ import numpy as np
 from .balance import BalanceConfig, solve_sinr_balance
 from .baselines import (BaselineConfig, adaptive_backoff, central_grid_layout, solve_aps,
                         solve_fpa, solve_without_sar)
-from .channel import (DEFAULT_NOISE_W, ConfigurationError, Region, _JsonDoc, aps_grid,
-                      sample_channel, uniform_line_layout)
+from .channel import (DEFAULT_NOISE_W, ChannelRealization, ConfigurationError, Region,
+                      _JsonDoc, aps_grid, sample_channel, uniform_line_layout)
 from .exposure import SarModel, paper_sar_matrix, synthesize_sar_matrix
 from .solver import SinrTargets, SolverConfig, solve_sar_min
 
@@ -42,6 +42,7 @@ __all__ = [
     "ExperimentPlan",
     "RunRecord",
     "run_sweep",
+    "solve_scheme",
     "derive_seed",
     "worker_count",
 ]
@@ -175,9 +176,9 @@ def _kind(scheme: str) -> str:
 
 
 def _point_setup(plan: ExperimentPlan, value, seed: int):
-    """Schemes, channel of ``seed`` and solver inputs at one sweep point.
-    The plan builds them for every point, so a bad value fails when the plan
-    is built."""
+    """Schemes, channel of ``seed`` and the other inputs of ``solve_scheme``
+    at one sweep point. The plan builds them for every point, so a bad value
+    fails when the plan is built."""
     q0, beta0, half_width, paths = plan.q0, plan.beta0, plan.half_width, plan.paths
     schemes = _point_schemes(plan, value)
     if plan.sweep == "q0":
@@ -209,7 +210,7 @@ def _point_setup(plan: ExperimentPlan, value, seed: int):
     base_config = BaselineConfig(power_budget=plan.power_budget)
     targets = SinrTargets.uniform(plan.k, beta0) if beta0 is not None else None
     return (schemes, realization, _sar_model(plan.m, q0), solver_config, balance_config,
-            nosar_config, base_config, targets)
+            targets, base_config, nosar_config)
 
 
 def _tasks(plan: ExperimentPlan) -> list[tuple]:
@@ -231,18 +232,43 @@ def _tasks(plan: ExperimentPlan) -> list[tuple]:
                   key=lambda task: TASK_ORDER.index(task[0]))
 
 
+def solve_scheme(scheme: str, objective: str, realization: ChannelRealization,
+                 model: SarModel, solver_config: SolverConfig,
+                 balance_config: BalanceConfig, targets: SinrTargets | None,
+                 base_config: BaselineConfig, nosar_config: BalanceConfig, power_only=None):
+    """The design of ``scheme`` at ``objective`` ("balance" or "sar-min"), the
+    one map from a scheme to its solver that sweeps and the CLI share. No-SAR
+    is ``power_only``, the power-only design on ``nosar_config``, solved here
+    when not given; backoff scales it to the budget of ``model``."""
+    if scheme == "fas" and objective == "balance":
+        return solve_sinr_balance(realization, model, balance_config, solver_config)
+    if scheme == "fas":
+        return solve_sar_min(realization, targets, model, solver_config)
+    if scheme == "fpa":
+        return solve_fpa(realization, model, objective, solver_config, balance_config, targets)
+    if scheme == "aps":
+        return solve_aps(realization, model, objective, None, solver_config, balance_config,
+                         targets)
+    if scheme not in POWER_ONLY:
+        raise ConfigurationError(f"unknown scheme {scheme!r}")
+    if power_only is None:
+        power_only = solve_without_sar(realization, model.n_antennas, base_config,
+                                       solver_config, nosar_config)
+    return power_only if scheme == "no-sar" else adaptive_backoff(
+        realization, model, base_config, solver_config, balance_config, unconstrained=power_only)
+
+
 def _run_task(plan: ExperimentPlan, kind: str, trial: int, points: tuple) -> list[tuple]:
-    """The rows of the schemes of ``kind`` at ``points`` for one trial, each
-    with its place in the record, (point, trial, place among the point's
-    schemes). Every scheme at a point shares its channel and seed, and every
-    no-SAR and backoff row of the task shares one power-only design."""
+    """The rows of the schemes of ``kind`` at ``points`` for one trial, solved by
+    ``solve_scheme``, each with its place in the record, (point, trial, place among
+    the point's schemes). Every scheme at a point shares its channel and seed, and
+    every no-SAR and backoff row of the task reuses the first one's power-only design."""
     seed = derive_seed(plan.master_seed, trial)
     rows = []
-    nosar_cache = None
+    power_only = None
     for point_index in points:
         value = plan.values[point_index]
-        schemes, realization, model, solver_config, balance_config, nosar_config, \
-            base_config, targets = _point_setup(plan, value, seed)
+        schemes, *inputs = _point_setup(plan, value, seed)
         for place, scheme in enumerate(schemes):
             if _kind(scheme) != kind:
                 continue
@@ -255,23 +281,9 @@ def _run_task(plan: ExperimentPlan, kind: str, trial: int, points: tuple) -> lis
                 "status": "ok",
             }
             try:
-                if scheme == "fas" and plan.objective == "balance":
-                    res = solve_sinr_balance(realization, model, balance_config, solver_config)
-                elif scheme == "fas":
-                    res = solve_sar_min(realization, targets, model, solver_config)
-                elif scheme == "fpa":
-                    res = solve_fpa(realization, model, plan.objective, solver_config,
-                                    balance_config, targets)
-                elif scheme == "aps":
-                    res = solve_aps(realization, model, plan.objective, None,
-                                    solver_config, balance_config, targets)
-                else:  # no-sar and backoff share the power-only design
-                    if nosar_cache is None:
-                        nosar_cache = solve_without_sar(realization, plan.m, base_config,
-                                                        solver_config, nosar_config)
-                    res = nosar_cache if scheme == "no-sar" else adaptive_backoff(
-                        realization, model, base_config, solver_config, balance_config,
-                        unconstrained=nosar_cache)
+                res = solve_scheme(scheme, plan.objective, *inputs, power_only=power_only)
+                if scheme in POWER_ONLY:
+                    power_only = res if scheme == "no-sar" else res.unconstrained
 
                 if scheme == "aps":
                     row.update(value_metric=res.value, beta=res.beta, sar=res.sar)

@@ -6,12 +6,15 @@ import pytest
 
 from fluidsar.channel import DEFAULT_NOISE_W, sample_channel
 from fluidsar.cli import main
+from fluidsar.harness import ExperimentPlan, derive_seed, run_sweep
 
 from conftest import NOISE_W
 
-FAST = ["--mu0", "1e-2", "--a", "0.5", "--max-outer", "60",
-        "--max-inner", "8", "--max-sca-iter", "8",
-        "--eps-inner-rel", "1e-3", "--eps-position-rel", "1e-3"]
+# quick solver settings, as a plan's ``solver`` dict and as CLI flags
+FAST_SOLVER = {"mu0": 1e-2, "a": 0.5, "max_outer": 60, "max_inner": 8, "max_sca_iter": 8,
+               "eps_inner_rel": 1e-3, "eps_position_rel": 1e-3}
+FAST = [arg for name, value in FAST_SOLVER.items()
+        for arg in ("--" + name.replace("_", "-"), str(value))]
 
 
 # the top-level keys of each report kind, in order; a balance report's
@@ -105,14 +108,14 @@ def test_cli_sinr_balance_and_sar_file(tmp_path):
 
 
 def test_cli_refuses_a_singular_sar_file_before_solving(tmp_path, monkeypatch, capsys):
-    from fluidsar import cli
+    from fluidsar import harness
     from test_exposure import singular_sar_json
     sar_file = tmp_path / "sar.json"
     sar_file.write_text(singular_sar_json())
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran on the singular model")
-    monkeypatch.setattr(cli, "solve_sar_min", no_solve)
+    monkeypatch.setattr(harness, "solve_sar_min", no_solve)
     assert_refused(capsys, ["solve", "sar-min", "--channel", "5", "--m", "2", "--k", "2",
                             "--paths", "3", "--beta0", str(0.5 / NOISE_W),
                             "--sar", f"file:{sar_file}"] + FAST, "positive definite")
@@ -120,12 +123,12 @@ def test_cli_refuses_a_singular_sar_file_before_solving(tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize("problem", ["sar-min", "sinr-balance"])
 def test_cli_refuses_a_nan_budget_before_solving(monkeypatch, capsys, problem):
-    from fluidsar import cli
+    from fluidsar import harness
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran with a NaN budget")
-    monkeypatch.setattr(cli, "solve_sar_min", no_solve)
-    monkeypatch.setattr(cli, "solve_sinr_balance", no_solve)
+    monkeypatch.setattr(harness, "solve_sar_min", no_solve)
+    monkeypatch.setattr(harness, "solve_sinr_balance", no_solve)
     extra = ["--beta0", str(0.5 / NOISE_W)] if problem == "sar-min" else []
     assert_refused(capsys, ["solve", problem, "--channel", "5", "--paths", "3", "--q0", "nan"]
                    + extra + FAST, "finite positive")
@@ -141,24 +144,24 @@ def test_cli_refuses_a_nan_budget_before_solving(monkeypatch, capsys, problem):
     (["baseline", "no-sar", "--power-budget", "nan"], "power budget"),
 ])
 def test_cli_refuses_a_nan_target_or_accuracy_before_solving(monkeypatch, capsys, argv, match):
-    from fluidsar import cli
+    from fluidsar import harness
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran with a NaN setting")
     for name in ("solve_sar_min", "solve_sinr_balance", "solve_without_sar",
                  "adaptive_backoff"):
-        monkeypatch.setattr(cli, name, no_solve)
+        monkeypatch.setattr(harness, name, no_solve)
     assert_refused(capsys, argv + ["--channel", "5", "--paths", "3"] + FAST, match)
 
 
 @pytest.mark.parametrize("flag,value,match", [("--mu0", "nan", "mu0"),
                                               ("--max-inner", "0", "max_inner")])
 def test_cli_refuses_solver_settings_before_solving(monkeypatch, capsys, flag, value, match):
-    from fluidsar import cli
+    from fluidsar import harness
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran with a setting no solve can use")
-    monkeypatch.setattr(cli, "solve_sar_min", no_solve)
+    monkeypatch.setattr(harness, "solve_sar_min", no_solve)
     # the flag follows FAST, so its value is the one parsed
     assert_refused(capsys, ["solve", "sar-min", "--channel", "5", "--paths", "3",
                             "--beta0", str(0.5 / NOISE_W)] + FAST + [flag, value], match)
@@ -183,11 +186,11 @@ def test_cli_baselines(tmp_path):
 
 @pytest.mark.parametrize("extra", [["--method", "combinations"], ["--aps-cap", "3"]])
 def test_cli_aps_takes_no_method_or_cap(monkeypatch, capsys, extra):
-    from fluidsar import cli
+    from fluidsar import harness
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran on a removed flag")
-    monkeypatch.setattr(cli, "solve_aps", no_solve)
+    monkeypatch.setattr(harness, "solve_aps", no_solve)
     with pytest.raises(SystemExit) as exc:
         main(["baseline", "aps", "--channel", "4", "--m", "2", "--k", "2", "--paths", "3",
               "--sar", "synth:2"] + FAST + extra)
@@ -324,12 +327,89 @@ def test_cli_ends_bad_input_in_one_error_line(tmp_path, capsys, argv, match):
     assert_refused(capsys, argv + paths, match)
 
 
+# documents that parse as JSON but are no channel, SAR model or plan: each
+# names the class it fails to be
+MALFORMED = [
+    (["solve", "sar-min", "--channel", "{doc}"], {}, "ChannelRealization.*KeyError: 'users'"),
+    (["solve", "sar-min", "--channel", "{doc}"], [], "ChannelRealization.*not a JSON object"),
+    (["solve", "sar-min", "--channel", "{doc}"], {"users": [{}], "noise_variance": 1e-13},
+     "ChannelRealization.*KeyError: 'elevation_aods'"),
+    (["solve", "sar-min", "--channel", "5", "--sar", "file:{doc}"], {"matrix": 1},
+     "SarModel.*IndexError"),
+    (["sweep", "--plan", "{doc}"], {"objective": "sar-min"}, "ExperimentPlan.*TypeError"),
+    (["sweep", "--plan", "{doc}"], [1, 2], "ExperimentPlan.*not a JSON object"),
+]
+
+
+@pytest.mark.parametrize("argv,doc,match", MALFORMED, ids=[
+    "channel-empty", "channel-list", "channel-user-empty", "sar-matrix-scalar",
+    "plan-missing-keys", "plan-list"])
+def test_cli_refuses_a_malformed_document(tmp_path, capsys, argv, doc, match):
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    argv = [a.format(doc=tmp_path / "doc.json") for a in argv]
+    extra = [] if argv[0] == "sweep" else ["--paths", "3", "--beta0", "1"]
+    assert_refused(capsys, argv + extra, match)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "sar-min", "--beta0", "1e13", "--sar", "synth:3"],
+    ["baseline", "backoff", "--eps1", "1e12", "--sar", "synth:3"],
+    ["solve", "sinr-balance", "--eps1", "1e12", "--sar", "file:{tmp}/sar3.json"],
+], ids=["synth-sar-min", "synth-backoff", "file-sinr-balance"])
+def test_cli_refuses_a_sar_model_of_another_antenna_count(tmp_path, monkeypatch, capsys,
+                                                          argv):
+    from fluidsar import harness
+    from fluidsar.exposure import synthesize_sar_matrix
+    (tmp_path / "sar3.json").write_text(synthesize_sar_matrix(3).to_json())
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran on a model of another antenna count")
+    for name in ("solve_sar_min", "solve_sinr_balance", "solve_without_sar",
+                 "adaptive_backoff"):
+        monkeypatch.setattr(harness, name, no_solve)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert_refused(capsys, argv + ["--channel", "5", "--m", "2", "--k", "2", "--paths", "3"],
+                   r"(synth:3|sar3\.json) has 3 antennas, not --m 2")
+
+
+@pytest.mark.parametrize("objective,schemes", [
+    ("balance", ("fas", "aps", "fpa", "no-sar", "backoff")),
+    ("sar-min", ("fas", "aps", "fpa"))])
+def test_cli_reports_the_value_of_the_sweep_row(tmp_path, objective, schemes):
+    # one M = K = 2 channel, solved by a sweep and by the CLI with the same
+    # settings: each report holds its sweep row's value_metric, bit for bit
+    beta0 = 0.5 / DEFAULT_NOISE_W
+    plan = ExperimentPlan(objective=objective, sweep="scheme", values=schemes, trials=1,
+                          master_seed=7, m=2, k=2, paths=3, accuracy=1e12,
+                          beta0=beta0 if objective == "sar-min" else None, solver=FAST_SOLVER)
+    rows = {row["scheme"]: row for row in run_sweep(plan).rows}
+    common = ["--channel", str(derive_seed(7, 0)), "--m", "2", "--k", "2", "--paths", "3",
+              "--sar", "synth:2"] + FAST
+    target = ["--beta0", repr(beta0)] if objective == "sar-min" else []
+    for scheme in schemes:
+        if scheme == "fas" and objective == "sar-min":
+            argv = ["solve", "sar-min"] + target
+        elif scheme == "fas":
+            argv = ["solve", "sinr-balance", "--eps1", "1e12"]
+        else:
+            argv = ["baseline", scheme, "--eps1", "1e12"]
+            if scheme in ("aps", "fpa"):
+                argv += ["--objective", objective] + target
+        out = tmp_path / f"{scheme}.json"
+        main(argv + common + ["--out", str(out)])
+        doc = json.loads(out.read_text())
+        key = "value" if scheme == "aps" else "beta" if scheme == "backoff" else \
+            "beta_star" if objective == "balance" else "sar"
+        assert rows[scheme]["status"] == "ok", scheme
+        assert doc[key] == rows[scheme]["value_metric"], scheme
+
+
 def test_cli_leaves_solver_faults_as_tracebacks(monkeypatch):
-    from fluidsar import cli
+    from fluidsar import harness
     from fluidsar.solver import SolverError
 
     def fault(*args, **kwargs):
         raise SolverError("inner objective increased")
-    monkeypatch.setattr(cli, "solve_sar_min", fault)
+    monkeypatch.setattr(harness, "solve_sar_min", fault)
     with pytest.raises(SolverError, match="inner objective increased"):
         main(["solve", "sar-min", "--channel", "5", "--paths", "3", "--beta0", "1"])

@@ -21,10 +21,11 @@ rows as JSON and of its CSV are compared; those that differ are printed.
 
 Each tree also runs, in a process of its own, the command-line reports of
 ``CLI_COMMANDS`` through its ``fluidsar.cli.main``: ``solve sar-min``,
-``solve sinr-balance`` and the four baselines on a small M = K = 2 channel,
-and the ``trace`` of ``tests/test_cli.py``. The sha256 of each command's exit
-status and output, a JSON report taken without its clock readings
-(``CLOCK_KEYS``, at every depth), is compared; those that differ are printed.
+``solve sinr-balance``, the four baselines, and the APS and FPA baselines at
+the sar-min objective, on a small M = K = 2 channel, and the ``trace`` of
+``tests/test_cli.py``: 9 commands. The sha256 of each command's exit status
+and output, a JSON report taken without its clock readings (``CLOCK_KEYS``,
+at every depth), is compared; those that differ are printed.
 
 The exit status is 0 whatever the outcome: this is a report, not a gate.
 """
@@ -48,7 +49,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 # the acceptance suite's trials per plan, by objective (tests/test_acceptance.py)
 SWEEP_TRIALS = {"balance": 20, "sar-min": 40}
 # the command-line reports compared: M = K = 2 solves on channel seed 3 with
-# the synthetic model, and tests/test_cli.py's trace (its noise -105 dBm)
+# the synthetic model, every scheme at the balance objective and FAS, APS and
+# FPA at the sar-min one, and tests/test_cli.py's trace (its noise -105 dBm)
 _SMALL = ["--channel", "3", "--m", "2", "--k", "2", "--paths", "3", "--sar", "synth:2"]
 _NOISE_W = 10.0 ** (-13.5)
 CLI_COMMANDS = {
@@ -56,6 +58,8 @@ CLI_COMMANDS = {
     "solve sinr-balance": ["solve", "sinr-balance", *_SMALL, "--eps1", "1e12"],
     **{f"baseline {scheme}": ["baseline", scheme, *_SMALL, "--eps1", "1e12"]
        for scheme in ("no-sar", "backoff", "aps", "fpa")},
+    **{f"baseline {scheme} sar-min": ["baseline", scheme, *_SMALL, "--objective", "sar-min",
+                                      "--beta0", "1e13"] for scheme in ("aps", "fpa")},
     "trace": ["trace", "--seed", "5", "--m", "2", "--k", "2", "--paths", "3",
               "--beta0", f"{0.5 / _NOISE_W},{2.0 / _NOISE_W}", "--mu0", "1e-2", "--a", "0.5"],
 }
